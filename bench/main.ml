@@ -365,10 +365,10 @@ let bench_bracha_window ~n =
 
 (* Full Bracha *agreement* end to end: benign fault-free windows until
    every processor decides (9 windows at seed 21 for each bench n).
-   The batched applier fuses each chunk of identical windows into one
-   mailbox sweep; incremental RBC tallies keep the per-delivery cost
-   flat.  Decision count is asserted during setup, not in the staged
-   closure, so the measured loop stays allocation-honest. *)
+   Each window delivers through one drain walk per processor;
+   incremental RBC tallies keep the per-delivery cost flat.  Decision
+   count is asserted during setup, not in the staged closure, so the
+   measured loop stays allocation-honest. *)
 let bench_bracha_agreement ~n =
   let t = (n - 1) / 3 in
   let config =
@@ -376,11 +376,10 @@ let bench_bracha_agreement ~n =
       ~inputs:(Array.init n (fun i -> i mod 2 = 0)) ~seed:21 ()
   in
   let window = Dsim.Window.uniform ~n () in
-  let chunk = [ window; window; window ] in
   let run c =
-    let budget = ref 32 in
+    let budget = ref 96 in
     while (not (Dsim.Engine.all_decided c)) && !budget > 0 do
-      Dsim.Engine.apply_windows c chunk;
+      Dsim.Engine.apply_window c window;
       decr budget
     done
   in
@@ -397,12 +396,10 @@ let bench_bracha_agreement ~n =
 let bench_window_make_uniform ~n =
   Staged.stage (fun () -> ignore (Sys.opaque_identity (Dsim.Window.uniform ~n ())))
 
-(* Batched-vs-unbatched twin over identical uniform windows on the
-   steady-state single-broadcaster protocol: the same [count] windows
-   through [apply_windows] (one fused sweep per run) and through the
-   window-at-a-time loop.  Bit-identical outcomes (the kernel-diff
-   suite pins that); the words ratio is the batching win. *)
-let bench_window_run ~n ~count ~batched =
+(* A run of [count] identical uniform windows on the steady-state
+   single-broadcaster protocol, each applied on its own: the per-window
+   fixed cost (send sweep, n drain walks, drop sweep) times [count]. *)
+let bench_window_run ~n ~count =
   let config =
     Dsim.Engine.init ~protocol:(bcast_protocol ~all:false) ~n ~fault_bound:0
       ~inputs:(Array.make n false) ~seed:22 ()
@@ -411,11 +408,11 @@ let bench_window_run ~n ~count ~batched =
   for _ = 1 to 2 do
     Dsim.Engine.apply_window config window
   done;
-  let windows = List.init count (fun _ -> window) in
   Staged.stage (fun () ->
       let c = Dsim.Engine.copy config in
-      if batched then Dsim.Engine.apply_windows c windows
-      else List.iter (fun w -> Dsim.Engine.apply_window c w) windows)
+      for _ = 1 to count do
+        Dsim.Engine.apply_window c window
+      done)
 
 (* Sequential-vs-parallel throughput of the ensemble sweep engine: the
    same 32-seed E2-style sweep at jobs = 1 / 2 / recommended.  On a
@@ -627,10 +624,7 @@ let groups =
         Test.make ~name:"window-make-uniform-n10000" (bench_window_make_uniform ~n:10000);
         Test.make ~name:"window-make-uniform-n100000"
           (bench_window_make_uniform ~n:100000);
-        Test.make ~name:"windows-batched-n1000-k8"
-          (bench_window_run ~n:1000 ~count:8 ~batched:true);
-        Test.make ~name:"windows-unbatched-n1000-k8"
-          (bench_window_run ~n:1000 ~count:8 ~batched:false);
+        Test.make ~name:"windows-n1000-k8" (bench_window_run ~n:1000 ~count:8);
       ] );
   ]
 

@@ -1,7 +1,6 @@
 (* All four strategies go through [Strategy.cached_uniform]: a fixed
    (or slowly rotating) silenced set repeats for long stretches, and
-   handing the engine the same window each time lets the batched
-   applier fuse the stretch. *)
+   handing the engine the same window each time saves rebuilding it. *)
 
 let fixed ~silenced config =
   Some (Strategy.cached_uniform ~n:(Dsim.Engine.n config) ~silenced ())

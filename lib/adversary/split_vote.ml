@@ -14,7 +14,7 @@ let windowed () =
   fun config ->
     let n = Dsim.Engine.n config in
     (* The balancing set stabilizes once the estimates do; the memo
-       then replays one shared window and the engine can batch. *)
+       then replays one shared window instead of rebuilding it. *)
     Some (Strategy.cached_uniform ~n ~silenced:(balancing_silence config) ())
 
 let windowed_with_resets () =

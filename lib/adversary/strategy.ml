@@ -4,10 +4,8 @@ type ('s, 'm) stepwise = ('s, 'm) Dsim.Engine.t -> 'm Dsim.Step.t option
 (* Windowed strategies rebuild the same uniform window for long
    stretches (benign sweeps, fixed silencing).  A last-one memo keyed
    on the exact parameters hands those stretches back the SAME
-   [Window.t]: construction leaves the per-window path, and — because
-   the engine's batched applier fuses on physically-equal masks —
-   [Engine.apply_windows] can collapse the whole stretch into one
-   sweep.  Sound because windows are immutable once built. *)
+   [Window.t], so window construction leaves the per-window path.
+   Sound because windows are immutable once built. *)
 let uniform_memo : (int * int list * int list * Dsim.Window.t) option ref =
   ref None
 

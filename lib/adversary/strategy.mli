@@ -20,10 +20,9 @@ type ('s, 'm) stepwise = ('s, 'm) Dsim.Engine.t -> 'm Dsim.Step.t option
 val cached_uniform :
   n:int -> ?silenced:int list -> ?resets:int list -> unit -> Dsim.Window.t
 (** {!Dsim.Window.uniform} behind a last-one memo: repeated calls with
-    equal parameters return the very same window, so a run of them
-    carries physically-equal masks and {!Dsim.Engine.apply_windows}
-    can fuse the run into one sweep.  Windows are immutable once
-    built, so sharing is sound. *)
+    equal parameters return the very same window, so a stretch of
+    identical windows costs one construction instead of one per
+    window.  Windows are immutable once built, so sharing is sound. *)
 
 val limit_windows : int -> ('s, 'm) windowed -> ('s, 'm) windowed
 (** Halt after the given number of windows have been supplied. *)

@@ -735,7 +735,7 @@ let e10_ablations ?(jobs = 1) ~scale () =
       let silenced = Prng.Stream.sample_without_replacement rng t n in
       (* Through the shared memo like the other windowed adversaries:
          fresh samples miss it, but repeated draws of the same set (small
-         binom(n, t)) reuse the window object and fuse in the engine. *)
+         binom(n, t)) reuse the window object. *)
       Some (Adversary.Strategy.cached_uniform ~n ~silenced ())
   in
   List.iter

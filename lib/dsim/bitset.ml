@@ -74,24 +74,6 @@ let of_int_mask ~capacity m =
     t.words.(0) <- m land (if capacity >= bits then -1 else (1 lsl capacity) - 1);
   t
 
-(* Same members, capacities free to differ: word-wise compare over the
-   shared prefix, then the longer tail must be all-zero. *)
-let equal a b =
-  a == b
-  ||
-  let wa = a.words and wb = b.words in
-  let la = Array.length wa and lb = Array.length wb in
-  let shared = min la lb in
-  let ok = ref true in
-  for i = 0 to shared - 1 do
-    if wa.(i) <> wb.(i) then ok := false
-  done;
-  let longer = if la > lb then wa else wb in
-  for i = shared to Array.length longer - 1 do
-    if longer.(i) <> 0 then ok := false
-  done;
-  !ok
-
 (* Popcount of one word: Kernighan's clear-lowest-set-bit loop, one
    iteration per set bit.  (The byte-parallel SWAR trick is unsound on
    OCaml's 63-bit ints, and counts are off the per-delivery hot path.) *)

@@ -48,11 +48,6 @@ val of_int_mask : capacity:int -> int -> t
     [Invalid_argument] on a negative mask or a capacity outside
     [0, Sys.int_size]. *)
 
-val equal : t -> t -> bool
-(** Same members; capacities may differ (trailing absent members are
-    ignored).  O(capacity / word-size) — the batched window-application
-    path uses this to detect runs of identical uniform windows. *)
-
 val cardinal : t -> int
 val cardinal_below : t -> int -> int
 (** [cardinal_below t limit] is [|t ∩ \[0, limit)|]. *)

@@ -215,8 +215,8 @@ let do_send t p =
   end
 
 (* Deliver an envelope already removed from the mailbox: the tail of
-   [do_deliver], shared with the batched sweep whose [Mailbox.drain_for]
-   removes envelopes as it visits them. *)
+   [do_deliver], shared with the [Mailbox.drain_for] walks that remove
+   envelopes as they visit them. *)
 let deliver_taken t (envelope : _ Envelope.t) =
   let id = envelope.Envelope.id in
   let dst = envelope.Envelope.dst in
@@ -248,6 +248,12 @@ let do_deliver t id =
   | None -> invalid_arg (Printf.sprintf "Engine: deliver of unknown message #%d" id)
   | Some envelope -> deliver_taken t envelope
 
+(* A delivery step for an envelope a drain walk has just removed: the
+   [Step.Deliver] branch of [apply] without the re-probe. *)
+let deliver_step t envelope =
+  t.step_index <- t.step_index + 1;
+  deliver_taken t envelope
+
 let do_reset t p =
   if not t.crashed.(p) then begin
     t.states.(p) <- t.protocol.Protocol.on_reset t.states.(p);
@@ -277,7 +283,7 @@ let apply t step =
       if not (Mailbox.replace_payload t.mailbox id payload) then
         invalid_arg (Printf.sprintf "Engine: corrupt of unknown message #%d" id)
 
-let apply_window t ?(drop_undelivered = true) ?tamper window =
+let apply_window t ?tamper window =
   let fresh_from = t.next_msg_id in
   (* Phase 1: all processors take sending steps. *)
   for p = 0 to t.n - 1 do
@@ -288,91 +294,27 @@ let apply_window t ?(drop_undelivered = true) ?tamper window =
      fresh messages after they are sent and before any is delivered. *)
   (match tamper with None -> () | Some f -> f ~from_id:fresh_from ~til_id:fresh_to);
   (* Phase 2: each processor i receives the just-sent messages from S_i,
-     in ascending (sender, id) order — "some fixed order".  The mailbox's
-     per-destination queues and the window's receive-set masks make this
-     a single allocation-free walk per processor. *)
+     in ascending (sender, id) order — "some fixed order".  One
+     [Mailbox.drain_for] walk per processor visits its queue merged with
+     the broadcast table and removes each delivered envelope as it goes. *)
+  let deliver = deliver_step t in
   for dst = 0 to t.n - 1 do
-    Mailbox.iter_for t.mailbox ~dst (fun e ->
-        let id = e.Envelope.id in
-        if
-          id >= fresh_from && id < fresh_to
-          && Window.allows window ~dst ~src:e.Envelope.src
-        then apply t (Step.Deliver id))
+    Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to
+      ~allow:(fun src -> Window.allows window ~dst ~src)
+      deliver
   done;
   (* Undelivered fresh messages can never legally be delivered by a
      later window, so clear them out: one ascending merge walk over the
      window's own id range (near-free after full-delivery windows,
      where nothing fresh is left pending). *)
-  if drop_undelivered then
-    Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to
-      (fun id -> apply t (Step.Drop id));
+  Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to (fun id ->
+      apply t (Step.Drop id));
   (* Phase 3: at most t resetting steps. *)
   List.iter (fun p -> apply t (Step.Reset p)) (Window.resets window);
   t.window_index <- t.window_index + 1;
   Trace.record t.trace (Trace.Window_closed { index = t.window_index })
 
-(* Fused sweep over a run of [count] consecutive uniform windows that
-   share [mask] and reset nobody: one batch-condition check for the
-   whole run, delivery through [Mailbox.drain_for] (visit + remove in a
-   single merge walk, direct mask membership instead of the
-   [Window.allows] indirection), and bulk window accounting at the end.
-   Step-for-step identical to [count] [apply_window] calls — same
-   sends, same ascending delivery order, same freshness checks, same
-   drop sweep, same counter arithmetic — which the kernel-diff suite's
-   batched-vs-sequential differential pins down. *)
-let apply_uniform_run t ~drop_undelivered ~mask count =
-  let allow src = Bitset.mem mask src in
-  for _ = 1 to count do
-    let fresh_from = t.next_msg_id in
-    for p = 0 to t.n - 1 do
-      apply t (Step.Send p)
-    done;
-    let fresh_to = t.next_msg_id in
-    for dst = 0 to t.n - 1 do
-      Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to ~allow
-        (fun e ->
-          t.step_index <- t.step_index + 1;
-          deliver_taken t e)
-    done;
-    if drop_undelivered then
-      Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to
-        (fun id -> apply t (Step.Drop id));
-    t.window_index <- t.window_index + 1
-  done;
-  Trace.record_windows_closed t.trace ~count
-
-(* A window joins a fused run iff it is uniform-represented (one shared
-   fully-packed mask), resets nobody and matches the engine's arity;
-   runs additionally require event recording to be off, because the
-   bulk accounting elides the interleaved [Window_closed] events. *)
-let fusable_mask t w =
-  if Window.arity w = t.n && Window.reset_count w = 0 then Window.uniform_mask w
-  else None
-
-let apply_windows t ?(drop_undelivered = true) windows =
-  let fuse_ok = not (Trace.recording_events t.trace) in
-  let rec go = function
-    | [] -> ()
-    | w :: rest -> (
-        match if fuse_ok then fusable_mask t w else None with
-        | None ->
-            apply_window t ~drop_undelivered w;
-            go rest
-        | Some mask ->
-            let rec extend count = function
-              | w2 :: tl ->
-                  (match fusable_mask t w2 with
-                  | Some m2 when m2 == mask || Bitset.equal m2 mask ->
-                      extend (count + 1) tl
-                  | Some _ | None -> (count, w2 :: tl))
-              | [] -> (count, [])
-            in
-            let count, rest = extend 1 rest in
-            apply_uniform_run t ~drop_undelivered ~mask count;
-            go rest)
-  in
-  go windows
-
 let deliver_all_pending t ~dst =
-  Mailbox.iter_for t.mailbox ~dst (fun e ->
-      apply t (Step.Deliver e.Envelope.id))
+  Mailbox.drain_for t.mailbox ~dst ~from:min_int ~til:max_int
+    ~allow:(fun _ -> true)
+    (deliver_step t)

@@ -129,37 +129,23 @@ val apply : ('s, 'm) t -> 'm Step.t -> unit
     of the visible configuration, so this is a strategy bug). *)
 
 val apply_window :
-  ('s, 'm) t ->
-  ?drop_undelivered:bool ->
-  ?tamper:(from_id:int -> til_id:int -> unit) ->
-  Window.t ->
-  unit
+  ('s, 'm) t -> ?tamper:(from_id:int -> til_id:int -> unit) -> Window.t -> unit
 (** Apply one acceptable window (Definition 1): sending steps for all
     non-crashed processors, then for each [i] deliver the just-sent
     messages from senders in [S_i] (ascending sender order), then the
-    resetting steps.  When [drop_undelivered] (default [true]), fresh
+    resetting steps.  Delivery is one {!Mailbox.drain_for} walk per
+    processor, which removes each envelope as it visits it.  Fresh
     messages outside every receive set are dropped at window end —
     windows only ever deliver "just sent" messages, so stale messages
     can never be delivered later anyway.  [tamper], if given, runs
     after the sending phase and before any delivery, with the fresh id
     range [\[from_id, til_id)]; it is the hook for in-transit Byzantine
     corruption ([Step.Corrupt] on fresh ids) and is what the model
-    checker's corruption menu drives. *)
-
-val apply_windows : ('s, 'm) t -> ?drop_undelivered:bool -> Window.t list -> unit
-(** Apply the windows in order, exactly as repeated {!apply_window}
-    calls would — but runs of consecutive windows that share one
-    fully-packed uniform receive mask ({!Window.uniform_mask}) and
-    reset nobody are applied as one fused sweep: a single batch check,
-    delivery through the mailbox's fused visit-and-remove walk with
-    direct mask membership, and bulk trace accounting.  This is the
-    shape every n-sweep bench and fault-free agreement run emits.
-    Fusion silently falls back to per-window application when event
-    recording is on (the bulk accounting would elide the interleaved
-    [Window_closed] events) or when a window fails the batch
-    conditions; results are step-for-step identical either way.
-    Windows are not validated — callers run {!Window.validate} first,
-    as {!Runner.run_windows} does. *)
+    checker's corruption menu drives.  This is the only window
+    applier: the strongly adaptive adversary picks each window after
+    seeing the configuration the previous one produced, so windows are
+    applied one at a time.  Windows are not validated — callers run
+    {!Window.validate} first, as {!Runner.run_windows} does. *)
 
 val deliver_all_pending : ('s, 'm) t -> dst:int -> unit
 (** Deliver every pending message addressed to [dst], ascending id. *)

@@ -372,13 +372,6 @@ let bc_compact t =
 
 let mem t id = slot_occupied t (id - t.base) || bc_mem t id
 
-let add t envelope =
-  let id = envelope.Envelope.id in
-  if mem t id then invalid_arg "Mailbox.add: duplicate message id";
-  arena_insert t ~id ~src:envelope.Envelope.src ~dst:envelope.Envelope.dst
-    ~payload:envelope.Envelope.payload ~depth:envelope.Envelope.depth
-    ~step:envelope.Envelope.sent_at_step ~window:envelope.Envelope.sent_in_window
-
 let add_unicast t ~id ~src ~dst ~payload ~depth ~sent_at_step ~sent_in_window =
   if mem t id then invalid_arg "Mailbox.add: duplicate message id";
   arena_insert t ~id ~src ~dst ~payload ~depth ~step:sent_at_step
@@ -536,16 +529,6 @@ let pending_ids t =
   iter_all t (fun e -> acc := e.Envelope.id :: !acc);
   List.rev !acc
 
-let pending_from t ~src =
-  let acc = ref [] in
-  iter_all t (fun e -> if e.Envelope.src = src then acc := e :: !acc);
-  List.rev !acc
-
-let filter_ids t f =
-  let acc = ref [] in
-  iter_all t (fun e -> if f e then acc := e.Envelope.id :: !acc);
-  List.rev !acc
-
 (* Two-pointer merge of dst's arena queue (ascending by construction)
    with the live broadcast entries (ascending [bc_first], at most one
    contribution — id [bc_first + dst] — each).  Cursors advance before
@@ -601,11 +584,11 @@ let pending_for t ~dst =
   iter_for t ~dst (fun e -> acc := e :: !acc);
   List.rev !acc
 
-(* [iter_for] fused with removal: visit dst's pending envelopes
+(* [iter_for] combined with removal: visit dst's pending envelopes
    ascending, and for each one with id in [from, til) whose source
    passes [allow], remove it from the store {e before} the callback
    runs.  One merge walk instead of a walk plus a per-envelope [take]
-   re-probe — the engine's batched uniform-window sweep runs on this. *)
+   re-probe — every engine window delivers through this. *)
 let drain_for t ~dst ~from ~til ~allow f =
   if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
   let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
@@ -658,7 +641,7 @@ let drain_for t ~dst ~from ~til ~allow f =
 
 (* Ascending walk over the pending ids in [from, til), merging the
    arena occupancy scan with the broadcast pending bits.  The callback
-   may [take] (the engine's drop sweep does) but must not [add]; after
+   may [take] (the engine's drop sweep does) but must not add; after
    full-delivery windows the arena region is empty and the walk is a
    near-free bounds check instead of the old per-id [mem] probes. *)
 let iter_ids_in_range t ~from ~til f =

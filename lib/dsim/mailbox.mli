@@ -17,9 +17,6 @@ type 'm t
 val create : unit -> 'm t
 val copy : 'm t -> 'm t
 
-val add : 'm t -> 'm Envelope.t -> unit
-(** Ids must be unique; violating this raises [Invalid_argument]. *)
-
 val add_unicast :
   'm t ->
   id:int ->
@@ -30,9 +27,9 @@ val add_unicast :
   sent_at_step:int ->
   sent_in_window:int ->
   unit
-(** [add] without materializing an intermediate {!Envelope.t} record:
-    the engine's send path writes the fields straight into the arena's
-    parallel arrays.  Same id-uniqueness contract as [add]. *)
+(** Store one envelope, writing its fields straight into the arena's
+    parallel arrays (no intermediate {!Envelope.t} record).  Ids must
+    be unique; violating this raises [Invalid_argument]. *)
 
 val add_broadcast :
   'm t ->
@@ -75,19 +72,14 @@ val pending : 'm t -> 'm Envelope.t list
 (** All pending envelopes, ascending id. *)
 
 val pending_for : 'm t -> dst:int -> 'm Envelope.t list
-val pending_from : 'm t -> src:int -> 'm Envelope.t list
 val pending_ids : 'm t -> int list
-
-val filter_ids : 'm t -> ('m Envelope.t -> bool) -> int list
-(** Ids of pending envelopes satisfying the predicate, ascending. *)
 
 val iter_for : 'm t -> dst:int -> ('m Envelope.t -> unit) -> unit
 (** Visit the pending envelopes addressed to [dst] in ascending-id
     order (arena queue merged with the broadcast table's contributions
     for [dst]).  The callback may {!take} (or {!mem}, {!find},
-    {!replace_payload}) the envelope it is visiting — the engine's
-    delivery loop does — but must not {!add} to this mailbox while the
-    iteration runs. *)
+    {!replace_payload}) the envelope it is visiting, but must not add
+    to this mailbox while the iteration runs. *)
 
 val drain_for :
   'm t ->
@@ -97,18 +89,18 @@ val drain_for :
   allow:(int -> bool) ->
   ('m Envelope.t -> unit) ->
   unit
-(** {!iter_for} fused with removal: visit the pending envelopes
+(** {!iter_for} combined with removal: visit the pending envelopes
     addressed to [dst] in ascending-id order, and for each with id in
     [\[from, til)] whose source passes [allow], remove it from the
     store and then invoke the callback.  Envelopes outside the range or
     not allowed stay pending and are skipped.  One merge walk instead
-    of an iteration plus per-envelope {!take} re-probes — the engine's
-    batched uniform-window sweep delivers through this.  The callback
-    must not {!add}.  Raises [Invalid_argument] on a negative [dst]. *)
+    of an iteration plus per-envelope {!take} re-probes — every engine
+    window delivers through this.  The callback must not add to this
+    mailbox.  Raises [Invalid_argument] on a negative [dst]. *)
 
 val iter_ids_in_range : 'm t -> from:int -> til:int -> (int -> unit) -> unit
 (** Visit the pending ids in [\[from, til)] ascending.  The callback
     may {!take} the visited id (the engine's drop sweep does) but must
-    not {!add}.  Cost: the occupied arena span intersected with the
+    not add to this mailbox.  Cost: the occupied arena span intersected with the
     range plus the live broadcast entries overlapping it — after a
     full-delivery window both are empty and the walk is O(1). *)

@@ -110,8 +110,6 @@ let copy t =
     decisions_rev = t.decisions_rev;
   }
 
-let recording_events t = t.record_events
-
 (* One line per event, identical text to [pp_event] plus a newline:
    the rendered stream is what the chunked sink emits and what the
    incremental fingerprint hashes, for every store. *)
@@ -192,15 +190,6 @@ let record_broadcast t ~src ~first ~count ~depth =
     for dst = 0 to count - 1 do
       note_event t (Sent { src; dst; msg_id = first + dst; depth })
     done
-
-(* Bulk accounting for a fused run of windows: counter-only, so it is
-   incompatible with event recording (the engine's batched path falls
-   back to window-at-a-time application whenever events are kept). *)
-let record_windows_closed t ~count =
-  if count < 0 then invalid_arg "Trace.record_windows_closed: negative count";
-  if t.record_events then
-    invalid_arg "Trace.record_windows_closed: event recording is on";
-  t.windows_closed <- t.windows_closed + count
 
 let events t =
   match t.store with

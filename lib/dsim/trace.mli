@@ -50,11 +50,6 @@ val copy : t -> t
 (** Independent counters and retained events.  A copied [Chunks] trace
     keeps its own scratch buffer but shares the downstream consumer. *)
 
-val recording_events : t -> bool
-(** Whether this trace keeps per-event records (the engine's batched
-    window path only fuses when it does not, so event streams stay
-    ordered). *)
-
 val record : t -> event -> unit
 
 val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> unit
@@ -63,13 +58,6 @@ val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> un
     [first + dst]): bumps the sent counter by [count] in O(1) and, when
     event recording is on, appends the same per-destination [Sent]
     events the eager expansion produced. *)
-
-val record_windows_closed : t -> count:int -> unit
-(** Bulk accounting for a fused run of [count] windows: bumps the
-    windows-closed counter in O(1).  Counter-only, so it raises
-    [Invalid_argument] when event recording is on — batched appliers
-    must fall back to per-window application to keep the event stream
-    ordered. *)
 
 val flush : t -> unit
 (** Push the streaming sink's pending partial chunk to its consumer;

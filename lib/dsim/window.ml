@@ -171,9 +171,7 @@ let to_lists w =
       w.lists <- Some ls;
       ls
 
-let arity w = w.arity
 let resets w = w.resets
-let reset_count w = w.reset_count
 let receive_set w i = (to_lists w).(i)
 
 let check_slot w i =
@@ -185,11 +183,6 @@ let receive_set_size w i =
       check_slot w i;
       size
   | Per { sizes; _ } -> sizes.(i)
-
-let uniform_mask w =
-  match w.body with
-  | Uniform { mask; extra = []; _ } -> Some mask
-  | Uniform _ | Per _ -> None
 
 (* True iff S_i mentions a pid outside [0, n).  With the cached size and
    mask this is a popcount, not a list walk: the mask holds exactly the

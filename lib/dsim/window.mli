@@ -57,13 +57,8 @@ val validate : n:int -> t:int -> t -> (unit, string) result
     ["S_2 contains out-of-range pid 7 (n = 3)"]) so model-checker
     counterexamples and user-facing diagnostics stay actionable. *)
 
-val arity : t -> int
-(** Number of receive-set slots (the [n] the window was built for). *)
-
 val resets : t -> int list
 (** The set [R] of processors reset at window end.  Sorted, duplicate-free. *)
-
-val reset_count : t -> int
 
 val receive_set : t -> int -> int list
 (** [S_i], sorted and duplicate-free — projects (and memoizes) the list
@@ -76,13 +71,6 @@ val to_lists : t -> int list array
 
 val receive_set_size : t -> int -> int
 (** [|S_i|] — O(1), off the cached size, no projection. *)
-
-val uniform_mask : t -> Bitset.t option
-(** The single shared receive mask when this window is
-    uniform-represented with every member packed (no out-of-clamp
-    pids); [None] otherwise.  [Engine.apply_windows] keys its batching
-    on this: two windows with equal uniform masks and no resets apply
-    identically. *)
 
 val allows : t -> dst:int -> src:int -> bool
 (** [allows w ~dst ~src] iff [src >= 0] and [src ∈ S_dst] — O(1),

@@ -19,7 +19,7 @@
 
    Summary overrides declare the true (amortized) cost of in-repo
    primitives whose implementation the lattice cannot see — e.g.
-   [Mailbox.add] is amortized O(1) despite its growth loops.  An
+   [Mailbox.add_unicast] is amortized O(1) despite its growth loops.  An
    override is the central justification for the whole function: its
    own body is not reported and the hot-set walk does not descend into
    it, so the declared cost is what callers pay. *)
@@ -39,14 +39,13 @@ let default_config =
   {
     hot_roots =
       [
-        "Engine.apply_window"; "Engine.apply_windows";
-        "Engine.deliver_all_pending";
-        "Mailbox.add"; "Mailbox.add_unicast"; "Mailbox.add_broadcast";
+        "Engine.apply_window"; "Engine.deliver_all_pending";
+        "Mailbox.add_unicast"; "Mailbox.add_broadcast";
         "Mailbox.take"; "Mailbox.find"; "Mailbox.mem";
         "Mailbox.replace_payload"; "Mailbox.iter_for";
         "Mailbox.iter_ids_in_range"; "Mailbox.drain_for";
         "Window.make"; "Window.uniform"; "Window.hybrid"; "Window.allows";
-        "Window.receive_set_size"; "Window.uniform_mask";
+        "Window.receive_set_size";
       ];
     transition_fields = [ "outgoing"; "on_deliver"; "on_reset"; "output" ];
     overrides =
@@ -57,7 +56,6 @@ let default_config =
            point lookups pay one binary search over the (sorted,
            disjoint) broadcast ranges (see lib/dsim/mailbox.ml's
            invariants and test_mailbox.ml). *)
-        ("Mailbox.add", Costs.Const);
         ("Mailbox.add_unicast", Costs.Const);
         (* add_broadcast writes one table entry plus an n-bit pending
            bitmap (n/63 words); that linear-in-words setup is charged
@@ -73,9 +71,9 @@ let default_config =
            its work is proportional to envelopes actually visited
            (each one an engine event), not to the id range. *)
         ("Mailbox.iter_ids_in_range", Costs.Const);
-        (* drain_for is iter_for fused with removal: one merge walk,
-           each visited envelope an engine event, removal O(1) per
-           envelope (unlink + pending-bit clear). *)
+        (* drain_for is the window delivery walk: iter_for's merge walk
+           with removal, each visited envelope an engine event, removal
+           O(1) per envelope (unlink + pending-bit clear). *)
         ("Mailbox.drain_for", Costs.Const);
         ("Mailbox.enqueue", Costs.Const);
         ("Mailbox.ensure_slot", Costs.Const);
@@ -96,7 +94,6 @@ let default_config =
         ("Bitset.of_list", Costs.Linear);
         ("Bitset.full", Costs.Linear);
         ("Bitset.copy", Costs.Linear);
-        ("Bitset.equal", Costs.Linear);
         ("Bitset.cardinal", Costs.Linear);
         ("Bitset.cardinal_below", Costs.Linear);
         ("Bitset.popcount_word", Costs.Const);
@@ -110,9 +107,6 @@ let default_config =
            bounded line, hashes its bytes, and amortizes the chunked
            sink flush across chunk_bytes of output. *)
         ("Trace.note_event", Costs.Const);
-        (* Bulk window accounting for the batched applier: one counter
-           add per fused run. *)
-        ("Trace.record_windows_closed", Costs.Const);
       ];
     exempt_modules = Effects.default_exempt_modules;
   }

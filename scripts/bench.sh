@@ -9,9 +9,8 @@
 #                                     docs/BENCHMARKS.md "Scaling
 #                                     curves" tables, including the
 #                                     window-make-uniform sweep and the
-#                                     windows-batched / windows-unbatched
-#                                     twin whose word gap fences the
-#                                     batched applier), tiny quota, gate
+#                                     8-window windows-n1000-k8 run),
+#                                     tiny quota, gate
 #                                     on allocations only — wall time
 #                                     at n = 10^4 is too host-dependent
 #                                     to fence

@@ -282,15 +282,6 @@ let test_apply_window () =
   Alcotest.(check int) "reset applied" 1 (Dsim.Engine.reset_count config 2);
   Alcotest.(check int) "mailbox drained" 0 (Dsim.Mailbox.size (Dsim.Engine.mailbox config))
 
-let test_apply_window_keep_undelivered () =
-  let config = make ~n:3 ~t:1 () in
-  let window = Dsim.Window.uniform ~n:3 ~silenced:[ 0 ] () in
-  Dsim.Engine.apply_window config ~drop_undelivered:false window;
-  (* p0's 3 messages stay in the buffer instead of being dropped. *)
-  Alcotest.(check int) "undelivered retained" 3
-    (Dsim.Mailbox.size (Dsim.Engine.mailbox config));
-  Alcotest.(check int) "nothing dropped" 0 (Dsim.Trace.dropped (Dsim.Engine.trace config))
-
 let test_window_delivery_order () =
   (* Within a window, each destination receives in ascending sender
      order — "some fixed order" made concrete and deterministic. *)
@@ -383,8 +374,6 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "reseed changes coins" `Quick test_reseed_changes_coins;
     Alcotest.test_case "apply window" `Quick test_apply_window;
-    Alcotest.test_case "apply window keep undelivered" `Quick
-      test_apply_window_keep_undelivered;
     Alcotest.test_case "window delivery order" `Quick test_window_delivery_order;
     Alcotest.test_case "decision recorded" `Quick test_decision_recorded;
     Alcotest.test_case "recent deliveries lifecycle" `Quick test_recent_deliveries_lifecycle;

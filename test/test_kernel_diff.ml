@@ -23,7 +23,7 @@ module Ref_mailbox = struct
   let create () = { by_id = Int_map.empty }
   let copy t = { by_id = t.by_id }
 
-  let add t envelope =
+  let insert t envelope =
     if Int_map.mem envelope.Dsim.Envelope.id t.by_id then
       invalid_arg "Mailbox.add: duplicate message id";
     t.by_id <- Int_map.add envelope.Dsim.Envelope.id envelope t.by_id
@@ -48,12 +48,7 @@ module Ref_mailbox = struct
   let is_empty t = Int_map.is_empty t.by_id
   let pending t = List.map snd (Int_map.bindings t.by_id)
   let pending_for t ~dst = List.filter (fun e -> e.Dsim.Envelope.dst = dst) (pending t)
-  let pending_from t ~src = List.filter (fun e -> e.Dsim.Envelope.src = src) (pending t)
   let pending_ids t = List.map fst (Int_map.bindings t.by_id)
-
-  let filter_ids t f =
-    Int_map.fold (fun id e acc -> if f e then id :: acc else acc) t.by_id []
-    |> List.rev
 end
 
 let envelope ~id ~src ~dst ~payload =
@@ -67,7 +62,13 @@ let envelope ~id ~src ~dst ~payload =
     sent_in_window = id / 4;
   }
 
-(* Every observable accessor, on both sides. *)
+let add_envelope m (e : _ Dsim.Envelope.t) =
+  Dsim.Mailbox.add_unicast m ~id:e.id ~src:e.src ~dst:e.dst ~payload:e.payload
+    ~depth:e.depth ~sent_at_step:e.sent_at_step ~sent_in_window:e.sent_in_window
+
+(* Every observable accessor, on both sides.  Views filtered by source
+   or by predicate are derived from [pending], so its equality covers
+   them. *)
 let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   let iter_for_collect dst =
     let acc = ref [] in
@@ -78,16 +79,34 @@ let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   && Dsim.Mailbox.is_empty m = Ref_mailbox.is_empty r
   && Dsim.Mailbox.pending m = Ref_mailbox.pending r
   && Dsim.Mailbox.pending_ids m = Ref_mailbox.pending_ids r
-  && Dsim.Mailbox.filter_ids m (fun e -> e.Dsim.Envelope.id mod 3 = 0)
-     = Ref_mailbox.filter_ids r (fun e -> e.Dsim.Envelope.id mod 3 = 0)
   && List.for_all
        (fun dst ->
          Dsim.Mailbox.pending_for m ~dst = Ref_mailbox.pending_for r ~dst
          && iter_for_collect dst = Ref_mailbox.pending_for r ~dst)
        [ -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-  && List.for_all
-       (fun src -> Dsim.Mailbox.pending_from m ~src = Ref_mailbox.pending_from r ~src)
-       [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+
+(* The window delivery walk against its specification: the envelopes
+   [drain_for] visits, in order, are the reference's [pending_for]
+   filtered by id range and sender mask, each then taken.  [dst] may
+   exceed every queue; senders are drawn from [0, 8). *)
+let drain_agrees rng m r ~id_bound =
+  let dst = Prng.Stream.int_below rng 11 in
+  let from = Prng.Stream.int_below rng id_bound in
+  let til = from + Prng.Stream.int_below rng 24 in
+  let mask = Array.init 8 (fun _ -> Prng.Stream.bool rng) in
+  let allow src = mask.(src) in
+  let drained = ref [] in
+  Dsim.Mailbox.drain_for m ~dst ~from ~til ~allow (fun e ->
+      drained := e :: !drained);
+  let expected =
+    List.filter
+      (fun e ->
+        e.Dsim.Envelope.id >= from && e.Dsim.Envelope.id < til
+        && allow e.Dsim.Envelope.src)
+      (Ref_mailbox.pending_for r ~dst)
+  in
+  List.iter (fun e -> ignore (Ref_mailbox.take r e.Dsim.Envelope.id)) expected;
+  List.rev !drained = expected && mailbox_obs_equal m r
 
 let prop_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"mailbox matches Int_map reference"
@@ -98,7 +117,7 @@ let prop_mailbox_differential =
       let ok = ref true in
       let check b = if not b then ok := false in
       for op = 1 to 300 do
-        (match Prng.Stream.int_below rng 10 with
+        (match Prng.Stream.int_below rng 11 with
         | 0 | 1 | 2 | 3 | 4 ->
             (* add, sometimes of a duplicate id, sometimes dst = -1 *)
             let id = Prng.Stream.int_below rng 64 in
@@ -107,13 +126,13 @@ let prop_mailbox_differential =
             let e = envelope ~id ~src ~dst ~payload:(id * 17) in
             let added_m =
               try
-                Dsim.Mailbox.add m e;
+                add_envelope m e;
                 true
               with Invalid_argument _ -> false
             in
             let added_r =
               try
-                Ref_mailbox.add r e;
+                Ref_mailbox.insert r e;
                 true
               with Invalid_argument _ -> false
             in
@@ -133,6 +152,7 @@ let prop_mailbox_differential =
             check
               (Dsim.Mailbox.replace_payload m id payload
               = Ref_mailbox.replace_payload r id payload)
+        | 9 -> check (drain_agrees rng m r ~id_bound:64)
         | _ -> check (mailbox_obs_equal m r));
         if op mod 25 = 0 then check (mailbox_obs_equal m r)
       done;
@@ -151,7 +171,7 @@ let prop_mailbox_differential =
 (* Broadcast envelopes against the same reference: one [add_broadcast]
    must be observation-equivalent to the n eager adds it replaces, under
    random takes, finds, corrupt-splits ([replace_payload] on a broadcast
-   member) and range sweeps. *)
+   member), delivery drains and range sweeps. *)
 let prop_broadcast_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"lazy broadcast matches n eager adds"
     QCheck.small_int (fun seed ->
@@ -165,7 +185,7 @@ let prop_broadcast_mailbox_differential =
         ((first mod 5) + 1, first, first / 4)  (* depth, step, window *)
       in
       for op = 1 to 200 do
-        (match Prng.Stream.int_below rng 10 with
+        (match Prng.Stream.int_below rng 11 with
         | 0 | 1 | 2 ->
             (* a broadcast: ids [first, first + count), dst = id - first *)
             let count = 1 + Prng.Stream.int_below rng 9 in
@@ -176,7 +196,7 @@ let prop_broadcast_mailbox_differential =
             Dsim.Mailbox.add_broadcast m ~first ~count ~src ~payload:(first * 17)
               ~depth ~sent_at_step ~sent_in_window;
             for dst = 0 to count - 1 do
-              Ref_mailbox.add r
+              Ref_mailbox.insert r
                 {
                   Dsim.Envelope.id = first + dst;
                   src;
@@ -196,7 +216,7 @@ let prop_broadcast_mailbox_differential =
             let depth, sent_at_step, sent_in_window = meta id in
             Dsim.Mailbox.add_unicast m ~id ~src ~dst ~payload:(id * 17) ~depth
               ~sent_at_step ~sent_in_window;
-            Ref_mailbox.add r
+            Ref_mailbox.insert r
               {
                 Dsim.Envelope.id;
                 src;
@@ -222,6 +242,7 @@ let prop_broadcast_mailbox_differential =
             check
               (Dsim.Mailbox.replace_payload m id payload
               = Ref_mailbox.replace_payload r id payload)
+        | 9 -> check (drain_agrees rng m r ~id_bound:(!next_id + 1))
         | _ ->
             (* the engine's drop sweep: ascending ids over a range *)
             let from = Prng.Stream.int_below rng (!next_id + 1) in
@@ -253,9 +274,7 @@ let prop_broadcast_mailbox_differential =
 let test_iter_for_take_during_iteration () =
   let m : int Dsim.Mailbox.t = Dsim.Mailbox.create () in
   List.iter
-    (fun id ->
-      Dsim.Mailbox.add m
-        (envelope ~id ~src:(id mod 3) ~dst:(id mod 2) ~payload:id))
+    (fun id -> add_envelope m (envelope ~id ~src:(id mod 3) ~dst:(id mod 2) ~payload:id))
     [ 9; 3; 0; 4; 7; 12; 1 ];
   let visited = ref [] in
   Dsim.Mailbox.iter_for m ~dst:1 (fun e ->
@@ -378,7 +397,7 @@ let prop_bitset_reference =
    expressed through the public engine API (fresh ids recovered from
    the trace's send counter, which equals the engine's id source).     *)
 
-let reference_apply_window config ?(drop_undelivered = true) window =
+let reference_apply_window config window =
   let n = Dsim.Engine.n config in
   let trace = Dsim.Engine.trace config in
   let mailbox = Dsim.Engine.mailbox config in
@@ -411,10 +430,11 @@ let reference_apply_window config ?(drop_undelivered = true) window =
           Dsim.Engine.apply config (Dsim.Step.Deliver e.Dsim.Envelope.id))
       (List.rev per_dst.(dst))
   done;
-  if drop_undelivered then
-    List.iter
-      (fun id -> Dsim.Engine.apply config (Dsim.Step.Drop id))
-      (Dsim.Mailbox.filter_ids mailbox is_fresh);
+  List.iter
+    (fun e ->
+      if is_fresh e then
+        Dsim.Engine.apply config (Dsim.Step.Drop e.Dsim.Envelope.id))
+    (Dsim.Mailbox.pending mailbox);
   List.iter
     (fun p -> Dsim.Engine.apply config (Dsim.Step.Reset p))
     (Dsim.Window.resets window)
@@ -464,9 +484,8 @@ let prop_apply_window_differential =
           List.filter (fun _ -> Prng.Stream.bernoulli rng 0.2) [ 0; 1; 2 ]
         in
         let window = Dsim.Window.make ~receive_sets ~resets in
-        let drop_undelivered = Prng.Stream.bool rng in
-        Dsim.Engine.apply_window fast ~drop_undelivered window;
-        reference_apply_window slow ~drop_undelivered window;
+        Dsim.Engine.apply_window fast window;
+        reference_apply_window slow window;
         (* poke a surviving stale message on both sides *)
         (match Dsim.Mailbox.pending_ids (Dsim.Engine.mailbox fast) with
         | [] -> ()
@@ -529,9 +548,8 @@ let prop_lazy_vs_eager_broadcast =
           List.filter (fun _ -> Prng.Stream.bernoulli rng 0.2) [ 0; 1; 2 ]
         in
         let window = Dsim.Window.make ~receive_sets ~resets in
-        let drop_undelivered = Prng.Stream.bool rng in
-        Dsim.Engine.apply_window lazy_ ~drop_undelivered window;
-        Dsim.Engine.apply_window eager ~drop_undelivered window;
+        Dsim.Engine.apply_window lazy_ window;
+        Dsim.Engine.apply_window eager window;
         (* poke a surviving stale message on both sides: corruption
            splits a lazy broadcast member off its shared envelope *)
         (match Dsim.Mailbox.pending_ids (Dsim.Engine.mailbox lazy_) with
@@ -552,51 +570,6 @@ let prop_lazy_vs_eager_broadcast =
         if not (configs_agree lazy_ eager) then ok := false
       done;
       !ok)
-
-(* The batched applier: [apply_windows] fuses runs of consecutive
-   uniform windows with physically-equal (or Bitset.equal) masks and no
-   resets into one mailbox sweep with bulk trace accounting.  Against a
-   mixed schedule — repeated shared windows, equal-but-distinct
-   windows, silenced/reset/per-processor windows forcing mid-run
-   fallback — it must match window-at-a-time application step for
-   step. *)
-let prop_batched_vs_unbatched =
-  QCheck.Test.make ~count:50
-    ~name:"apply_windows (fused uniform runs) matches window-at-a-time \
-           application"
-    QCheck.small_int (fun seed ->
-      let n = 7 and t = 2 in
-      let protocol = Protocols.Ben_or.protocol () in
-      let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-      let batched = Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed () in
-      let plain = Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed () in
-      let rng = Prng.Stream.root ((seed * 4513) + 7) in
-      let all_but i = List.filter (fun p -> p <> i) (List.init n (fun p -> p)) in
-      let pool =
-        [|
-          Dsim.Window.uniform ~n ();
-          (* equal mask, different object: exercises the Bitset.equal
-             extension of a fused run *)
-          Dsim.Window.uniform ~n ();
-          Dsim.Window.uniform ~n ~silenced:[ 0 ] ();
-          Dsim.Window.uniform ~n ~resets:[ 1 ] ();
-          Dsim.Window.make ~receive_sets:(Array.init n all_but) ~resets:[];
-        |]
-      in
-      let windows =
-        List.init
-          (3 + Prng.Stream.int_below rng 8)
-          (fun _ -> pool.(Prng.Stream.int_below rng (Array.length pool)))
-      in
-      let drop_undelivered = Prng.Stream.bool rng in
-      Dsim.Engine.apply_windows batched ~drop_undelivered windows;
-      List.iter
-        (fun w -> Dsim.Engine.apply_window plain ~drop_undelivered w)
-        windows;
-      configs_agree batched plain
-      && Dsim.Engine.window_index batched = Dsim.Engine.window_index plain
-      && Dsim.Trace.windows_closed (Dsim.Engine.trace batched)
-         = Dsim.Trace.windows_closed (Dsim.Engine.trace plain))
 
 (* The trace-sink contract: for one schedule, the incremental
    fingerprint is identical across the in-memory, ring and chunk-
@@ -847,7 +820,6 @@ let suite =
       prop_bitset_reference;
       prop_apply_window_differential;
       prop_lazy_vs_eager_broadcast;
-      prop_batched_vs_unbatched;
       prop_streamed_sink_fingerprint;
     ]
   @ [

@@ -1,20 +1,13 @@
 (* Tests for the message buffer. *)
 
-let envelope ?(src = 0) ?(dst = 1) ?(depth = 1) id =
-  {
-    Dsim.Envelope.id;
-    src;
-    dst;
-    payload = Printf.sprintf "m%d" id;
-    depth;
-    sent_at_step = 0;
-    sent_in_window = 0;
-  }
+let add ?(src = 0) ?(dst = 1) ?(depth = 1) mb id =
+  Dsim.Mailbox.add_unicast mb ~id ~src ~dst ~payload:(Printf.sprintf "m%d" id)
+    ~depth ~sent_at_step:0 ~sent_in_window:0
 
 let test_add_take () =
   let mb = Dsim.Mailbox.create () in
-  Dsim.Mailbox.add mb (envelope 1);
-  Dsim.Mailbox.add mb (envelope 2);
+  add mb 1;
+  add mb 2;
   Alcotest.(check int) "size" 2 (Dsim.Mailbox.size mb);
   (match Dsim.Mailbox.take mb 1 with
   | Some e -> Alcotest.(check string) "payload" "m1" e.Dsim.Envelope.payload
@@ -24,29 +17,46 @@ let test_add_take () =
 
 let test_duplicate_id () =
   let mb = Dsim.Mailbox.create () in
-  Dsim.Mailbox.add mb (envelope 1);
+  add mb 1;
   Alcotest.check_raises "duplicate" (Invalid_argument "Mailbox.add: duplicate message id")
-    (fun () -> Dsim.Mailbox.add mb (envelope 1))
+    (fun () -> add mb 1)
 
 let test_pending_order () =
   let mb = Dsim.Mailbox.create () in
-  List.iter (fun id -> Dsim.Mailbox.add mb (envelope id)) [ 5; 1; 3 ];
+  List.iter (fun id -> add mb id) [ 5; 1; 3 ];
   let ids = Dsim.Mailbox.pending_ids mb in
   Alcotest.(check (list int)) "ascending ids" [ 1; 3; 5 ] ids
 
 let test_pending_filters () =
   let mb = Dsim.Mailbox.create () in
-  Dsim.Mailbox.add mb (envelope ~src:0 ~dst:1 1);
-  Dsim.Mailbox.add mb (envelope ~src:0 ~dst:2 2);
-  Dsim.Mailbox.add mb (envelope ~src:3 ~dst:1 3);
-  Alcotest.(check int) "for dst 1" 2 (List.length (Dsim.Mailbox.pending_for mb ~dst:1));
-  Alcotest.(check int) "from src 0" 2 (List.length (Dsim.Mailbox.pending_from mb ~src:0));
-  let big = Dsim.Mailbox.filter_ids mb (fun e -> e.Dsim.Envelope.id > 1) in
-  Alcotest.(check (list int)) "filter ids" [ 2; 3 ] big
+  add ~src:0 ~dst:1 mb 1;
+  add ~src:0 ~dst:2 mb 2;
+  add ~src:3 ~dst:1 mb 3;
+  Alcotest.(check (list int)) "for dst 1, ascending" [ 1; 3 ]
+    (List.map
+       (fun e -> e.Dsim.Envelope.id)
+       (Dsim.Mailbox.pending_for mb ~dst:1))
+
+(* The window delivery walk: only in-range, allowed envelopes for [dst]
+   are removed and visited, ascending; everything else stays pending. *)
+let test_drain_for () =
+  let mb = Dsim.Mailbox.create () in
+  List.iter (fun id -> add ~src:(id mod 3) ~dst:(id mod 2) mb id) [ 9; 3; 0; 4; 7; 12; 1 ];
+  let drained = ref [] in
+  Dsim.Mailbox.drain_for mb ~dst:1 ~from:2 ~til:10
+    ~allow:(fun src -> src <> 1)
+    (fun e -> drained := e.Dsim.Envelope.id :: !drained);
+  Alcotest.(check (list int)) "drained ascending" [ 3; 9 ] (List.rev !drained);
+  Alcotest.(check (list int)) "rest pending" [ 0; 1; 4; 7; 12 ]
+    (Dsim.Mailbox.pending_ids mb);
+  Alcotest.check_raises "negative dst"
+    (Invalid_argument "Mailbox.drain_for: negative dst") (fun () ->
+      Dsim.Mailbox.drain_for mb ~dst:(-1) ~from:0 ~til:max_int
+        ~allow:(fun _ -> true) ignore)
 
 let test_replace_payload () =
   let mb = Dsim.Mailbox.create () in
-  Dsim.Mailbox.add mb (envelope 1);
+  add mb 1;
   Alcotest.(check bool) "replace hits" true (Dsim.Mailbox.replace_payload mb 1 "corrupted");
   (match Dsim.Mailbox.find mb 1 with
   | Some e -> Alcotest.(check string) "rewritten" "corrupted" e.Dsim.Envelope.payload
@@ -55,12 +65,12 @@ let test_replace_payload () =
 
 let test_copy_isolation () =
   let mb = Dsim.Mailbox.create () in
-  Dsim.Mailbox.add mb (envelope 1);
+  add mb 1;
   let copy = Dsim.Mailbox.copy mb in
   ignore (Dsim.Mailbox.take copy 1);
   Alcotest.(check int) "original untouched" 1 (Dsim.Mailbox.size mb);
   Alcotest.(check int) "copy drained" 0 (Dsim.Mailbox.size copy);
-  Dsim.Mailbox.add copy (envelope 2);
+  add copy 2;
   Alcotest.(check bool) "original lacks new" true (Dsim.Mailbox.find mb 2 = None)
 
 let test_empty () =
@@ -74,6 +84,7 @@ let suite =
     Alcotest.test_case "duplicate id" `Quick test_duplicate_id;
     Alcotest.test_case "pending order" `Quick test_pending_order;
     Alcotest.test_case "pending filters" `Quick test_pending_filters;
+    Alcotest.test_case "drain_for" `Quick test_drain_for;
     Alcotest.test_case "replace payload" `Quick test_replace_payload;
     Alcotest.test_case "copy isolation" `Quick test_copy_isolation;
     Alcotest.test_case "empty" `Quick test_empty;

@@ -247,19 +247,8 @@ let test_sink_invalid_args () =
   (match Dsim.Trace.chunks ~chunk_bytes:0 (fun _ -> ()) with
   | _ -> Alcotest.fail "chunk_bytes = 0 should raise"
   | exception Invalid_argument _ -> ());
-  (match Dsim.Trace.create ~sink:(Dsim.Trace.Ring (-1)) ~record_events:true () with
+  match Dsim.Trace.create ~sink:(Dsim.Trace.Ring (-1)) ~record_events:true () with
   | _ -> Alcotest.fail "negative ring capacity should raise"
-  | exception Invalid_argument _ -> ());
-  let counting = Dsim.Trace.create ~record_events:false () in
-  (match Dsim.Trace.record_windows_closed counting ~count:(-1) with
-  | () -> Alcotest.fail "negative count should raise"
-  | exception Invalid_argument _ -> ());
-  Dsim.Trace.record_windows_closed counting ~count:4;
-  Alcotest.(check int) "bulk accounting lands" 4
-    (Dsim.Trace.windows_closed counting);
-  let recording = Dsim.Trace.create ~record_events:true () in
-  match Dsim.Trace.record_windows_closed recording ~count:1 with
-  | () -> Alcotest.fail "bulk accounting must refuse when events are on"
   | exception Invalid_argument _ -> ()
 
 let suite =
