@@ -24,7 +24,7 @@ type ('s, 'm) t = {
 }
 
 let init ~protocol ~n ~fault_bound ~inputs ~seed ?(record_events = false)
-    ?sink ?(track_deliveries = false) () =
+    ?(track_deliveries = false) () =
   if Array.length inputs <> n then invalid_arg "Engine.init: |inputs| <> n";
   if n <= 0 then invalid_arg "Engine.init: n must be positive";
   if fault_bound < 0 || fault_bound >= n then
@@ -50,7 +50,7 @@ let init ~protocol ~n ~fault_bound ~inputs ~seed ?(record_events = false)
     next_msg_id = 0;
     step_index = 0;
     window_index = 0;
-    trace = Trace.create ?sink ~record_events ();
+    trace = Trace.create ~record_events ();
   }
 
 let copy t =

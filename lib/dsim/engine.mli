@@ -20,7 +20,6 @@ val init :
   inputs:bool array ->
   seed:int ->
   ?record_events:bool ->
-  ?sink:Trace.sink ->
   ?track_deliveries:bool ->
   unit ->
   ('s, 'm) t
@@ -28,11 +27,9 @@ val init :
     messages (not yet sent: the first [Send] steps flush them).
     [track_deliveries] (default [false]) turns on the per-delivery
     conditioning log behind {!recent_deliveries}; leave it off for
-    plain sweeps so the hot loop records nothing.  [sink] (default
-    in-memory) selects where recorded events go — pass a streamed
-    {!Trace.chunks} sink to keep multi-million-event audited runs at
-    O(chunk) live heap; remember to {!Trace.flush} the trace at end of
-    run. *)
+    plain sweeps so the hot loop records nothing.  [record_events]
+    (default [false]) keeps every event in the trace's in-memory list
+    ({!Trace.events}); the trace's counters are kept regardless. *)
 
 val copy : ('s, 'm) t -> ('s, 'm) t
 (** Deep copy: future steps on the copy do not affect the original.

@@ -2,17 +2,10 @@
 
     A trace records the events of an execution at the granularity the
     paper measures: sends, deliveries, resets, crashes, decisions and
-    window boundaries.  Recording full event lists is optional (long
-    adversarial executions are exponentially long); the counters are
-    always maintained.
-
-    When events are recorded they flow into a {!sink}: the default
-    in-memory store (today's unbounded list), a bounded ring keeping
-    only the last k events, or a chunk-flushed streaming consumer that
-    keeps O(chunk) live heap on multi-million-event runs.  Every sink
-    maintains the same incremental {!events_fingerprint}, so a streamed
-    run can prove itself bit-identical to an in-memory one without
-    either holding the whole event list. *)
+    window boundaries.  The counters (and the decision list) are always
+    kept.  The events themselves are kept as an in-memory list only
+    when [record_events] is set: long adversarial executions are
+    exponentially long, so plain sweeps record none. *)
 
 type event =
   | Sent of { src : int; dst : int; msg_id : int; depth : int }
@@ -23,32 +16,12 @@ type event =
   | Decided of { pid : int; value : bool; step : int; window : int; chain_depth : int }
   | Window_closed of { index : int }
 
-type sink =
-  | Memory  (** Unbounded in-memory event list — the historical default. *)
-  | Ring of int
-      (** Keep only the last k events; {!events} returns the retained
-          suffix in chronological order. *)
-  | Chunks of { emit : string -> unit; chunk_bytes : int }
-      (** Render events to text ({!pp_event} lines) and hand the
-          consumer chunks of at least [chunk_bytes]; {!events} returns
-          [[]].  Build with {!chunks} / {!to_buffer} / {!to_channel}. *)
-
-val chunks : ?chunk_bytes:int -> (string -> unit) -> sink
-(** Streaming sink with chunked flush (default 64 KiB).  Call {!flush}
-    at end of run to push the final partial chunk. *)
-
-val to_buffer : ?chunk_bytes:int -> Buffer.t -> sink
-val to_channel : ?chunk_bytes:int -> out_channel -> sink
-
 type t
 
-val create : ?sink:sink -> record_events:bool -> unit -> t
-(** [sink] defaults to [Memory].  The sink only matters when
-    [record_events] is set; counters are maintained regardless. *)
+val create : record_events:bool -> unit -> t
 
 val copy : t -> t
-(** Independent counters and retained events.  A copied [Chunks] trace
-    keeps its own scratch buffer but shares the downstream consumer. *)
+(** Independent counters and recorded events. *)
 
 val record : t -> event -> unit
 
@@ -59,21 +32,8 @@ val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> un
     event recording is on, appends the same per-destination [Sent]
     events the eager expansion produced. *)
 
-val flush : t -> unit
-(** Push the streaming sink's pending partial chunk to its consumer;
-    a no-op on the other sinks. *)
-
 val events : t -> event list
-(** Chronological; empty unless [record_events] was set.  Under a
-    [Ring] sink, only the retained suffix; under [Chunks], always
-    empty (the text already left through the consumer). *)
-
-val events_fingerprint : t -> string
-(** Incremental FNV-1a digest (16 hex chars) over the rendered text of
-    every event recorded so far — identical across sinks for identical
-    event sequences, and the basis of the streamed-vs-memory
-    differential tests.  Constant (the empty-sequence digest) when
-    [record_events] is off. *)
+(** Chronological; empty unless [record_events] was set. *)
 
 val sent : t -> int
 val delivered : t -> int

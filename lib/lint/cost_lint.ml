@@ -102,11 +102,6 @@ let default_config =
            recording is on (diagnostic runs, never the hot bench
            path). *)
         ("Trace.record_broadcast", Costs.Const);
-        (* note_event only runs when event recording is on (audited
-           runs, never plain sweeps); per recorded event it renders one
-           bounded line, hashes its bytes, and amortizes the chunked
-           sink flush across chunk_bytes of output. *)
-        ("Trace.note_event", Costs.Const);
       ];
     exempt_modules = Effects.default_exempt_modules;
   }

@@ -203,17 +203,6 @@ else
 fi
 rm -f "$bench_out"
 
-echo "check: streamed-trace sink differential"
-# The ring/chunked sinks must reproduce the Memory sink's event
-# fingerprint bit-for-bit.  Gated exit-code style on the kernel-diff
-# qcheck differential plus the pinned lewko run through a chunked sink
-# (cases 7..8) and the trace suite's sink unit tests — alcotest exits
-# 0 on success, 1 on any failure.
-tests="_build/default/test/test_main.exe"
-expect 0 "$tests" test kernel-diff 7..8
-expect 0 "$tests" test trace
-echo "check: trace sinks fingerprint-identical across Memory/Ring/Chunks"
-
 echo "check: --mcheck smoke (exhaustive model checker)"
 # bin/mcheck.exe mirrors the lint CLI contract: 0 = every reachable
 # configuration within the bounds is safe, 1 = a violation (the mutants

@@ -571,52 +571,6 @@ let prop_lazy_vs_eager_broadcast =
       done;
       !ok)
 
-(* The trace-sink contract: for one schedule, the incremental
-   fingerprint is identical across the in-memory, ring and chunk-
-   streamed stores, and the streamed text is byte-for-byte the
-   rendering of the in-memory event list. *)
-let prop_streamed_sink_fingerprint =
-  QCheck.Test.make ~count:30
-    ~name:"ring/streamed trace sinks keep the in-memory events fingerprint"
-    QCheck.small_int (fun seed ->
-      let n = 7 and t = 2 in
-      let protocol = Protocols.Ben_or.protocol () in
-      let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-      let init sink =
-        Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed
-          ~record_events:true ?sink ()
-      in
-      let mem = init None in
-      let ring = init (Some (Dsim.Trace.Ring 16)) in
-      let buf = Buffer.create 256 in
-      let stream = init (Some (Dsim.Trace.to_buffer ~chunk_bytes:128 buf)) in
-      let rng = Prng.Stream.root ((seed * 9173) + 3) in
-      let pool = List.init (n + 1) (fun i -> i - 1) in
-      let ok = ref true in
-      for _w = 1 to 5 do
-        let receive_sets =
-          Array.init n (fun _ -> List.filter (fun _ -> Prng.Stream.bool rng) pool)
-        in
-        let resets =
-          List.filter (fun _ -> Prng.Stream.bernoulli rng 0.2) [ 0; 1 ]
-        in
-        let window = Dsim.Window.make ~receive_sets ~resets in
-        Dsim.Engine.apply_window mem window;
-        Dsim.Engine.apply_window ring window;
-        Dsim.Engine.apply_window stream window;
-        let fp c = Dsim.Trace.events_fingerprint (Dsim.Engine.trace c) in
-        if not (String.equal (fp mem) (fp ring) && String.equal (fp mem) (fp stream))
-        then ok := false
-      done;
-      Dsim.Trace.flush (Dsim.Engine.trace stream);
-      let rendered =
-        String.concat ""
-          (List.map
-             (fun ev -> Format.asprintf "%a\n" Dsim.Trace.pp_event ev)
-             (Dsim.Trace.events (Dsim.Engine.trace mem)))
-      in
-      !ok && String.equal rendered (Buffer.contents buf))
-
 (* ------------------------------------------------------------------ *)
 (* The recent-deliveries gate: off by default, free of side effects.   *)
 
@@ -659,11 +613,10 @@ let test_delivery_tracking_gate () =
 
 let split_inputs ~n seed = Array.init n (fun i -> (i + seed) mod 2 = 0)
 
-let windowed_pin ?record_events ?sink ~protocol ~n ~t ~seed ~max_windows strategy
-    =
+let windowed_pin ?record_events ~protocol ~n ~t ~seed ~max_windows strategy =
   let config =
     Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs:(split_inputs ~n seed)
-      ~seed ?record_events ?sink ()
+      ~seed ?record_events ()
   in
   let outcome =
     Dsim.Runner.run_windows config ~strategy ~max_windows ~stop:`First_decision
@@ -671,7 +624,8 @@ let windowed_pin ?record_events ?sink ~protocol ~n ~t ~seed ~max_windows strateg
   ( outcome.Dsim.Runner.steps,
     outcome.Dsim.Runner.windows,
     Digest.to_hex (Digest.string (Dsim.Engine.fingerprint config)),
-    Dsim.Engine.fingerprint config )
+    Dsim.Engine.fingerprint config,
+    Dsim.Engine.trace config )
 
 let stepwise_pin ~protocol ~n ~t ~seed ~max_steps strategy =
   let config =
@@ -684,56 +638,65 @@ let stepwise_pin ~protocol ~n ~t ~seed ~max_steps strategy =
   ( outcome.Dsim.Runner.steps,
     Digest.to_hex (Digest.string (Dsim.Engine.fingerprint config)) )
 
-let check_pin name (exp_steps, exp_windows, exp_md5) (steps, windows, md5, _fp) =
+let check_pin name (exp_steps, exp_windows, exp_md5) (steps, windows, md5, _fp, _trace) =
   Alcotest.(check int) (name ^ " steps") exp_steps steps;
   Alcotest.(check int) (name ^ " windows") exp_windows windows;
   Alcotest.(check string) (name ^ " fingerprint md5") exp_md5 md5
 
+(* The recorded event list of one run agrees with the trace's counters,
+   kind by kind; the [Sent] count exercises [record_broadcast]'s
+   per-destination expansion on a real run. *)
+let check_events_match_counters name trace =
+  let events = Dsim.Trace.events trace in
+  let count p = List.length (List.filter p events) in
+  let check kind counter p =
+    Alcotest.(check int) (Printf.sprintf "%s %s events" name kind) counter (count p)
+  in
+  Alcotest.(check bool) (name ^ " recorded events") true (events <> []);
+  check "sent" (Dsim.Trace.sent trace) (function Dsim.Trace.Sent _ -> true | _ -> false);
+  check "delivered" (Dsim.Trace.delivered trace) (function
+    | Dsim.Trace.Delivered _ -> true
+    | _ -> false);
+  check "dropped" (Dsim.Trace.dropped trace) (function
+    | Dsim.Trace.Dropped _ -> true
+    | _ -> false);
+  check "reset" (Dsim.Trace.resets trace) (function
+    | Dsim.Trace.Reset_done _ -> true
+    | _ -> false);
+  check "window-closed" (Dsim.Trace.windows_closed trace) (function
+    | Dsim.Trace.Window_closed _ -> true
+    | _ -> false);
+  let render (pid, value, step, window, chain_depth) =
+    Printf.sprintf "p%d=%b step %d window %d chain %d" pid value step window chain_depth
+  in
+  Alcotest.(check (list string)) (name ^ " decided events = decisions")
+    (List.map render (Dsim.Trace.decisions trace))
+    (List.filter_map
+       (function
+         | Dsim.Trace.Decided { pid; value; step; window; chain_depth } ->
+             Some (render (pid, value, step, window, chain_depth))
+         | _ -> None)
+       events)
+
 let test_pinned_lewko_split_vote () =
-  let run seed =
-    windowed_pin
+  let run ?record_events seed =
+    windowed_pin ?record_events
       ~protocol:(Protocols.Lewko_variant.protocol ())
       ~n:9 ~t:1 ~seed ~max_windows:2000
       (Adversary.Split_vote.windowed ())
   in
-  let ((_, _, _, fp1) as r1) = run 1 in
+  let ((_, _, _, fp1, _) as r1) = run 1 in
   check_pin "lewko seed=1" (450, 5, "0ff7b8555219fa9e9e1dbcd93ba6ca5b") r1;
   Alcotest.(check string) "lewko seed=1 raw fingerprint"
     "lv:0:N:0:6:0:0:0::9|lv:1:N:0:6:0:1:0::9|lv:2:N:0:6:0:0:0::9|lv:3:N:0:6:0:1:0::9|lv:4:N:0:6:0:0:0::9|lv:5:N:0:6:0:1:0::9|lv:6:N:0:6:0:0:0::9|lv:7:N:0:6:0:1:0::9|lv:8:N:0:6:0:0:0::9"
     fp1;
+  (* Recording every event must not perturb the execution. *)
+  let ((_, _, _, _, recorded) as r1_recorded) = run ~record_events:true 1 in
+  check_pin "lewko seed=1 recorded" (450, 5, "0ff7b8555219fa9e9e1dbcd93ba6ca5b")
+    r1_recorded;
+  check_events_match_counters "lewko seed=1" recorded;
   check_pin "lewko seed=2" (1980, 22, "9b928a6b26ce634a2950ac670f22d883") (run 2);
   check_pin "lewko seed=3" (720, 8, "b1e335793b1f6e7ae163e0dc4b955a2b") (run 3)
-
-(* The pinned lewko execution again, but audited through the streamed
-   trace sink: recording every event into a chunk-flushed buffer must
-   not perturb the execution (same step/window counts, same engine
-   fingerprint), and the streamed text must carry the run (non-empty,
-   one line per recorded event). *)
-let test_pinned_streamed_sink () =
-  let buf = Buffer.create 4096 in
-  let ((_, _, _, _) as r) =
-    windowed_pin ~record_events:true
-      ~sink:(Dsim.Trace.to_buffer ~chunk_bytes:512 buf)
-      ~protocol:(Protocols.Lewko_variant.protocol ())
-      ~n:9 ~t:1 ~seed:1 ~max_windows:2000
-      (Adversary.Split_vote.windowed ())
-  in
-  check_pin "lewko seed=1 via streamed sink"
-    (450, 5, "0ff7b8555219fa9e9e1dbcd93ba6ca5b")
-    r;
-  (* The final partial chunk is still in scratch until flushed; the
-     earlier chunks must already have streamed out. *)
-  Alcotest.(check bool) "chunked flush streamed event text" true
-    (Buffer.length buf > 0);
-  Alcotest.(check bool) "streamed lines are pp_event renderings" true
-    (String.length (Buffer.contents buf) > 0
-    && String.split_on_char '\n' (Buffer.contents buf)
-       |> List.for_all (fun line ->
-              String.equal line ""
-              || List.exists
-                   (fun prefix -> String.starts_with ~prefix line)
-                   [ "sent #"; "delivered #"; "dropped #"; "reset p";
-                     "crashed p"; "decided p"; "window " ]))
 
 let test_pinned_benor_reset_storm () =
   let run seed =
@@ -820,11 +783,8 @@ let suite =
       prop_bitset_reference;
       prop_apply_window_differential;
       prop_lazy_vs_eager_broadcast;
-      prop_streamed_sink_fingerprint;
     ]
   @ [
-      Alcotest.test_case "pinned: lewko via streamed trace sink" `Quick
-        test_pinned_streamed_sink;
       Alcotest.test_case "iter_for allows taking the visited envelope" `Quick
         test_iter_for_take_during_iteration;
       Alcotest.test_case "recent-deliveries gate" `Quick

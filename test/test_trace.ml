@@ -133,124 +133,6 @@ let test_json_event_shapes () =
       (Dsim.Trace.Window_closed { index = 9 }, {|{"type":"window_closed","index":9}|});
     ]
 
-let ev_drop i = Dsim.Trace.Dropped { msg_id = i }
-
-let test_ring_retention () =
-  let t = Dsim.Trace.create ~sink:(Dsim.Trace.Ring 3) ~record_events:true () in
-  for i = 1 to 7 do
-    Dsim.Trace.record t (ev_drop i)
-  done;
-  Alcotest.(check (list int)) "last k, chronological" [ 5; 6; 7 ]
-    (List.filter_map
-       (function Dsim.Trace.Dropped { msg_id } -> Some msg_id | _ -> None)
-       (Dsim.Trace.events t));
-  Alcotest.(check int) "counter sees all" 7 (Dsim.Trace.dropped t);
-  (* Retention does not touch the digest: a Memory trace fed the same
-     sequence fingerprints identically. *)
-  let m = Dsim.Trace.create ~record_events:true () in
-  for i = 1 to 7 do
-    Dsim.Trace.record m (ev_drop i)
-  done;
-  Alcotest.(check string) "fingerprint ignores eviction"
-    (Dsim.Trace.events_fingerprint m)
-    (Dsim.Trace.events_fingerprint t);
-  let z = Dsim.Trace.create ~sink:(Dsim.Trace.Ring 0) ~record_events:true () in
-  Dsim.Trace.record z (ev_drop 1);
-  Alcotest.(check int) "zero-capacity ring retains nothing" 0
-    (List.length (Dsim.Trace.events z))
-
-let test_chunk_flush () =
-  let flushed = ref [] in
-  let t =
-    Dsim.Trace.create
-      ~sink:(Dsim.Trace.chunks ~chunk_bytes:32 (fun s -> flushed := s :: !flushed))
-      ~record_events:true ()
-  in
-  (* Each rendered line is ~14 bytes; nothing leaves before the 32-byte
-     threshold, everything leaves by the final flush. *)
-  Dsim.Trace.record t (ev_drop 1);
-  Alcotest.(check int) "below threshold: nothing emitted" 0
-    (List.length !flushed);
-  for i = 2 to 5 do
-    Dsim.Trace.record t (ev_drop i)
-  done;
-  Alcotest.(check bool) "threshold crossed: chunks emitted" true
-    (List.length !flushed > 0);
-  Dsim.Trace.flush t;
-  let text = String.concat "" (List.rev !flushed) in
-  let expected =
-    String.concat ""
-      (List.map
-         (fun i -> Format.asprintf "%a\n" Dsim.Trace.pp_event (ev_drop i))
-         [ 1; 2; 3; 4; 5 ])
-  in
-  Alcotest.(check string) "stream reassembles the event text" expected text;
-  Alcotest.(check (list string)) "streamed events list is empty" []
-    (List.map (Format.asprintf "%a" Dsim.Trace.pp_event) (Dsim.Trace.events t));
-  Dsim.Trace.flush t;
-  Alcotest.(check string) "flush is idempotent" expected
-    (String.concat "" (List.rev !flushed))
-
-let test_sink_fingerprints_agree () =
-  let buf = Buffer.create 64 in
-  let sinks =
-    [
-      Dsim.Trace.Memory;
-      Dsim.Trace.Ring 2;
-      Dsim.Trace.to_buffer ~chunk_bytes:16 buf;
-    ]
-  in
-  let digests =
-    List.map
-      (fun sink ->
-        let t = Dsim.Trace.create ~sink ~record_events:true () in
-        List.iter (Dsim.Trace.record t)
-          [
-            Dsim.Trace.Sent { src = 0; dst = 1; msg_id = 0; depth = 1 };
-            ev_drop 0;
-            Dsim.Trace.Reset_done { pid = 2 };
-          ];
-        Dsim.Trace.flush t;
-        Dsim.Trace.events_fingerprint t)
-      sinks
-  in
-  match digests with
-  | [ a; b; c ] ->
-      Alcotest.(check string) "memory = ring" a b;
-      Alcotest.(check string) "memory = chunks" a c
-  | _ -> assert false
-
-let test_stream_copy_shares_consumer () =
-  let flushed = ref [] in
-  let t =
-    Dsim.Trace.create
-      ~sink:(Dsim.Trace.chunks ~chunk_bytes:1024 (fun s -> flushed := s :: !flushed))
-      ~record_events:true ()
-  in
-  Dsim.Trace.record t (ev_drop 1);
-  let c = Dsim.Trace.copy t in
-  Dsim.Trace.record c (ev_drop 2);
-  (* Scratch buffers are independent: the copy's extra event does not
-     appear in the original's pending text. *)
-  Dsim.Trace.flush t;
-  let original_text = String.concat "" (List.rev !flushed) in
-  Alcotest.(check string) "copy's event absent from original scratch"
-    (Format.asprintf "%a\n" Dsim.Trace.pp_event (ev_drop 1))
-    original_text;
-  flushed := [];
-  Dsim.Trace.flush c;
-  (* The copy drains through the same downstream consumer. *)
-  Alcotest.(check bool) "copy shares the consumer" true
-    (String.length (String.concat "" !flushed) > 0)
-
-let test_sink_invalid_args () =
-  (match Dsim.Trace.chunks ~chunk_bytes:0 (fun _ -> ()) with
-  | _ -> Alcotest.fail "chunk_bytes = 0 should raise"
-  | exception Invalid_argument _ -> ());
-  match Dsim.Trace.create ~sink:(Dsim.Trace.Ring (-1)) ~record_events:true () with
-  | _ -> Alcotest.fail "negative ring capacity should raise"
-  | exception Invalid_argument _ -> ()
-
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -262,9 +144,4 @@ let suite =
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "printers do not crash" `Quick test_printers_do_not_crash;
     Alcotest.test_case "random-fair never drops" `Quick test_random_fair_never_drops;
-    Alcotest.test_case "ring retention" `Quick test_ring_retention;
-    Alcotest.test_case "chunk flush" `Quick test_chunk_flush;
-    Alcotest.test_case "sink fingerprints agree" `Quick test_sink_fingerprints_agree;
-    Alcotest.test_case "stream copy shares consumer" `Quick test_stream_copy_shares_consumer;
-    Alcotest.test_case "sink invalid args" `Quick test_sink_invalid_args;
   ]
