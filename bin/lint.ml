@@ -1,22 +1,20 @@
 (* Determinism lint driver.
 
      lint [--root DIR] [--dir lib --dir bin ...] [--format human|json|sarif]
-     lint --typed [--root DIR] [--baseline FILE]
      lint --cost [--root DIR] [--baseline FILE]
      lint --quorum [--root DIR] [--baseline FILE]
-     lint --check FILE          # all layers on one standalone source
+     lint --check FILE          # every layer on one standalone source
      lint --explain R8
 
-   Layer 1 (default) parses every .ml under the selected trees and
-   checks the syntactic rules R1-R6.  Layer 2 (--typed) reads the
-   *.cmt typed trees of the built project and checks R7-R10; layer 3
-   (--cost) reads the same trees and checks the hot-path cost rules
-   R11-R14; layer 5 (--quorum) proves the quorum-threshold arithmetic
-   R15-R18 symbolically for all n, t; all three cmt layers require
-   `dune build` to have run.  Exit codes: 0 clean, 1 rule violations,
-   2 read/parse/load errors — so any layer can gate CI via
-   `dune build @lint` / `@lint-typed` / `@lint-cost` /
-   `@lint-quorum`. *)
+   Every layer reads the *.cmt typed trees of the built project.  The
+   default pass checks the determinism rules R1, R2 and R5-R10 over
+   lib bin bench examples; --cost checks the hot-path cost rules
+   R11-R15; --quorum proves the quorum-threshold arithmetic R16-R18
+   symbolically for all n, t (both default to lib).  The main modules
+   of executables only get a cmt from `dune build @check`, so run that
+   first.  Exit codes: 0 clean, 1 rule violations, 2 read/parse/load
+   errors — so any layer can gate CI via `dune build @lint` /
+   `@lint-cost` / `@lint-quorum`. *)
 
 open Cmdliner
 
@@ -46,20 +44,15 @@ let with_baseline baseline report =
               file;
           Ok report)
 
-(* All layers on a single standalone source file: the syntactic pass,
-   then an in-memory typecheck for R7-R10 and R11-R14.  Used by
-   fixtures and the check.sh exit-code matrix; no cmt files needed. *)
+(* Every layer on a single standalone source file, typechecked in
+   memory.  Used by fixtures and the check.sh exit-code matrix; no cmt
+   files needed. *)
 let check_file format file =
   match In_channel.with_open_text file In_channel.input_all with
   | exception Sys_error e ->
       Format.eprintf "lint: %s@." e;
       2
   | source ->
-      let static =
-        match Lintkit.Static_lint.lint_source ~path:file source with
-        | Ok ds -> Ok ds
-        | Error e -> Error e
-      in
       let typed = Lintkit.Typed_lint.check_source ~path:file source in
       let cost = Lintkit.Cost_lint.check_source ~path:file source in
       let quorum = Lintkit.Quorum_lint.check_source ~path:file source in
@@ -68,12 +61,12 @@ let check_file format file =
           (fun (ds, es) -> function
             | Ok d -> (ds @ d, es)
             | Error e -> (ds, es @ [ e ]))
-          ([], []) [ static; typed; cost; quorum ]
+          ([], []) [ typed; cost; quorum ]
       in
       let report =
         {
           Lintkit.Driver.diagnostics =
-            List.sort Lintkit.Static_lint.compare_diagnostic diagnostics;
+            List.sort Lintkit.Rules.compare_diagnostic diagnostics;
           errors;
           files_scanned = 1;
         }
@@ -81,7 +74,7 @@ let check_file format file =
       render format report;
       exit_code report
 
-let run root dirs format explain typed cost quorum baseline check =
+let run root dirs format explain cost quorum baseline check =
   match explain with
   | Some id -> (
       match Lintkit.Rules.of_id id with
@@ -90,7 +83,6 @@ let run root dirs format explain typed cost quorum baseline check =
             (Lintkit.Rules.id rule)
             (Lintkit.Rules.title rule)
             (match Lintkit.Rules.layer rule with
-            | `Static -> "syntactic"
             | `Typed -> "typed"
             | `Cost -> "cost"
             | `Quorum -> "quorum")
@@ -104,23 +96,14 @@ let run root dirs format explain typed cost quorum baseline check =
       | Some file -> check_file format file
       | None ->
           let report =
-            if quorum then
-              Lintkit.Driver.scan_quorum
-                ~dirs:(if dirs = [] then [ "lib" ] else dirs)
-                ~root ()
-            else if cost then
-              Lintkit.Driver.scan_cost
-                ~dirs:(if dirs = [] then [ "lib" ] else dirs)
-                ~root ()
-            else if typed then
-              Lintkit.Driver.scan_typed
-                ~dirs:(if dirs = [] then [ "lib" ] else dirs)
-                ~root ()
-            else
-              let dirs =
-                if dirs = [] then Lintkit.Driver.default_dirs else dirs
-              in
-              Lintkit.Driver.scan ~dirs ~root ()
+            let scan default analyze =
+              Lintkit.Driver.scan
+                ~dirs:(if dirs = [] then default else dirs)
+                ~root analyze
+            in
+            if quorum then scan [ "lib" ] Lintkit.Quorum_lint.analyze
+            else if cost then scan [ "lib" ] Lintkit.Cost_lint.analyze
+            else scan Lintkit.Driver.default_dirs Lintkit.Typed_lint.analyze
           in
           (match with_baseline baseline report with
           | Error e ->
@@ -137,7 +120,7 @@ let root =
 let dirs =
   Arg.(value & opt_all string [] & info [ "dir" ] ~docv:"DIR"
          ~doc:"Subtree to scan (repeatable; defaults to lib bin bench examples, \
-               or lib for --typed).")
+               or lib for --cost and --quorum).")
 
 let format =
   Arg.(value
@@ -158,23 +141,17 @@ let explain =
   Arg.(value & opt (some string) None & info [ "explain" ] ~docv:"RULE"
          ~doc:"Print the rationale for one rule (R1..R18) and exit.")
 
-let typed =
-  Arg.(value & flag & info [ "typed" ]
-         ~doc:"Run the typed layer (R7..R10) over the *.cmt trees of the \
-               built project instead of the syntactic layer. Requires a \
-               prior $(b,dune build).")
-
 let cost =
   Arg.(value & flag & info [ "cost" ]
-         ~doc:"Run the hot-path cost layer (R11..R14) over the *.cmt trees \
-               of the built project instead of the syntactic layer. \
+         ~doc:"Run the hot-path cost layer (R11..R15) over the *.cmt trees \
+               of the built project instead of the determinism rules. \
                Requires a prior $(b,dune build).")
 
 let quorum =
   Arg.(value & flag & info [ "quorum" ]
-         ~doc:"Run the symbolic quorum-safety layer (R15..R18) over the \
-               *.cmt trees of the built project instead of the syntactic \
-               layer. Requires a prior $(b,dune build).")
+         ~doc:"Run the symbolic quorum-safety layer (R16..R18) over the \
+               *.cmt trees of the built project instead of the determinism \
+               rules. Requires a prior $(b,dune build).")
 
 let baseline =
   Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
@@ -184,16 +161,21 @@ let baseline =
 
 let check =
   Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE"
-         ~doc:"Lint one standalone source file with both layers (the typed \
-               rules via an in-memory typecheck; no cmt files needed).")
+         ~doc:"Lint one standalone source file with every layer (via an \
+               in-memory typecheck; no cmt files needed).")
 
 let cmd =
   let doc =
-    "determinism, hot-path & quorum-safety linter (syntactic + typed + \
-     cost + quorum) for the agreement reproduction"
+    "determinism, hot-path & quorum-safety linter (typed + cost + \
+     quorum) for the agreement reproduction"
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ root $ dirs $ format $ explain $ typed $ cost $ quorum
+    Term.(const run $ root $ dirs $ format $ explain $ cost $ quorum
           $ baseline $ check)
 
-let () = exit (Cmd.eval' cmd)
+let () =
+  (* Every pass loads all its typed trees before analyzing them; major
+     collections over that growing live set are wasted work in a
+     short-lived batch run, so trade heap slack for fewer of them. *)
+  Gc.set { (Gc.get ()) with space_overhead = 400 };
+  exit (Cmd.eval' cmd)

@@ -32,6 +32,6 @@ val decided : t -> bool
 val estimate_is : t -> bool -> bool
 (** [estimate_is o v] is true when the estimate is defined and equals
     [v].  Named comparator so adversary code avoids polymorphic
-    equality on observation data (lint rule R3). *)
+    equality on observation data (lint rule R7). *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,14 +13,14 @@ type load = {
 (* "Dsim__Engine" -> "Engine"; dune's module mangling for wrapped
    libraries puts the library name before a double underscore. *)
 let normalize_modname name =
-  match Static_lint.find_substring name "__" 0 with
+  match Rules.find_substring name "__" 0 with
   | None -> name
   | Some _ ->
       let n = String.length name in
       let rec last_sep i best =
         if i + 2 > n then best
         else
-          match Static_lint.find_substring name "__" i with
+          match Rules.find_substring name "__" i with
           | Some at -> last_sep (at + 2) (Some at)
           | None -> best
       in

@@ -1,4 +1,4 @@
-(* Layer 3: the cmt-based hot-path cost & allocation analyzer (R11-R14).
+(* The cmt-based hot-path cost & allocation analyzer (R11-R15).
 
    Every function in the library gets an asymptotic per-call summary
    over the {!Costs} lattice, computed by mapping known stdlib and
@@ -551,41 +551,45 @@ let sccs scans =
      callees-first. *)
   List.rev !components
 
-let compute_summaries ~overrides scans =
+(* A component is recursive when it has several members or its one
+   member calls itself. *)
+let is_recursive scans = function
+  | [ single ] -> (
+      match Hashtbl.find_opt scans single with
+      | Some scan ->
+          List.exists
+            (fun s ->
+              match s.kind with
+              | Call fn -> fn.Callgraph.id = single
+              | _ -> false)
+            scan.sites
+      | None -> false)
+  | _ -> true
+
+(* The join of a function's site costs, in-component calls at O(1). *)
+let body_cost summaries scans component id =
+  match Hashtbl.find_opt scans id with
+  | None -> Costs.Const
+  | Some scan ->
+      List.fold_left
+        (fun acc s -> Costs.join acc (site_cost summaries component s))
+        Costs.Const scan.sites
+
+let compute_summaries ~overrides scans components =
   let summaries = Hashtbl.create 64 in
   List.iter (fun (id, cost) -> Hashtbl.replace summaries id cost) overrides;
   List.iter
     (fun component ->
       let members = List.filter (fun id -> not (List.mem id (List.map fst overrides))) component in
-      let recursive =
-        match component with
-        | [ single ] ->
-            List.exists
-              (fun s ->
-                match s.kind with
-                | Call fn -> fn.Callgraph.id = single
-                | _ -> false)
-              (match Hashtbl.find_opt scans single with
-              | Some scan -> scan.sites
-              | None -> [])
-        | _ -> true
-      in
-      let body_cost id =
-        match Hashtbl.find_opt scans id with
-        | None -> Costs.Const
-        | Some scan ->
-            List.fold_left
-              (fun acc s -> Costs.join acc (site_cost summaries component s))
-              Costs.Const scan.sites
-      in
+      let recursive = is_recursive scans component in
       List.iter
         (fun id ->
           if not (Hashtbl.mem summaries id) then
-            let c = body_cost id in
+            let c = body_cost summaries scans component id in
             let c = if recursive then Costs.nest Costs.Linear c else c in
             Hashtbl.replace summaries id c)
         members)
-    (sccs scans);
+    components;
   summaries
 
 (* ------------------------------------------------------------------ *)
@@ -788,11 +792,34 @@ let report_fn ~overrides ~(hot : hot) ~report (_fn : Callgraph.fn) (scan : scan)
       | Prim _ | Alloc _ -> ())
     scan.sites
 
+(* R15: recursion that escapes R11.  R11 judges each site; a recursive
+   function whose every site is cheap (in-component calls count O(1))
+   still carries a super-logarithmic per-call summary once the
+   component nests under the data-dependent iteration. *)
+let report_recursion ~summaries ~scans ~(hot : hot) ~report
+    (fn : Callgraph.fn) component =
+  let summary =
+    Option.value ~default:Costs.Const (Hashtbl.find_opt summaries fn.id)
+  in
+  let body_max = body_cost summaries scans component fn.id in
+  if
+    Costs.compare summary r11_threshold > 0
+    && Costs.compare body_max r11_threshold <= 0
+  then
+    report ~loc:fn.loc Rules.R15
+      (Printf.sprintf
+         "`%s` recurses on the hot path %s: every site in its body costs at \
+          most %s, so R11 stays silent, but the recursion makes it %s per \
+          call; bound the recursion or declare an override with its \
+          justified amortized cost"
+         fn.id (pp_chain hot.chain)
+         (Costs.to_string body_max)
+         (Costs.to_string summary))
+
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-let analyze_units ?(config = default_config) units =
-  let graph = Callgraph.build units in
+let scan_all config graph =
   let fns = Callgraph.fns graph in
   let scans = Hashtbl.create (List.length fns) in
   List.iter
@@ -801,11 +828,26 @@ let analyze_units ?(config = default_config) units =
         (scan_function ~exempt_modules:config.exempt_modules graph
            ~current_module:fn.modname fn.body))
     fns;
+  (fns, scans)
+
+let analyze_units ?(config = default_config) units =
+  let graph = Callgraph.build units in
+  let fns, scans = scan_all config graph in
   let seeds =
     List.map (fun id -> (id, [], false)) config.hot_roots
     @ transition_seeds config graph units
   in
   let hot_table = hot_walk ~overrides:config.overrides scans seeds in
+  let components = sccs scans in
+  let summaries = compute_summaries ~overrides:config.overrides scans components in
+  (* Members of recursive components -> their component (R15). *)
+  let recursive_component = Hashtbl.create 16 in
+  List.iter
+    (fun component ->
+      if is_recursive scans component then
+        List.iter (fun id -> Hashtbl.replace recursive_component id component)
+          component)
+    components;
   (* Per-unit suppression tables, looked up by source path. *)
   let suppressions = Hashtbl.create (List.length units) in
   List.iter
@@ -813,7 +855,7 @@ let analyze_units ?(config = default_config) units =
       match u.source with
       | Some source ->
           Hashtbl.replace suppressions u.path
-            (Static_lint.suppressions_of_source source)
+            (Rules.suppressions_of_source source)
       | None -> ())
     units;
   let diagnostics = ref [] in
@@ -825,19 +867,19 @@ let analyze_units ?(config = default_config) units =
           if
             (not (List.mem_assoc fn.id config.overrides))
             && Rules.applies Rules.R11 (Rules.scope_of_path fn.src_path)
-          then
+          then begin
             let report ~loc rule message =
               let start = loc.Location.loc_start in
               let line = start.Lexing.pos_lnum in
               let silenced =
                 match Hashtbl.find_opt suppressions fn.src_path with
-                | Some table -> Static_lint.suppressed table ~line rule
+                | Some table -> Rules.suppressed table ~line rule
                 | None -> false
               in
               if not silenced then
                 diagnostics :=
                   {
-                    Static_lint.path = fn.src_path;
+                    Rules.path = fn.src_path;
                     line;
                     col = start.Lexing.pos_cnum - start.Lexing.pos_bol;
                     rule;
@@ -846,133 +888,24 @@ let analyze_units ?(config = default_config) units =
                   :: !diagnostics
             in
             report_fn ~overrides:config.overrides ~hot ~report fn
-              (Hashtbl.find scans fn.id))
+              (Hashtbl.find scans fn.id);
+            Option.iter
+              (report_recursion ~summaries ~scans ~hot ~report fn)
+              (Hashtbl.find_opt recursive_component fn.id)
+          end)
     fns;
-  List.sort_uniq Static_lint.compare_diagnostic !diagnostics
+  List.sort_uniq Rules.compare_diagnostic !diagnostics
 
 let analyze ?config (load : Cmt_loader.load) = analyze_units ?config load.units
 
 (* Per-function summaries for tests and tooling: (id, cost), sorted. *)
 let summarize ?(config = default_config) units =
-  let graph = Callgraph.build units in
-  let fns = Callgraph.fns graph in
-  let scans = Hashtbl.create (List.length fns) in
-  List.iter
-    (fun (fn : Callgraph.fn) ->
-      Hashtbl.replace scans fn.id
-        (scan_function ~exempt_modules:config.exempt_modules graph
-           ~current_module:fn.modname fn.body))
-    fns;
-  let summaries = compute_summaries ~overrides:config.overrides scans in
+  let _, scans = scan_all config (Callgraph.build units) in
+  let summaries =
+    compute_summaries ~overrides:config.overrides scans (sccs scans)
+  in
   Hashtbl.fold (fun id cost acc -> (id, cost) :: acc) summaries []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-(* ------------------------------------------------------------------ *)
-(* R15: recursion that escapes R11.  R11 judges each site; a recursive
-   function whose every site is cheap (in-SCC calls count O(1)) still
-   carries a super-logarithmic per-call summary once the component
-   nests under the data-dependent iteration.  Reported by the quorum
-   layer, which owns the rule, but computed here where the scans and
-   summaries live. *)
-
-let recursion_findings ?(config = default_config) units =
-  let graph = Callgraph.build units in
-  let fns = Callgraph.fns graph in
-  let scans = Hashtbl.create (List.length fns) in
-  List.iter
-    (fun (fn : Callgraph.fn) ->
-      Hashtbl.replace scans fn.id
-        (scan_function ~exempt_modules:config.exempt_modules graph
-           ~current_module:fn.modname fn.body))
-    fns;
-  let summaries = compute_summaries ~overrides:config.overrides scans in
-  let seeds =
-    List.map (fun id -> (id, [], false)) config.hot_roots
-    @ transition_seeds config graph units
-  in
-  let hot_table = hot_walk ~overrides:config.overrides scans seeds in
-  let comp_of = Hashtbl.create 64 in
-  List.iter
-    (fun component ->
-      let recursive =
-        match component with
-        | [ single ] ->
-            List.exists
-              (fun s ->
-                match s.kind with
-                | Call fn -> fn.Callgraph.id = single
-                | _ -> false)
-              (match Hashtbl.find_opt scans single with
-              | Some scan -> scan.sites
-              | None -> [])
-        | _ -> true
-      in
-      List.iter
-        (fun id -> Hashtbl.replace comp_of id (component, recursive))
-        component)
-    (sccs scans);
-  let suppressions = Hashtbl.create (List.length units) in
-  List.iter
-    (fun (u : Cmt_loader.unit_info) ->
-      match u.source with
-      | Some source ->
-          Hashtbl.replace suppressions u.path
-            (Static_lint.suppressions_of_source source)
-      | None -> ())
-    units;
-  let diagnostics = ref [] in
-  List.iter
-    (fun (fn : Callgraph.fn) ->
-      match (Hashtbl.find_opt hot_table fn.id, Hashtbl.find_opt comp_of fn.id) with
-      | Some hot, Some (component, true)
-        when (not (List.mem_assoc fn.id config.overrides))
-             && Rules.applies Rules.R15 (Rules.scope_of_path fn.src_path) ->
-          let summary =
-            Option.value ~default:Costs.Const
-              (Hashtbl.find_opt summaries fn.id)
-          in
-          let body_max =
-            match Hashtbl.find_opt scans fn.id with
-            | None -> Costs.Const
-            | Some scan ->
-                List.fold_left
-                  (fun acc s -> Costs.join acc (site_cost summaries component s))
-                  Costs.Const scan.sites
-          in
-          if
-            Costs.compare summary r11_threshold > 0
-            && Costs.compare body_max r11_threshold <= 0
-          then begin
-            let start = fn.loc.Location.loc_start in
-            let line = start.Lexing.pos_lnum in
-            let silenced =
-              match Hashtbl.find_opt suppressions fn.src_path with
-              | Some table -> Static_lint.suppressed table ~line Rules.R15
-              | None -> false
-            in
-            if not silenced then
-              diagnostics :=
-                {
-                  Static_lint.path = fn.src_path;
-                  line;
-                  col = start.Lexing.pos_cnum - start.Lexing.pos_bol;
-                  rule = Rules.R15;
-                  message =
-                    Printf.sprintf
-                      "`%s` recurses on the hot path %s: every site in its \
-                       body costs at most %s, so R11 stays silent, but the \
-                       recursion makes it %s per call; bound the recursion \
-                       or declare an override with its justified amortized \
-                       cost"
-                      fn.id (pp_chain hot.chain)
-                      (Costs.to_string body_max)
-                      (Costs.to_string summary);
-                }
-                :: !diagnostics
-          end
-      | _ -> ())
-    fns;
-  List.sort_uniq Static_lint.compare_diagnostic !diagnostics
 
 let modname_of_path path =
   Filename.basename path |> Filename.remove_extension |> String.capitalize_ascii

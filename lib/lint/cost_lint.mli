@@ -1,5 +1,5 @@
-(** Layer 3: the cmt-based hot-path cost & allocation analyzer
-    (rules R11-R14).
+(** The cmt-based hot-path cost & allocation analyzer (rules
+    R11-R15).
 
     Assigns every library function an asymptotic per-call summary over
     the {!Costs} lattice — known stdlib and in-repo primitives at their
@@ -24,6 +24,11 @@
     - {b R14}: eager uniform fan-out — [List.init] over a
       non-constant count whose body builds per-destination envelope
       tuples.
+    - {b R15}: R11's blind spot — a hot recursive function whose every
+      site is at most O(log n) (in-component calls counted O(1)) but
+      whose per-call summary exceeds that once the component nests
+      under the data-dependent iteration.  Reported at the function
+      header.
 
     The hot set is every function reachable from [config.hot_roots]
     (kernel ids) or from a [Dsim.Protocol.t] transition field
@@ -52,13 +57,13 @@ type config = {
 
 val default_config : config
 
-val analyze : ?config:config -> Cmt_loader.load -> Static_lint.diagnostic list
-(** Run R11-R14 over every loaded unit.  Diagnostics carry
+val analyze : ?config:config -> Cmt_loader.load -> Rules.diagnostic list
+(** Run R11-R15 over every loaded unit.  Diagnostics carry
     root-relative paths, honour inline suppressions, and are sorted by
     (path, line, col, rule). *)
 
 val analyze_units :
-  ?config:config -> Cmt_loader.unit_info list -> Static_lint.diagnostic list
+  ?config:config -> Cmt_loader.unit_info list -> Rules.diagnostic list
 (** Same on an explicit unit list (used by fixture tests). *)
 
 val summarize :
@@ -71,16 +76,7 @@ val check_source :
   ?config:config ->
   path:string ->
   string ->
-  (Static_lint.diagnostic list, string) result
+  (Rules.diagnostic list, string) result
 (** Typecheck a standalone source in memory and run the cost rules on
     it.  Fixtures declare their own hot roots via [config] (or build a
     [Protocol.t]-shaped record to exercise transition seeding). *)
-
-val recursion_findings :
-  ?config:config -> Cmt_loader.unit_info list -> Static_lint.diagnostic list
-(** Rule R15 — R11's blind spot: hot recursive functions whose every
-    site is at most O(log n) (in-SCC calls counted O(1)) but whose
-    per-call summary exceeds the threshold once the component nests
-    under the data-dependent iteration.  Owned and reported by the
-    quorum layer ({!Quorum_lint}); computed here where the scans and
-    summaries live.  Honours inline suppressions. *)

@@ -1,144 +1,39 @@
 type report = {
-  diagnostics : Static_lint.diagnostic list;
+  diagnostics : Rules.diagnostic list;
   errors : string list;
   files_scanned : int;
 }
 
 let default_dirs = [ "lib"; "bin"; "bench"; "examples" ]
-let default_hash_allowlist = [ "lib/lint/" ]
-let default_domain_allowlist = [ "lib/core/par_sweep"; "lib/lint/" ]
 
-let is_ml_file name =
-  String.length name > 3 && String.sub name (String.length name - 3) 3 = ".ml"
-
-let skip_dir name =
-  name = "_build" || (String.length name > 0 && name.[0] = '.')
-
-(* Collect relative paths of .ml files under [rel] (depth-first, sorted
-   so the scan order is stable across filesystems). *)
-let rec walk root rel acc =
-  let abs = Filename.concat root rel in
-  if not (Sys.file_exists abs) then acc
-  else if Sys.is_directory abs then
-    let entries = Sys.readdir abs in
-    Array.sort String.compare entries;
-    Array.fold_left
-      (fun acc entry ->
-        if skip_dir entry then acc else walk root (Filename.concat rel entry) acc)
-      acc entries
-  else if is_ml_file rel then rel :: acc
-  else acc
-
-let scan ?(hash_allowlist = default_hash_allowlist)
-    ?(domain_allowlist = default_domain_allowlist) ?(dirs = default_dirs) ~root
-    () =
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    (* A typo'd root must not read as a clean scan. *)
-    {
-      diagnostics = [];
-      errors = [ Printf.sprintf "root %S is not a directory" root ];
-      files_scanned = 0;
-    }
-  else
-  let files =
-    List.fold_left (fun acc dir -> walk root dir acc) [] dirs |> List.rev
-  in
-  let diagnostics, errors =
-    List.fold_left
-      (fun (diags, errs) rel ->
-        match
-          Static_lint.lint_file ~hash_allowlist ~domain_allowlist
-            (Filename.concat root rel)
-        with
-        | Ok ds ->
-            (* Report root-relative paths regardless of where we ran. *)
-            let ds = List.map (fun d -> { d with Static_lint.path = rel }) ds in
-            (List.rev_append ds diags, errs)
-        | Error message -> (diags, message :: errs))
-      ([], []) files
-  in
-  {
-    diagnostics = List.sort Static_lint.compare_diagnostic diagnostics;
-    errors = List.rev errors;
-    files_scanned = List.length files;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Typed layer (R7-R10) over the cmt trees of the built project.       *)
-
-let scan_typed ?config ?(dirs = [ "lib" ]) ~root () =
-  let cmts = Cmt_loader.find_cmt_files ~dirs ~root () in
-  if cmts = [] then
-    {
-      diagnostics = [];
-      errors =
-        [ Printf.sprintf
-            "no .cmt files found under %S for %s; run `dune build` first \
-             (the typed linter reads _build/default/**/*.cmt)"
-            root
-            (String.concat ", " dirs) ];
-      files_scanned = 0;
-    }
-  else
-    let load = Cmt_loader.load ~dirs ~root () in
-    {
-      diagnostics = Typed_lint.analyze ?config load;
-      errors = load.load_errors;
-      files_scanned = List.length load.units;
-    }
-
-(* Cost layer (R11-R14) over the same cmt trees. *)
-
-let scan_cost ?config ?(dirs = [ "lib" ]) ~root () =
-  let cmts = Cmt_loader.find_cmt_files ~dirs ~root () in
-  if cmts = [] then
-    {
-      diagnostics = [];
-      errors =
-        [ Printf.sprintf
-            "no .cmt files found under %S for %s; run `dune build` first \
-             (the cost linter reads _build/default/**/*.cmt)"
-            root
-            (String.concat ", " dirs) ];
-      files_scanned = 0;
-    }
-  else
-    let load = Cmt_loader.load ~dirs ~root () in
-    {
-      diagnostics = Cost_lint.analyze ?config load;
-      errors = load.load_errors;
-      files_scanned = List.length load.units;
-    }
-
-(* Quorum layer (R15-R18) over the same cmt trees. *)
-
-let scan_quorum ?config ?(dirs = [ "lib" ]) ~root () =
-  let cmts = Cmt_loader.find_cmt_files ~dirs ~root () in
-  if cmts = [] then
-    {
-      diagnostics = [];
-      errors =
-        [ Printf.sprintf
-            "no .cmt files found under %S for %s; run `dune build` first \
-             (the quorum linter reads _build/default/**/*.cmt)"
-            root
-            (String.concat ", " dirs) ];
-      files_scanned = 0;
-    }
-  else
-    let load = Cmt_loader.load ~dirs ~root () in
-    {
-      diagnostics = Quorum_lint.analyze ?config load;
-      errors = load.load_errors;
-      files_scanned = List.length load.units;
-    }
+(* Every layer reads the same cmt trees; an unbuilt tree is an error,
+   never a clean scan. *)
+let scan ?(dirs = default_dirs) ~root analyze =
+  match Cmt_loader.load ~dirs ~root () with
+  | { Cmt_loader.units = []; load_errors = [] } ->
+      {
+        diagnostics = [];
+        errors =
+          [ Printf.sprintf
+              "no .cmt files found under %S for %s; run `dune build @check` \
+               first (the linter reads _build/default/**/*.cmt)"
+              root
+              (String.concat ", " dirs) ];
+        files_scanned = 0;
+      }
+  | load ->
+      {
+        diagnostics = analyze load;
+        errors = load.load_errors;
+        files_scanned = List.length load.units;
+      }
 
 let ok report = report.diagnostics = [] && report.errors = []
 
 (* ------------------------------------------------------------------ *)
 (* Baselines: known findings accepted with a written justification.    *)
 
-let baseline_key (d : Static_lint.diagnostic) =
+let baseline_key (d : Rules.diagnostic) =
   (Rules.id d.rule, d.path, d.message)
 
 let read_baseline path =
@@ -193,8 +88,8 @@ let render_human ppf report =
   List.iter
     (fun d ->
       Format.fprintf ppf "%s:%d:%d: [%s] %s@."
-        d.Static_lint.path d.Static_lint.line d.Static_lint.col
-        (Rules.id d.Static_lint.rule) d.Static_lint.message)
+        d.Rules.path d.Rules.line d.Rules.col
+        (Rules.id d.Rules.rule) d.Rules.message)
     report.diagnostics;
   List.iter (fun e -> Format.fprintf ppf "error: %s@." e) report.errors;
   Format.fprintf ppf "%d file%s scanned, %d violation%s, %d error%s@."
@@ -225,10 +120,10 @@ let render_json ppf report =
   let violation d =
     Printf.sprintf
       {|{"path":"%s","line":%d,"col":%d,"rule":"%s","message":"%s"}|}
-      (json_escape d.Static_lint.path)
-      d.Static_lint.line d.Static_lint.col
-      (Rules.id d.Static_lint.rule)
-      (json_escape d.Static_lint.message)
+      (json_escape d.Rules.path)
+      d.Rules.line d.Rules.col
+      (Rules.id d.Rules.rule)
+      (json_escape d.Rules.message)
   in
   Format.fprintf ppf
     {|{"files_scanned":%d,"violations":[%s],"errors":[%s]}|}
@@ -257,7 +152,7 @@ let render_sarif ppf report =
     in
     go 0 Rules.all
   in
-  let result (d : Static_lint.diagnostic) =
+  let result (d : Rules.diagnostic) =
     Printf.sprintf
       {|{"ruleId":"%s","ruleIndex":%d,"level":"error","message":{"text":"%s"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"%s","uriBaseId":"SRCROOT"},"region":{"startLine":%d,"startColumn":%d}}}]}|}
       (Rules.id d.rule) (rule_index d.rule)

@@ -1,58 +1,30 @@
-(** Filesystem walker, typed-layer entry point, baselines and report
-    rendering (human / json / SARIF) for both lint layers. *)
+(** The cmt scan shared by every layer, baselines, and report
+    rendering (human / json / SARIF). *)
 
 type report = {
-  diagnostics : Static_lint.diagnostic list;  (** sorted by (path, line, col) *)
-  errors : string list;  (** unparsable / unreadable files *)
-  files_scanned : int;
+  diagnostics : Rules.diagnostic list;  (** sorted by (path, line, col) *)
+  errors : string list;  (** unreadable cmt files, or an unbuilt tree *)
+  files_scanned : int;  (** loaded compilation units *)
 }
 
 val default_dirs : string list
-(** ["lib"; "bin"; "bench"; "examples"] — the trees the issue puts in
-    scope. *)
-
-val default_hash_allowlist : string list
-(** Path fragments for which R2 is waived (the linter's own rule tables
-    and this module's test fixtures name [Hashtbl.hash] on purpose). *)
-
-val default_domain_allowlist : string list
-(** Path fragments for which R6 is waived: [lib/core/par_sweep] — the
-    one sanctioned home of [Domain]/[Atomic] — plus the linter's own
-    rule tables, which spell the banned names out. *)
+(** ["lib"; "bin"; "bench"; "examples"] — the trees the determinism
+    rules cover. *)
 
 val scan :
-  ?hash_allowlist:string list ->
-  ?domain_allowlist:string list ->
   ?dirs:string list ->
   root:string ->
-  unit ->
+  (Cmt_loader.load -> Rules.diagnostic list) ->
   report
-(** Walk [dirs] under [root] (skipping [_build] and dot-directories),
-    lint every [.ml] file, and merge the results.  Paths in the report
-    are relative to [root]. *)
-
-val scan_typed :
-  ?config:Typed_lint.config -> ?dirs:string list -> root:string -> unit -> report
-(** Run the typed layer (R7-R10): load every [*.cmt] under
+(** [scan ~root analyze] loads every [*.cmt] under
     [root/_build/default/<dirs>] (or [root/<dirs>] when the build tree
-    itself is the root, as under a dune rule) and analyze.  When no cmt
-    is found the report carries a single error telling the caller to
-    [dune build] first — the typed linter never silently passes on an
-    unbuilt tree.  [files_scanned] counts loaded compilation units. *)
-
-val scan_cost :
-  ?config:Cost_lint.config -> ?dirs:string list -> root:string -> unit -> report
-(** Run the cost layer (R11-R14) over the same [*.cmt] trees as
-    {!scan_typed}; identical cmt discovery and error behaviour. *)
-
-val scan_quorum :
-  ?config:Quorum_lint.config ->
-  ?dirs:string list ->
-  root:string ->
-  unit ->
-  report
-(** Run the quorum layer (R15-R18) over the same [*.cmt] trees as
-    {!scan_typed}; identical cmt discovery and error behaviour. *)
+    itself is the root, as under a dune rule) and runs [analyze] on
+    them ({!Typed_lint.analyze}, {!Cost_lint.analyze} or
+    {!Quorum_lint.analyze}).  [dirs] defaults to {!default_dirs}.  When
+    no cmt is found the report carries a single error telling the
+    caller to [dune build @check] first — the linter never silently
+    passes on an unbuilt tree.  The main modules of executables only
+    get a cmt from [@check], not from the default build. *)
 
 (** {2 Baselines}
 
@@ -60,7 +32,7 @@ val scan_quorum :
     lines, ['#'] comments.  Messages deliberately contain no line
     numbers, so baselines survive unrelated edits. *)
 
-val baseline_key : Static_lint.diagnostic -> string * string * string
+val baseline_key : Rules.diagnostic -> string * string * string
 (** (rule id, path, message) — the identity a baseline entry matches. *)
 
 val read_baseline :
@@ -87,7 +59,7 @@ val render_json : Format.formatter -> report -> unit
     "rule":..,"message":..}],"errors":[..]}]. *)
 
 val render_sarif : Format.formatter -> report -> unit
-(** SARIF 2.1.0: one run, rule metadata for R1-R10 from {!Rules},
+(** SARIF 2.1.0: one run, rule metadata for every rule from {!Rules},
     results with physical locations (1-based columns), errors as tool
     execution notifications. *)
 

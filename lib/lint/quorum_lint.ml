@@ -1,6 +1,6 @@
-(* Layer 5: the symbolic quorum-safety analyzer (R15-R18).
+(* The symbolic quorum-safety analyzer (R16-R18).
 
-   The cost layer (R11-R14) asks "how much does a transition cost"; this
+   The cost layer (R11-R15) asks "how much does a transition cost"; this
    layer asks "is the threshold arithmetic sound for every (n, t) the
    protocol claims to tolerate".  It walks the typed trees, reduces
    every quorum-threshold definition — the protocol's own defaults and
@@ -11,11 +11,6 @@
    resilience claims matching the arithmetic) with the exact integer
    decision procedure.  A failed obligation comes with a concrete
    witness point (n, t) inside the declared resilience region.
-
-   R15 is the cost layer's documented blind spot — recursion whose
-   per-iteration body is cheap but whose summary exceeds the hot-path
-   threshold — and is computed by {!Cost_lint.recursion_findings}; it
-   reports here so `--quorum` is the one place the fifth layer lives.
 
    Extraction is a small symbolic evaluator over the typed tree, not a
    parser of naming conventions: optional-argument defaults are read
@@ -1469,11 +1464,7 @@ let analyze_family ~report mods units sites family =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-type config = { cost : Cost_lint.config }
-
-let default_config = { cost = Cost_lint.default_config }
-
-let analyze_units ?(config = default_config) units =
+let analyze_units units =
   let mods = module_globals units in
   let sites = scan_sites mods units in
   let suppressions = Hashtbl.create 16 in
@@ -1482,7 +1473,7 @@ let analyze_units ?(config = default_config) units =
       match u.source with
       | Some src ->
           Hashtbl.replace suppressions u.path
-            (Static_lint.suppressions_of_source src)
+            (Rules.suppressions_of_source src)
       | None -> ())
     units;
   let out = ref [] in
@@ -1493,29 +1484,27 @@ let analyze_units ?(config = default_config) units =
       let col = start.Lexing.pos_cnum - start.Lexing.pos_bol in
       let silenced =
         match Hashtbl.find_opt suppressions path with
-        | Some table -> Static_lint.suppressed table ~line rule
+        | Some table -> Rules.suppressed table ~line rule
         | None -> false
       in
       if not silenced then
-        out := { Static_lint.path; line; col; rule; message } :: !out
+        out := { Rules.path; line; col; rule; message } :: !out
     end
   in
   List.iter (analyze_family ~report mods units sites) families;
-  let r15 = Cost_lint.recursion_findings ~config:config.cost units in
-  List.sort_uniq Static_lint.compare_diagnostic (r15 @ !out)
+  List.sort_uniq Rules.compare_diagnostic !out
 
-let analyze ?config (load : Cmt_loader.load) =
-  analyze_units ?config load.units
+let analyze (load : Cmt_loader.load) = analyze_units load.units
 
 let modname_of_path path =
   Filename.basename path |> Filename.remove_extension |> String.capitalize_ascii
 
-let check_source ?config ~path source =
+let check_source ~path source =
   match Typed_lint.typecheck_source ~path source with
   | Error e -> Error e
   | Ok structure ->
       Ok
-        (analyze_units ?config
+        (analyze_units
            [
              {
                Cmt_loader.modname = modname_of_path path;

@@ -1,4 +1,4 @@
-(** Layer 5: the symbolic quorum-safety analyzer (rules R15-R18).
+(** The symbolic quorum-safety analyzer (rules R16-R18).
 
     Walks the typed trees, reduces every quorum-threshold definition —
     protocol defaults and [?decide_quorum]-style construction-site
@@ -6,10 +6,6 @@
     discharges per-protocol-family obligations with the exact integer
     decision procedure, over the family's declared resilience region:
 
-    - {b R15}: recursion whose per-call summary exceeds the hot-path
-      cost threshold while every individual site in its body is cheap —
-      the cost layer's (R11) documented blind spot.  Computed by
-      {!Cost_lint.recursion_findings} and reported here.
     - {b R16}: a threshold obligation (quorum intersection above the
       fault bound, quorum reachable by the honest set, Theorem 4's
       validity conditions) that fails at some (n, t) inside the
@@ -29,26 +25,18 @@
     are beta-reduced.  Thresholds that do not reduce to affine form
     are reported (R16), never silently trusted. *)
 
-type config = { cost : Cost_lint.config }
-(** [cost] parameterizes the R15 hot set (same knobs as the cost
-    layer). *)
-
-val default_config : config
-
-val analyze : ?config:config -> Cmt_loader.load -> Static_lint.diagnostic list
-(** Run R15-R18 over every loaded unit.  Diagnostics carry
+val analyze : Cmt_loader.load -> Rules.diagnostic list
+(** Run R16-R18 over every loaded unit.  Diagnostics carry
     root-relative paths, honour inline [(* lint: allow Rn *)]
     suppressions, and are sorted by (path, line, col, rule). *)
 
-val analyze_units :
-  ?config:config -> Cmt_loader.unit_info list -> Static_lint.diagnostic list
+val analyze_units : Cmt_loader.unit_info list -> Rules.diagnostic list
 (** Same on an explicit unit list (used by fixture tests). *)
 
 val check_source :
-  ?config:config ->
   path:string ->
   string ->
-  (Static_lint.diagnostic list, string) result
+  (Rules.diagnostic list, string) result
 (** Typecheck a standalone source in memory and run the quorum rules on
     it.  [path] decides rule scope and which family the fixture's
     [protocol] calls resolve to (e.g. ["lib/protocols/ben_or.ml"]

@@ -1,16 +1,14 @@
 type t =
-  | R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12 | R13 | R14
+  | R1 | R2 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12 | R13 | R14
   | R15 | R16 | R17 | R18
 
 let all =
-  [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12; R13; R14;
+  [ R1; R2; R5; R6; R7; R8; R9; R10; R11; R12; R13; R14;
     R15; R16; R17; R18 ]
 
 let id = function
   | R1 -> "R1"
   | R2 -> "R2"
-  | R3 -> "R3"
-  | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
@@ -30,8 +28,6 @@ let of_id s =
   match String.uppercase_ascii (String.trim s) with
   | "R1" -> Some R1
   | "R2" -> Some R2
-  | "R3" -> Some R3
-  | "R4" -> Some R4
   | "R5" -> Some R5
   | "R6" -> Some R6
   | "R7" -> Some R7
@@ -49,16 +45,13 @@ let of_id s =
   | _ -> None
 
 let layer = function
-  | R1 | R2 | R3 | R4 | R5 | R6 -> `Static
-  | R7 | R8 | R9 | R10 -> `Typed
-  | R11 | R12 | R13 | R14 -> `Cost
-  | R15 | R16 | R17 | R18 -> `Quorum
+  | R1 | R2 | R5 | R6 | R7 | R8 | R9 | R10 -> `Typed
+  | R11 | R12 | R13 | R14 | R15 -> `Cost
+  | R16 | R17 | R18 -> `Quorum
 
 let title = function
   | R1 -> "ambient nondeterminism source"
   | R2 -> "version-dependent Hashtbl.hash"
-  | R3 -> "polymorphic compare on protocol data"
-  | R4 -> "exact float-literal equality"
   | R5 -> "printing from library code"
   | R6 -> "multicore primitive outside the parallel sweep engine"
   | R7 -> "typed polymorphic compare on non-immediate data"
@@ -85,18 +78,6 @@ let describe = function
        word sizes; feeding it into PRNG stream derivation (or anything \
        seed-adjacent) makes runs irreproducible across toolchains.  Use a \
        self-contained stable hash (e.g. FNV-1a) instead."
-  | R3 ->
-      "Bare polymorphic compare/(=) on records or constructor applications \
-       compares whatever the in-memory representation happens to be \
-       (including mutable internals and floats inside), and breaks silently \
-       when a field is added.  Protocol, observation and adversary data \
-       must use named, field-explicit comparators (Int.compare, \
-       Bool.equal, Obs.estimate_is, ...)."
-  | R4 ->
-      "Exact (=) against a float literal is almost never the intended \
-       predicate in the statistics and lower-bound numerics: it is \
-       representation-sensitive and NaN-hostile.  Use Float.equal for \
-       genuine bit-equality on sentinels, or an explicit tolerance."
   | R5 ->
       "Library code must not print: all observable output goes through \
        Dsim.Obs / Dsim.Trace_export so executions stay silent, replayable \
@@ -107,17 +88,17 @@ let describe = function
        exactly what the bit-identical determinism contract forbids.  All \
        parallelism must route through Par_sweep's map_reduce, whose merge \
        discipline keeps results independent of scheduling; only \
-       lib/core/par_sweep.ml (the linter's domain allowlist) may touch \
-       the primitives directly."
+       lib/core/par_sweep.ml may touch the primitives directly."
   | R7 ->
-      "The typed successor of R3/R4: any use of Stdlib.compare, (=), (<>) \
-       or Hashtbl.hash whose instantiated argument type is not immediate \
-       (int, bool, char or unit) is flagged, wherever the argument \
-       syntactically comes from.  The syntactic rules only catch literal \
-       record/constructor/field arguments; the typed rule sees through \
-       variables, aliases and partial applications (e.g. `let compare = \
-       compare' inside a Map.Make argument), which is where polymorphic \
-       comparison actually hides."
+      "Any use of Stdlib.compare, (=) or (<>) whose instantiated argument \
+       type is not immediate (int, bool, char or unit) is flagged, \
+       wherever the argument syntactically comes from: a record, a \
+       payload-carrying constructor, a float, or a variable, alias or \
+       partial application hiding one (e.g. `let compare = compare' \
+       inside a Map.Make argument).  Structural comparison silently \
+       depends on representation and breaks when a field is added; \
+       exact float equality is NaN-hostile.  Use a named comparator \
+       (Int.compare, String.equal, Float.equal, Obs.estimate_is, ...)."
   | R8 ->
       "Protocol transition functions (init, outgoing, on_deliver, \
        on_reset, output, ... wherever a Dsim.Protocol.t record is built) \
@@ -254,17 +235,18 @@ let applies rule scope =
   match rule with
   | R1 | R5 -> scope.top = `Lib
   | R2 | R6 -> true
-  | R3 | R7 | R10 -> (
+  | R7 -> (
+      scope.top = `Lib
+      &&
+      match scope.sub with
+      | Some ("dsim" | "protocols" | "adversary" | "stats" | "lowerbound") ->
+          true
+      | _ -> false)
+  | R10 -> (
       scope.top = `Lib
       &&
       match scope.sub with
       | Some ("dsim" | "protocols" | "adversary") -> true
-      | _ -> false)
-  | R4 -> (
-      scope.top = `Lib
-      &&
-      match scope.sub with
-      | Some ("stats" | "lowerbound") -> true
       | _ -> false)
   | R8 ->
       (* Roots are protocol-record constructions, which only exist under
@@ -279,8 +261,7 @@ let applies rule scope =
   | R11 | R12 | R13 | R14 | R15 ->
       (* Membership in the hot set, not the path, decides whether the
          cost rules fire; the path gate only keeps the linter itself and
-         non-library trees out of scope.  R15 shares the gate: it is the
-         cost layer's recursion blind spot, emitted by the quorum pass. *)
+         non-library trees out of scope. *)
       scope.top = `Lib
       && (match scope.sub with Some "lint" -> false | _ -> true)
   | R16 | R17 | R18 -> (
@@ -293,3 +274,106 @@ let applies rule scope =
       match scope.sub with
       | Some ("lint" | "prng" | "stats") -> false
       | _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Diagnostics: a rule at a location.                                  *)
+
+type diagnostic = {
+  path : string;
+  line : int;
+  col : int;
+  rule : t;
+  message : string;
+}
+
+let compare_diagnostic a b =
+  match String.compare a.path b.path with
+  | 0 -> (
+      match Int.compare a.line b.line with
+      | 0 -> (
+          match Int.compare a.col b.col with
+          | 0 -> String.compare (id a.rule) (id b.rule)
+          | c -> c)
+      | c -> c)
+  | c -> c
+
+(* ------------------------------------------------------------------ *)
+(* Suppression comments: (* lint: allow R7 *) covers its own line and
+   the following one.                                                  *)
+
+type suppression = All | Only of t list
+
+(* Knuth-Morris-Pratt: one pass over the haystack, no per-position
+   rescans and no substring allocation. *)
+let find_substring haystack needle from =
+  let nl = String.length needle and hl = String.length haystack in
+  if nl = 0 then if from <= hl then Some (Int.max from 0) else None
+  else if from > hl - nl then None
+  else begin
+    let fail = Array.make nl 0 in
+    let k = ref 0 in
+    for i = 1 to nl - 1 do
+      while !k > 0 && needle.[!k] <> needle.[i] do
+        k := fail.(!k - 1)
+      done;
+      if needle.[!k] = needle.[i] then incr k;
+      fail.(i) <- !k
+    done;
+    let matched = ref 0 and result = ref None in
+    let i = ref (Int.max from 0) in
+    while !result = None && !i < hl do
+      while !matched > 0 && needle.[!matched] <> haystack.[!i] do
+        matched := fail.(!matched - 1)
+      done;
+      if needle.[!matched] = haystack.[!i] then incr matched;
+      if !matched = nl then result := Some (!i - nl + 1);
+      incr i
+    done;
+    !result
+  end
+
+let parse_suppression_line line =
+  match find_substring line "lint:" 0 with
+  | None -> None
+  | Some at -> (
+      let rest = String.sub line (at + 5) (String.length line - at - 5) in
+      let rest = String.trim rest in
+      if not (String.length rest >= 5 && String.sub rest 0 5 = "allow") then None
+      else
+        let spec = String.sub rest 5 (String.length rest - 5) in
+        (* Cut at the comment terminator if present. *)
+        let spec =
+          match find_substring spec "*)" 0 with
+          | Some stop -> String.sub spec 0 stop
+          | None -> spec
+        in
+        let tokens =
+          String.split_on_char ' ' (String.map (function ',' -> ' ' | c -> c) spec)
+          |> List.map String.trim
+          |> List.filter (fun s -> s <> "")
+        in
+        if List.exists (fun t -> String.lowercase_ascii t = "all") tokens then Some All
+        else
+          match List.filter_map of_id tokens with
+          | [] -> None
+          | rules -> Some (Only rules))
+
+let suppressions_of_source source =
+  let table = Hashtbl.create 8 in
+  let lines = String.split_on_char '\n' source in
+  List.iteri
+    (fun i line ->
+      match parse_suppression_line line with
+      | None -> ()
+      | Some s -> Hashtbl.replace table (i + 1) s)
+    lines;
+  table
+
+let suppressed table ~line rule =
+  let covers l =
+    match Hashtbl.find_opt table l with
+    | Some All -> true
+    | Some (Only rules) -> List.mem rule rules
+    | None -> false
+  in
+  covers line || covers (line - 1)

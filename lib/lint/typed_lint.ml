@@ -1,5 +1,4 @@
 type config = {
-  r7_subs : string list;
   pure_fields : string list;
   raise_allowlist : string list;
   message_type_names : string list;
@@ -8,7 +7,6 @@ type config = {
 
 let default_config =
   {
-    r7_subs = [ "dsim"; "protocols"; "adversary" ];
     pure_fields =
       [ "init"; "outgoing"; "on_deliver"; "on_reset"; "output"; "observe";
         "state_core"; "message_bit"; "message_round"; "message_origin";
@@ -40,7 +38,45 @@ let type_to_string ty =
   | exception _ -> "?"
 
 (* ------------------------------------------------------------------ *)
-(* R7: polymorphic compare / hash at a non-immediate type.             *)
+(* R1/R2/R5/R6: ambient sources, named by their resolved path
+   ([Callgraph.stdlib_name], so [Stdlib.Random.int], [Random.int] and
+   [let open Random in int] all read "Random.int").                     *)
+
+let r1_banned name =
+  String.starts_with ~prefix:"Random." name
+  || List.mem name [ "Sys.time"; "Unix.gettimeofday" ]
+
+let r2_banned name = List.mem name [ "Hashtbl.hash"; "Hashtbl.seeded_hash" ]
+
+let r5_banned name =
+  List.mem name
+    [ "Printf.printf"; "Printf.eprintf"; "Format.printf"; "Format.eprintf";
+      "print_string"; "print_endline"; "print_newline"; "print_int";
+      "print_char"; "print_float"; "print_bytes"; "prerr_string";
+      "prerr_endline"; "prerr_newline" ]
+  (* The Format std_formatter helpers print just as surely as
+     print_string does. *)
+  || String.starts_with ~prefix:"Format.print_" name
+
+(* fprintf is fine against a caller-supplied formatter and banned
+   against an ambient channel. *)
+let r5_fprintf name = List.mem name [ "Printf.fprintf"; "Format.fprintf" ]
+
+let r5_ambient_channel name =
+  List.mem name
+    [ "stdout"; "stderr"; "Format.std_formatter"; "Format.err_formatter" ]
+
+let r6_banned name =
+  List.exists
+    (fun m -> String.starts_with ~prefix:(m ^ ".") name)
+    [ "Domain"; "Atomic"; "Thread"; "Mutex"; "Condition"; "Semaphore" ]
+
+(* The one sanctioned home of the multicore primitives. *)
+let r6_exempt path =
+  Cmt_loader.normalize_source_path path = Some "lib/core/par_sweep.ml"
+
+(* ------------------------------------------------------------------ *)
+(* R7: polymorphic compare at a non-immediate type.                    *)
 
 (* The unqualified pervasives always reach the typed tree as
    [Stdlib.compare] etc., so a locally-defined [compare] (path
@@ -48,9 +84,6 @@ let type_to_string ty =
 let polyeq_name path =
   match Callgraph.path_components path with
   | [ "Stdlib"; (("compare" | "=" | "<>") as op) ] -> Some op
-  | [ "Stdlib"; "Hashtbl"; (("hash" | "seeded_hash") as h) ]
-  | [ "Hashtbl"; (("hash" | "seeded_hash") as h) ] ->
-      Some ("Hashtbl." ^ h)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -255,45 +288,97 @@ let check_cases :
               the constructors out so new messages cannot be dropped silently"
              tyname)
 
-let unit_iterator ctx ~scope ~current_module =
-  let r7_applies =
-    scope.Rules.top = `Lib
-    &&
-    match scope.Rules.sub with
-    | Some sub -> List.mem sub ctx.config.r7_subs
-    | None -> false
+(* A module alias ([module R = Random], [let module P = Printf in ..])
+   is expanded before a path is named, so renaming a banned module does
+   not hide it. *)
+let expand_aliases aliases path =
+  let rec go = function
+    | Path.Pident id as p ->
+        Option.value ~default:p (Hashtbl.find_opt aliases (Ident.unique_name id))
+    | Path.Pdot (p, s) -> Path.Pdot (go p, s)
+    | p -> p
   in
-  let r10_applies = Rules.applies Rules.R10 scope in
-  let r8_applies = Rules.applies Rules.R8 scope in
+  go path
+
+let rec alias_target (m : Typedtree.module_expr) =
+  match m.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (m, _, _, _) -> alias_target m
+  | _ -> None
+
+let unit_iterator ctx ~path ~current_module =
+  let scope = Rules.scope_of_path path in
+  let applies rule = Rules.applies rule scope in
+  let r1_applies = applies Rules.R1 and r2_applies = applies Rules.R2 in
+  let r5_applies = applies Rules.R5 in
+  let r6_applies = applies Rules.R6 && not (r6_exempt path) in
+  let r7_applies = applies Rules.R7 in
+  let r10_applies = applies Rules.R10 in
+  let r8_applies = applies Rules.R8 in
+  let aliases = Hashtbl.create 4 in
+  let note_alias id mexpr =
+    match alias_target mexpr with
+    | Some p ->
+        Hashtbl.replace aliases (Ident.unique_name id) (expand_aliases aliases p)
+    | None -> ()
+  in
+  let name_of p = Callgraph.stdlib_name (expand_aliases aliases p) in
+  let check_ident (expr : Typedtree.expression) p =
+    let name = name_of p in
+    let report rule fmt =
+      ctx.report ~loc:expr.exp_loc rule (Printf.sprintf fmt name)
+    in
+    if r1_applies && r1_banned name then
+      report Rules.R1
+        "`%s` is an ambient nondeterminism source; derive from Prng.Stream \
+         instead";
+    if r2_applies && r2_banned name then
+      report Rules.R2
+        "`%s` is version-dependent; use a stable hash (e.g. FNV-1a in \
+         Prng.Stream.derive_name)";
+    if r5_applies && r5_banned name then
+      report Rules.R5
+        "`%s` prints from library code; route output through Dsim.Obs / \
+         Dsim.Trace_export";
+    if r6_applies && r6_banned name then
+      report Rules.R6
+        "`%s` is a raw multicore primitive; route parallelism through \
+         Par_sweep.map_reduce";
+    if r7_applies then
+      match polyeq_name (expand_aliases aliases p) with
+      | Some op -> (
+          match first_arrow_arg expr.exp_type with
+          | Some arg when is_immediate arg -> ()
+          | arg ->
+              ctx.report ~loc:expr.exp_loc Rules.R7
+                (Printf.sprintf
+                   "polymorphic `%s` instantiated at non-immediate type \
+                    `%s`; use a named comparator (Int.compare, \
+                    String.equal, Option.is_none, ...)"
+                   op
+                   (match arg with Some a -> type_to_string a | None -> "?")))
+      | None -> ()
+  in
+  let module_binding self (mb : Typedtree.module_binding) =
+    Option.iter (fun id -> note_alias id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding self mb
+  in
   let expr self (expr : Typedtree.expression) =
     (match expr.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) when r7_applies -> (
-        match polyeq_name p with
-        | Some op ->
-            let flagged, shown =
-              if op = "Hashtbl.hash" || op = "Hashtbl.seeded_hash" then
-                (true, "")
-              else
-                match first_arrow_arg expr.exp_type with
-                | Some arg when not (is_immediate arg) ->
-                    (true, type_to_string arg)
-                | Some _ -> (false, "")
-                | None -> (true, "?")
-            in
-            if flagged then
-              ctx.report ~loc:expr.exp_loc Rules.R7
-                (if shown = "" then
-                   Printf.sprintf
-                     "`%s` is version-dependent; use a stable hash (e.g. \
-                      FNV-1a in Prng.Stream.derive_name)"
-                     op
-                 else
-                   Printf.sprintf
-                     "polymorphic `%s` instantiated at non-immediate type \
-                      `%s`; use a named comparator (Int.compare, \
-                      String.equal, Option.is_none, ...)"
-                     op shown)
-        | None -> ())
+    | Typedtree.Texp_ident (p, _, _) -> check_ident expr p
+    | Typedtree.Texp_letmodule (Some id, _, _, mexpr, _) -> note_alias id mexpr
+    | Typedtree.Texp_apply
+        ( { exp_desc = Typedtree.Texp_ident (f, _, _); _ },
+          (Asttypes.Nolabel, Some { exp_desc = Typedtree.Texp_ident (ch, _, _); _ })
+          :: _ )
+      when r5_applies ->
+        let f = name_of f and ch = name_of ch in
+        if r5_fprintf f && r5_ambient_channel ch then
+          ctx.report ~loc:expr.exp_loc Rules.R5
+            (Printf.sprintf
+               "`%s %s` prints to an ambient channel; take the formatter as \
+                an argument instead"
+               f ch)
     | Typedtree.Texp_match (scrut, cases, _) when r10_applies ->
         check_cases ctx ~current_module ~scrutinee_type:scrut.exp_type
           ~loc:expr.exp_loc cases
@@ -311,7 +396,7 @@ let unit_iterator ctx ~scope ~current_module =
     | _ -> ());
     Tast_iterator.default_iterator.expr self expr
   in
-  { Tast_iterator.default_iterator with expr }
+  { Tast_iterator.default_iterator with expr; module_binding }
 
 (* R9 runs over each named function body so the "both roles on one
    stream" judgment has a natural scope (closures included). *)
@@ -380,28 +465,36 @@ let check_stream_roles ctx (fn : Callgraph.fn) =
 (* Entry points.                                                       *)
 
 let analyze_units ?(config = default_config) units =
-  let graph = Callgraph.build units in
+  (* R8 and R9 root in lib/ only, and a library cannot call into an
+     executable, so the call graph spans the library units alone; that
+     also keeps the executables' colliding module names (two [Main]s)
+     out of it. *)
+  let graph =
+    Callgraph.build
+      (List.filter
+         (fun (u : Cmt_loader.unit_info) ->
+           (Rules.scope_of_path u.path).top = `Lib)
+         units)
+  in
   let summaries = Effects.summaries ~exempt_modules:config.exempt_modules graph in
   let modnames = List.map (fun (u : Cmt_loader.unit_info) -> u.modname) units in
   let diagnostics = ref [] in
   List.iter
     (fun (u : Cmt_loader.unit_info) ->
-      let scope = Rules.scope_of_path u.path in
       let suppressions =
         match u.source with
-        | Some source -> Static_lint.suppressions_of_source source
+        | Some source -> Rules.suppressions_of_source source
         | None -> Hashtbl.create 1
       in
-      (* Applicability is the emitting rule's own business (R7 may be
-         widened beyond Rules.applies via [config.r7_subs]); here we
+      (* Applicability is the emitting rule's own business; here we
          only honour inline suppressions. *)
       let report ~loc rule message =
         let start = loc.Location.loc_start in
         let line = start.Lexing.pos_lnum in
-        if not (Static_lint.suppressed suppressions ~line rule) then
+        if not (Rules.suppressed suppressions ~line rule) then
           diagnostics :=
             {
-              Static_lint.path = u.path;
+              Rules.path = u.path;
               line;
               col = start.Lexing.pos_cnum - start.Lexing.pos_bol;
               rule;
@@ -410,15 +503,15 @@ let analyze_units ?(config = default_config) units =
             :: !diagnostics
       in
       let ctx = { config; graph; summaries; modnames; report } in
-      let iterator = unit_iterator ctx ~scope ~current_module:u.modname in
+      let iterator = unit_iterator ctx ~path:u.path ~current_module:u.modname in
       iterator.structure iterator u.structure;
-      if Rules.applies Rules.R9 scope then
+      if Rules.applies Rules.R9 (Rules.scope_of_path u.path) then
         List.iter
           (fun (fn : Callgraph.fn) ->
             if fn.src_path = u.path then check_stream_roles ctx fn)
           (Callgraph.fns graph))
     units;
-  List.sort_uniq Static_lint.compare_diagnostic !diagnostics
+  List.sort_uniq Rules.compare_diagnostic !diagnostics
 
 let analyze ?config (load : Cmt_loader.load) = analyze_units ?config load.units
 

@@ -1,14 +1,19 @@
-(** Layer 2: the cmt-based typed & interprocedural determinism linter.
+(** The typed determinism linter: every determinism rule, checked on
+    compiler [*.cmt] typed trees ({!Cmt_loader}) with a call graph over
+    the loaded units ({!Callgraph}) and fixpoint effect summaries
+    ({!Effects}).
 
-    Works on compiler [*.cmt] typed trees ({!Cmt_loader}), a call graph
-    over the library ({!Callgraph}) and fixpoint effect summaries
-    ({!Effects}), and enforces rules R7-R10:
-
-    - {b R7}: [Stdlib.compare] / [=] / [<>] / [Hashtbl.hash] reached at
-      a non-immediate type (anything but [int]/[bool]/[char]/[unit]) in
-      the protocol-facing subtrees.  Subsumes the syntactic R3/R4
-      checks: the typed view also catches the operator hidden behind a
-      variable, a functor argument, or partial application.
+    - {b R1, R2, R5, R6}: ambient sources named by their resolved path
+      ([Random.*], [Sys.time], [Unix.gettimeofday]; [Hashtbl.hash];
+      printing to the process's channels; [Domain]/[Atomic]/[Mutex]
+      and friends outside [lib/core/par_sweep.ml]).  Paths are
+      resolved by the compiler and module aliases are expanded, so
+      [let open Printf in printf] and [module R = Random] are seen.
+    - {b R7}: [Stdlib.compare] / [=] / [<>] reached at a non-immediate
+      type (anything but [int]/[bool]/[char]/[unit]) in the
+      protocol-facing and numeric subtrees — also when the operator
+      hides behind a variable, a functor argument, or partial
+      application.
     - {b R8}: protocol transitions (the designated fields of a
       [Protocol.t] record) must be pure up to their [Prng.Stream]
       argument — no transitive mutation of non-locally-allocated state,
@@ -22,13 +27,10 @@
       message/payload type — new constructors must be impossible to
       drop silently.
 
-    Both layers share the [(* lint: allow Rn *)] suppression syntax and
-    the {!Rules.applies} scoping. *)
+    Scoping is {!Rules.applies}; the [(* lint: allow Rn *)] suppression
+    comments are {!Rules.suppressions_of_source}. *)
 
 type config = {
-  r7_subs : string list;
-      (** [lib/] subdirectories R7 scans (default [dsim], [protocols],
-          [adversary]); widen to e.g. [stats] to cover the R4 scope. *)
   pure_fields : string list;
       (** [Protocol.t] fields whose values must be effect-free.
           Pretty-printers ([pp_message], [pp_state]) and metadata are
@@ -48,14 +50,14 @@ type config = {
 val default_config : config
 
 val analyze :
-  ?config:config -> Cmt_loader.load -> Static_lint.diagnostic list
-(** Run R7-R10 over every loaded unit.  Diagnostics carry root-relative
+  ?config:config -> Cmt_loader.load -> Rules.diagnostic list
+(** Run the typed rules over every loaded unit.  Diagnostics carry root-relative
     paths, honour inline suppressions from the unit's source (when it
     could be read) and {!Rules.applies} scoping, and are sorted by
     (path, line, col, rule). *)
 
 val analyze_units :
-  ?config:config -> Cmt_loader.unit_info list -> Static_lint.diagnostic list
+  ?config:config -> Cmt_loader.unit_info list -> Rules.diagnostic list
 (** Same on an explicit unit list (used by fixture tests). *)
 
 val record_is_protocol : Types.type_expr -> bool
@@ -72,7 +74,7 @@ val check_source :
   ?config:config ->
   path:string ->
   string ->
-  (Static_lint.diagnostic list, string) result
+  (Rules.diagnostic list, string) result
 (** Typecheck a standalone source in memory (no cmt needed; stdlib-only
     environment) and run the typed rules on it.  [path] decides rule
     scoping exactly as for on-disk files.  [Error] on parse or type

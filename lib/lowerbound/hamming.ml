@@ -1,12 +1,12 @@
-let generic_distance a b =
+let generic_distance ~equal a b =
   if Array.length a <> Array.length b then
     invalid_arg "Hamming.distance: length mismatch";
   let d = ref 0 in
-  Array.iteri (fun i x -> if x <> b.(i) then incr d) a;
+  Array.iteri (fun i x -> if not (equal x b.(i)) then incr d) a;
   !d
 
-let distance = generic_distance
-let distance_int = generic_distance
+let distance a b = generic_distance ~equal:String.equal a b
+let distance_int a b = generic_distance ~equal:Int.equal a b
 
 let distance_to_set x set =
   match set with

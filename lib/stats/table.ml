@@ -3,7 +3,7 @@ type cell = S of string | I of int | F of float | Pct of float | B of bool
 type t = { title : string; columns : string list; mutable rows : cell list list }
 
 let create ~title ~columns =
-  if columns = [] then invalid_arg "Table.create: no columns";
+  if List.is_empty columns then invalid_arg "Table.create: no columns";
   { title; columns; rows = [] }
 
 let cell_to_string = function

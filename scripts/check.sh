@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The full CI gate: build everything, run the test suite (which
-# includes all lint layers), re-run the typed and cost analyzers to
-# emit SARIF reports, exercise the lint CLI's exit-code contract,
+# includes all lint layers), re-run the typed, cost and quorum
+# analyzers to emit SARIF reports, exercise the lint CLI's exit-code contract,
 # then prove the parallel sweep engine's determinism contract end to
 # end — the quick experiment tables at -j 2 must be byte-identical to
 # -j 1.
@@ -11,20 +11,19 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
-echo "check: typed lint (R7-R10) SARIF report"
-dune build @lint-typed
-# Exit 1 here means a non-baselined finding slipped past the alias
-# (e.g. someone passed a stale --baseline); exit 2 means the cmt load
-# itself failed.  Either way the gate fails, but we keep the SARIF
-# file around for inspection.
-if dune exec bin/lint.exe -- --typed --format sarif > lint.sarif; then
+echo "check: typed determinism lint (R1, R2, R5-R10) SARIF report"
+dune build @lint
+# Exit 1 here means a finding slipped past the alias; exit 2 means the
+# cmt load itself failed.  Either way the gate fails, but we keep the
+# SARIF file around for inspection.
+if dune exec bin/lint.exe -- --format sarif > lint.sarif; then
   echo "check: typed tree clean, SARIF written to lint.sarif"
 else
   echo "check: FAIL — typed lint reported findings or errors (see lint.sarif)" >&2
   exit 1
 fi
 
-echo "check: cost lint (R11-R14) SARIF report"
+echo "check: cost lint (R11-R15) SARIF report"
 dune build @lint-cost
 # Same contract as the typed stage: the baseline waives the justified
 # inherently-O(n)-per-window findings; anything beyond it fails the
@@ -37,7 +36,7 @@ else
   exit 1
 fi
 
-echo "check: quorum lint (R15-R18) SARIF report"
+echo "check: quorum lint (R16-R18) SARIF report"
 dune build @lint-quorum
 # The alias scope excludes lib/mcheck (intentional negative-control
 # mutants, gated below); the baseline is wired and deliberately empty,
@@ -93,20 +92,20 @@ echo "check: all three !quorum mutants flagged (R16+R17+R18), sound tree clean"
 
 echo "check: lint CLI exit-code matrix (all layers)"
 fixture_dir=$(mktemp -d)
-# Clean file: no determinism-rule violations at either layer.
+# Clean file: no violations at any layer.
 cat > "$fixture_dir/clean.ml" <<'EOF'
 let double x = 2 * x
 let total xs = List.fold_left ( + ) 0 xs
 EOF
-# Violating file: ambient randomness (syntactic R1) plus a polymorphic
-# compare at a non-immediate type (typed R7 under a lib/dsim path).
-static_bad_dir=$(mktemp -d)
-mkdir -p "$static_bad_dir/lib/dsim"
-cat > "$static_bad_dir/lib/dsim/bad.ml" <<'EOF'
+# Violating file: ambient randomness (R1) plus a polymorphic compare at
+# a non-immediate type (R7 under a lib/dsim path).
+bad_dir=$(mktemp -d)
+mkdir -p "$bad_dir/lib/dsim"
+cat > "$bad_dir/lib/dsim/bad.ml" <<'EOF'
 let flip () = Random.bool ()
 let same (a : int list) b = a = b
 EOF
-# Unparsable file: both layers must report a scan error, not a finding.
+# Unparsable file: every layer must report a scan error, not a finding.
 cat > "$fixture_dir/broken.ml" <<'EOF'
 let unclosed = (
 EOF
@@ -122,15 +121,15 @@ expect() {
   fi
 }
 lint="_build/default/bin/lint.exe"
-# Static layer: 0 clean / 1 violation / 2 error.
+# --check runs every layer on a standalone file: 0 clean / 1 violation
+# / 2 error (the R7 hit needs the lib/dsim-scoped path).
 expect 0 "$lint" --check "$fixture_dir/clean.ml"
-expect 1 "$lint" --check "$static_bad_dir/lib/dsim/bad.ml"
+expect 1 "$lint" --check "$bad_dir/lib/dsim/bad.ml"
 expect 2 "$lint" --check "$fixture_dir/broken.ml"
-# Typed layer: --check runs every layer on a standalone file, so the
-# same fixtures pin the typed codes too (the R7 hit needs the
-# lib/dsim-scoped path); a cmt-less directory is the typed error case.
-expect 1 "$lint" --check "$static_bad_dir/lib/dsim/bad.ml" --format sarif
-expect 2 "$lint" --typed --root "$fixture_dir"
+expect 1 "$lint" --check "$bad_dir/lib/dsim/bad.ml" --format sarif
+# Default (typed determinism) pass: a cmt-less directory is the error
+# case.
+expect 2 "$lint" --root "$fixture_dir"
 # Cost layer: a quorum re-scan reachable from a Protocol.t transition
 # field (R13) under a protocol-scoped path; a cmt-less directory is
 # the cost error case.
@@ -150,8 +149,8 @@ let _p = { Protocol.on_deliver = handle }
 EOF
 expect 1 "$lint" --check "$cost_bad_dir/lib/protocols/rescan.ml"
 expect 2 "$lint" --cost --root "$fixture_dir"
-# Quorum layer: a hot recursive function whose every site is O(1) —
-# R11's blind spot, caught by R15 (the layer's cost rule) via --check;
+# Cost layer, continued: a hot recursive function whose every site is
+# O(1) — R11's blind spot, caught by R15 via --check.  Quorum layer:
 # the full-tree scan exits 1 on the intentional mutants, the
 # alias-scoped scan exits 0, and a cmt-less root is the error case.
 quorum_bad_dir=$(mktemp -d)
@@ -170,7 +169,7 @@ expect 1 "$lint" --quorum --root .
 expect 0 "$lint" --quorum --root . $quorum_dirs \
   --baseline lint/quorum-baseline.tsv
 expect 2 "$lint" --quorum --root "$fixture_dir"
-rm -rf "$fixture_dir" "$static_bad_dir" "$cost_bad_dir" "$quorum_bad_dir"
+rm -rf "$fixture_dir" "$bad_dir" "$cost_bad_dir" "$quorum_bad_dir"
 echo "check: exit-code matrix ok (0 clean / 1 findings / 2 errors)"
 
 echo "check: bench exit-code matrix + --quick regression smoke"

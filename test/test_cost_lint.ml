@@ -1,5 +1,5 @@
-(* Layer 3 of the determinism lint: the cmt-based cost & allocation
-   analyzer (R11-R14).  Fixtures are self-contained sources typechecked
+(* The determinism lint's cmt-based cost & allocation analyzer
+   (R11-R15).  Fixtures are self-contained sources typechecked
    in memory, each rule pinned by a flagged/clean twin; qcheck laws
    over the {!Costs} lattice; per-function summaries; the baseline
    renderer's sort/dedup contract; and a run over the real tree that
@@ -20,15 +20,15 @@ let cost_diags ?config ~path source =
   | Ok ds -> ds
   | Error e -> Alcotest.failf "fixture failed to typecheck: %s" e
 
-let rules_of ds = List.map (fun d -> Rules.id d.Static_lint.rule) ds
+let rules_of ds = List.map (fun d -> Rules.id d.Rules.rule) ds
 
 let check_rules what expected ds =
   Alcotest.(check (list string)) what expected (rules_of ds)
 
 let contains haystack needle =
-  Option.is_some (Static_lint.find_substring haystack needle 0)
+  Option.is_some (Rules.find_substring haystack needle 0)
 
-let messages ds = String.concat "\n" (List.map (fun d -> d.Static_lint.message) ds)
+let messages ds = String.concat "\n" (List.map (fun d -> d.Rules.message) ds)
 
 (* ------------------------------------------------------------------ *)
 (* R11: super-constant per-call cost in the hot set.                   *)
@@ -176,6 +176,52 @@ let test_r14_clean_twins () =
     (List.mem "R12" (rules_of ds))
 
 (* ------------------------------------------------------------------ *)
+(* R15: hot recursion under R11's per-site radar.                      *)
+
+let r15_fixture ~suppressed =
+  Printf.sprintf
+    {|module Protocol = struct
+  type t = { on_deliver : int list -> int }
+end
+
+%slet rec drain = function [] -> 0 | _ :: rest -> 1 + drain rest
+let _p = { Protocol.on_deliver = drain }
+|}
+    (if suppressed then "(* lint: allow R15 *)\n" else "")
+
+let test_r15_hot_recursion () =
+  let ds =
+    cost_diags ~path:"lib/protocols/fx.ml" (r15_fixture ~suppressed:false)
+  in
+  check_rules "hot recursion with O(1) sites flagged" [ "R15" ] ds;
+  Alcotest.(check bool)
+    "message explains the R11 blind spot" true
+    (contains (messages ds) "R11 stays silent")
+
+let test_r15_clean_twins () =
+  check_rules "inline suppression honoured" []
+    (cost_diags ~path:"lib/protocols/fx.ml" (r15_fixture ~suppressed:true));
+  (* The same recursion off the hot path is not a finding. *)
+  check_rules "cold recursion is fine" []
+    (cost_diags ~path:"lib/protocols/fx.ml"
+       "let rec drain = function [] -> 0 | _ :: rest -> 1 + drain rest\n\
+        let _use = drain");
+  (* A hot recursive function whose body already exceeds the threshold
+     is R11's finding, not R15's. *)
+  let ds =
+    cost_diags ~path:"lib/protocols/fx.ml"
+      "module Protocol = struct\n\
+      \  type t = { on_deliver : int list -> int }\n\
+       end\n\n\
+       let rec drain xs =\n\
+      \  match xs with [] -> 0 | _ :: rest -> List.length xs + drain rest\n\
+       let _p = { Protocol.on_deliver = drain }"
+  in
+  Alcotest.(check bool)
+    "no R15 when a site already exceeds the threshold" true
+    (not (List.mem "R15" (rules_of ds)))
+
+(* ------------------------------------------------------------------ *)
 (* Suppressions and overrides.                                         *)
 
 let test_suppression () =
@@ -312,7 +358,7 @@ let rule_exn id =
   | None -> Alcotest.failf "unknown rule %s" id
 
 let diag ~rule ~path ~line ~message =
-  { Static_lint.rule; path; line; col = 0; message }
+  { Rules.rule; path; line; col = 0; message }
 
 let test_baseline_render_stable () =
   let r11 = rule_exn "R11" and r12 = rule_exn "R12" in
@@ -356,7 +402,7 @@ let test_repo_is_cost_clean () =
   match find_root () with
   | None -> ()
   | Some root ->
-      let report = Driver.scan_cost ~root () in
+      let report = Driver.scan ~dirs:[ "lib" ] ~root Cost_lint.analyze in
       Alcotest.(check (list string)) "cmt load errors" [] report.errors;
       let baseline =
         match
@@ -388,6 +434,8 @@ let suite =
       test_r13_needs_transition_seed;
     Alcotest.test_case "r14 fanout" `Quick test_r14_fanout;
     Alcotest.test_case "r14 clean twins" `Quick test_r14_clean_twins;
+    Alcotest.test_case "r15 hot recursion flagged" `Quick test_r15_hot_recursion;
+    Alcotest.test_case "r15 clean twins" `Quick test_r15_clean_twins;
     Alcotest.test_case "suppression" `Quick test_suppression;
     Alcotest.test_case "overrides" `Quick test_overrides;
     Alcotest.test_case "summaries" `Quick test_summaries;

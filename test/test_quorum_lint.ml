@@ -1,5 +1,5 @@
-(* Layer 5 of the determinism lint: the symbolic quorum-safety
-   analyzer (R15-R18).  Fixture twins per rule (flagged / clean)
+(* The determinism lint's symbolic quorum-safety analyzer
+   (R16-R18).  Fixture twins per rule (flagged / clean)
    typechecked in memory; agreement of the symbolic region with
    [Thresholds.feasible] at the t = n/6 boundary; a run over the real
    tree that must flag exactly the three !quorum registry mutants (each
@@ -11,7 +11,7 @@
 
 open Lintkit
 
-let rules_of ds = List.map (fun d -> Rules.id d.Static_lint.rule) ds
+let rules_of ds = List.map (fun d -> Rules.id d.Rules.rule) ds
 
 let check_rules what expected ds =
   Alcotest.(check (list string)) what expected (rules_of ds)
@@ -21,56 +21,10 @@ let quorum_diags ~path source =
   | Ok ds -> ds
   | Error e -> Alcotest.failf "fixture failed to typecheck: %s" e
 
-let messages ds = String.concat "\n" (List.map (fun d -> d.Static_lint.message) ds)
+let messages ds = String.concat "\n" (List.map (fun d -> d.Rules.message) ds)
 
 let contains haystack needle =
-  Option.is_some (Static_lint.find_substring haystack needle 0)
-
-(* ------------------------------------------------------------------ *)
-(* R15: hot recursion under R11's per-site radar.                      *)
-
-let r15_fixture ~suppressed =
-  Printf.sprintf
-    {|module Protocol = struct
-  type t = { on_deliver : int list -> int }
-end
-
-%slet rec drain = function [] -> 0 | _ :: rest -> 1 + drain rest
-let _p = { Protocol.on_deliver = drain }
-|}
-    (if suppressed then "(* lint: allow R15 *)\n" else "")
-
-let test_r15_hot_recursion () =
-  let ds =
-    quorum_diags ~path:"lib/protocols/fx.ml" (r15_fixture ~suppressed:false)
-  in
-  check_rules "hot recursion with O(1) sites flagged" [ "R15" ] ds;
-  Alcotest.(check bool)
-    "message explains the R11 blind spot" true
-    (contains (messages ds) "R11 stays silent")
-
-let test_r15_clean_twins () =
-  check_rules "inline suppression honoured" []
-    (quorum_diags ~path:"lib/protocols/fx.ml" (r15_fixture ~suppressed:true));
-  (* The same recursion off the hot path is not a finding. *)
-  check_rules "cold recursion is fine" []
-    (quorum_diags ~path:"lib/protocols/fx.ml"
-       "let rec drain = function [] -> 0 | _ :: rest -> 1 + drain rest\n\
-        let _use = drain");
-  (* A hot recursive function whose body already exceeds the threshold
-     is R11's finding, not R15's. *)
-  let ds =
-    quorum_diags ~path:"lib/protocols/fx.ml"
-      "module Protocol = struct\n\
-      \  type t = { on_deliver : int list -> int }\n\
-       end\n\n\
-       let rec drain xs =\n\
-      \  match xs with [] -> 0 | _ :: rest -> List.length xs + drain rest\n\
-       let _p = { Protocol.on_deliver = drain }"
-  in
-  Alcotest.(check bool)
-    "no R15 when a site already exceeds the threshold" true
-    (not (List.mem "R15" (rules_of ds)))
+  Option.is_some (Rules.find_substring haystack needle 0)
 
 (* ------------------------------------------------------------------ *)
 (* R16/R17 fixtures: a minimal Ben-Or-shaped module (the path makes
@@ -224,12 +178,12 @@ let test_real_tree_mutants_flagged () =
         (fun d ->
           Alcotest.(check string)
             "every finding lands in the mutant registry" "lib/mcheck/model.ml"
-            d.Static_lint.path)
+            d.Rules.path)
         ds;
       List.iter
         (fun mutant ->
           let flagged =
-            List.filter (fun d -> contains d.Static_lint.message (mutant ^ ":")) ds
+            List.filter (fun d -> contains d.Rules.message (mutant ^ ":")) ds
             |> rules_of |> List.sort_uniq compare
           in
           Alcotest.(check (list string))
@@ -248,7 +202,7 @@ let test_real_tree_sound_families_clean () =
         (fun sound ->
           Alcotest.(check bool) (sound ^ " has no findings") false
             (List.exists
-               (fun d -> contains d.Static_lint.message sound)
+               (fun d -> contains d.Rules.message sound)
                ds))
         [ "ben-or:"; "bracha:"; "rbc:"; "lewko:" ]
 
@@ -326,7 +280,7 @@ let test_static_verdicts_match_dynamic () =
         (fun mutant ->
           Alcotest.(check bool) (mutant ^ " statically flagged") true
             (List.exists
-               (fun d -> contains d.Static_lint.message (mutant ^ ":"))
+               (fun d -> contains d.Rules.message (mutant ^ ":"))
                ds))
         mutants);
   (* ben-or!quorum-1: schedule 0;2 on all-zero inputs decides 1. *)
@@ -351,8 +305,6 @@ let test_static_verdicts_match_dynamic () =
 
 let suite =
   [
-    Alcotest.test_case "R15 hot recursion flagged" `Quick test_r15_hot_recursion;
-    Alcotest.test_case "R15 clean twins" `Quick test_r15_clean_twins;
     Alcotest.test_case "R16/R17 mutant site" `Quick test_r16_r17_mutant_site;
     Alcotest.test_case "R16/R17 sound twins" `Quick test_r16_r17_sound_twins;
     Alcotest.test_case "R16 bad default" `Quick test_r16_bad_default;

@@ -1,4 +1,5 @@
-(* Layer 2 of the determinism lint: the cmt-based typed analyzer.
+(* The determinism lint's cmt-based typed analyzer (R7-R10 here; the
+   ambient-source rules R1/R2/R5/R6 are pinned in test_lint.ml).
    Fixtures are self-contained sources typechecked in memory (they
    declare their own Stream/Protocol modules and message types), plus a
    run over the real tree's cmts, SARIF shape checks and the baseline
@@ -11,13 +12,13 @@ let typed_diags ?config ~path source =
   | Ok ds -> ds
   | Error e -> Alcotest.failf "fixture failed to typecheck: %s" e
 
-let rules_of ds = List.map (fun d -> Rules.id d.Static_lint.rule) ds
+let rules_of ds = List.map (fun d -> Rules.id d.Rules.rule) ds
 
 let check_rules what expected ds =
   Alcotest.(check (list string)) what expected (rules_of ds)
 
 let contains haystack needle =
-  Option.is_some (Static_lint.find_substring haystack needle 0)
+  Option.is_some (Rules.find_substring haystack needle 0)
 
 (* ------------------------------------------------------------------ *)
 (* R7: polymorphic compare / hash at non-immediate types.              *)
@@ -32,7 +33,7 @@ let test_r7_non_immediate () =
   check_rules "string <> flagged" [ "R7" ]
     (typed_diags ~path:"lib/adversary/fx.ml"
        "let ne (a : string) b = a <> b");
-  check_rules "Hashtbl.hash always flagged" [ "R7" ]
+  check_rules "Hashtbl.hash always flagged" [ "R2" ]
     (typed_diags ~path:"lib/dsim/fx.ml" "let h (x : int) = Hashtbl.hash x")
 
 let test_r7_immediate_clean () =
@@ -51,53 +52,39 @@ let test_r7_immediate_clean () =
 let test_r7_aliased_operator () =
   check_rules "aliased = flagged" [ "R7" ]
     (typed_diags ~path:"lib/dsim/fx.ml"
-       "let eq = ( = )\nlet test (a : int list) b = eq a b");
-  (* The syntactic R3 can only see literal [compare]/[=] applications;
-     this alias is invisible to it. *)
-  (match Static_lint.lint_source ~path:"lib/dsim/fx.ml"
-           "let eq = ( = )\nlet test (a : int list) b = eq a b"
-   with
-  | Ok ds -> check_rules "invisible to the syntactic layer" [] ds
-  | Error e -> Alcotest.failf "parse error: %s" e)
+       "let eq = ( = )\nlet test (a : int list) b = eq a b")
 
 let test_r7_scope () =
   let src = "let z (x : float) = x = 0.0" in
-  check_rules "lib/stats out of default R7 scope" []
+  check_rules "lib/stats in R7 scope" [ "R7" ]
     (typed_diags ~path:"lib/stats/fx.ml" src);
-  let config =
-    { Typed_lint.default_config with
-      r7_subs = "stats" :: "lowerbound" :: Typed_lint.default_config.r7_subs }
-  in
-  check_rules "widened scope covers stats" [ "R7" ]
-    (typed_diags ~config ~path:"lib/stats/fx.ml" src)
+  check_rules "lib/lowerbound in R7 scope" [ "R7" ]
+    (typed_diags ~path:"lib/lowerbound/fx.ml" src);
+  check_rules "lib/core out of R7 scope" []
+    (typed_diags ~path:"lib/core/fx.ml" src)
 
-(* Every hazard class the syntactic R3/R4 fixtures pin is also caught
-   by R7 when the instantiation is genuinely non-immediate (R7 is the
-   more precise rule: it additionally *accepts* compare on ints, which
-   R3 must flag blindly). *)
-let test_r7_subsumes_syntactic_fixtures () =
-  check_rules "R3 fixture: compare on non-immediate fields" [ "R7" ]
+(* Every hazard class of the retired syntactic compare and
+   float-literal rules is caught by R7 when the instantiation is
+   genuinely non-immediate (R7 is the more precise rule: it
+   additionally *accepts* compare on ints, which a syntactic rule had
+   to flag blindly). *)
+let test_r7_covers_syntactic_fixtures () =
+  check_rules "compare on non-immediate fields" [ "R7" ]
     (typed_diags ~path:"lib/dsim/fx.ml"
        "type r = { round : int list }\n\
         let sort l = List.sort (fun a b -> compare a.round b.round) l");
-  check_rules "R3 fixture: equality against Some payload" [ "R7" ]
+  check_rules "equality against Some payload" [ "R7" ]
     (typed_diags ~path:"lib/protocols/fx.ml"
        "let f (x : bool option) = x = Some true");
-  check_rules "R3 fixture: record literal equality" [ "R7" ]
+  check_rules "record literal equality" [ "R7" ]
     (typed_diags ~path:"lib/dsim/fx.ml"
        "type r = { id : int }\nlet f (x : r) = x = { id = 1 }");
-  let r4_config =
-    { Typed_lint.default_config with
-      r7_subs = "stats" :: "lowerbound" :: Typed_lint.default_config.r7_subs }
-  in
-  check_rules "R4 fixture: float-literal equality" [ "R7" ]
-    (typed_diags ~config:r4_config ~path:"lib/stats/fx.ml"
-       "let zero (x : float) = x = 0.0");
-  check_rules "R4 fixture: float <>" [ "R7" ]
-    (typed_diags ~config:r4_config ~path:"lib/lowerbound/fx.ml"
-       "let f (x : float) = x <> 1.5");
-  check_rules "R4 negative: Float.equal stays fine" []
-    (typed_diags ~config:r4_config ~path:"lib/stats/fx.ml"
+  check_rules "float-literal equality" [ "R7" ]
+    (typed_diags ~path:"lib/stats/fx.ml" "let zero (x : float) = x = 0.0");
+  check_rules "float <>" [ "R7" ]
+    (typed_diags ~path:"lib/lowerbound/fx.ml" "let f (x : float) = x <> 1.5");
+  check_rules "Float.equal stays fine" []
+    (typed_diags ~path:"lib/stats/fx.ml"
        "let zero (x : float) = Float.equal x 0.0")
 
 (* ------------------------------------------------------------------ *)
@@ -108,8 +95,10 @@ let protocol_prelude =
   \  type t = { name : string; init : int -> int; pp_message : int -> unit }\n\
    end\n"
 
+(* A print in library code is also R5's finding; the R8 fixtures that
+   print expect both rules. *)
 let test_r8_effectful_transition () =
-  check_rules "direct print in a transition" [ "R8" ]
+  check_rules "direct print in a transition" [ "R5"; "R8" ]
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
       ^ "let noisy n = print_int n; n\n\
@@ -123,13 +112,13 @@ let test_r8_effectful_transition () =
   in
   (match typed_diags ~path:"lib/protocols/fx.ml" interproc with
   | [ d ] ->
-      Alcotest.(check string) "rule" "R8" (Rules.id d.Static_lint.rule);
+      Alcotest.(check string) "rule" "R8" (Rules.id d.Rules.rule);
       Alcotest.(check bool) "mutation named" true
-        (contains d.Static_lint.message "Hashtbl.replace");
+        (contains d.Rules.message "Hashtbl.replace");
       Alcotest.(check bool) "call chain reported" true
-        (contains d.Static_lint.message "via Fx.transition -> Fx.remember");
+        (contains d.Rules.message "via Fx.transition -> Fx.remember");
       Alcotest.(check bool) "protocol named" true
-        (contains d.Static_lint.message "\"fx\"")
+        (contains d.Rules.message "\"fx\"")
   | ds -> Alcotest.failf "expected 1 diagnostic, got [%s]"
             (String.concat "; " (rules_of ds)));
   check_rules "failwith in a transition" [ "R8" ]
@@ -152,7 +141,7 @@ let test_r8_clean () =
        (protocol_prelude
       ^ "let guarded n = if n < 0 then invalid_arg \"neg\" else (assert (n >= 0); n)\n\
          let p = { Protocol.name = \"fx\"; init = guarded; pp_message = ignore }"));
-  check_rules "pretty-printer fields are exempt" []
+  check_rules "pretty-printer fields are exempt from R8" [ "R5" ]
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
       ^ "let show n = print_int n\n\
@@ -238,7 +227,7 @@ let test_typed_suppression () =
        "(* lint: allow R7 *)\nlet f (a : int list) b = a = b");
   check_rules "wrong rule does not suppress" [ "R7" ]
     (typed_diags ~path:"lib/dsim/fx.ml"
-       "let f (a : int list) b = a = b (* lint: allow R3 *)")
+       "let f (a : int list) b = a = b (* lint: allow R1 *)")
 
 let find_root () =
   let looks_like_root dir =
@@ -252,18 +241,18 @@ let find_root () =
   in
   find Filename.current_dir_name 5
 
-(* The repo's own typed layer must be clean: the same invocation the
-   @lint-typed alias runs, as a tier-1 test. *)
+(* The repo itself must be typed-clean; the four-tree coverage of the
+   scan is pinned by "lint repo is lint-clean". *)
 let test_repo_is_typed_clean () =
   match find_root () with
   | None -> Alcotest.fail "could not locate the project root"
   | Some root ->
-      let report = Driver.scan_typed ~root () in
+      let report = Driver.scan ~root Typed_lint.analyze in
       List.iter
         (fun d ->
-          Printf.eprintf "unexpected: %s:%d [%s] %s\n" d.Static_lint.path
-            d.Static_lint.line (Rules.id d.Static_lint.rule)
-            d.Static_lint.message)
+          Printf.eprintf "unexpected: %s:%d [%s] %s\n" d.Rules.path
+            d.Rules.line (Rules.id d.Rules.rule)
+            d.Rules.message)
         report.Driver.diagnostics;
       Alcotest.(check int) "no violations" 0
         (List.length report.Driver.diagnostics);
@@ -272,7 +261,9 @@ let test_repo_is_typed_clean () =
         (report.Driver.files_scanned > 30)
 
 let test_unbuilt_tree_errors () =
-  let report = Driver.scan_typed ~root:"/nonexistent-root" () in
+  let report =
+    Driver.scan ~root:"/nonexistent-root" Typed_lint.analyze
+  in
   Alcotest.(check int) "no units" 0 report.Driver.files_scanned;
   match report.Driver.errors with
   | [ e ] ->
@@ -285,7 +276,7 @@ let sample_report =
     Driver.diagnostics =
       [
         {
-          Static_lint.path = "lib/dsim/engine.ml";
+          Rules.path = "lib/dsim/engine.ml";
           line = 3;
           col = 4;
           rule = Rules.R7;
@@ -347,7 +338,7 @@ let test_baseline_round_trip () =
             { sample_report with
               Driver.diagnostics =
                 [
-                  { Static_lint.path = "lib/dsim/other.ml"; line = 1; col = 0;
+                  { Rules.path = "lib/dsim/other.ml"; line = 1; col = 0;
                     rule = Rules.R7; message = "different" };
                 ] }
           in
@@ -375,7 +366,7 @@ let suite =
     Alcotest.test_case "r7 aliased operator" `Quick test_r7_aliased_operator;
     Alcotest.test_case "r7 scope" `Quick test_r7_scope;
     Alcotest.test_case "r7 subsumes syntactic fixtures" `Quick
-      test_r7_subsumes_syntactic_fixtures;
+      test_r7_covers_syntactic_fixtures;
     Alcotest.test_case "r8 effectful transitions" `Quick
       test_r8_effectful_transition;
     Alcotest.test_case "r8 clean" `Quick test_r8_clean;
