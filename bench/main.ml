@@ -578,7 +578,7 @@ let groups =
         Test.make ~name:"e2-sweep-j1" (bench_ensemble_sweep ~jobs:1);
         Test.make ~name:"e2-sweep-j2" (bench_ensemble_sweep ~jobs:2);
         Test.make ~name:"e2-sweep-jrec"
-          (bench_ensemble_sweep ~jobs:(Agreement.Par_sweep.default_jobs ()));
+          (bench_ensemble_sweep ~jobs:(Par_sweep.default_jobs ()));
       ] );
     ( "modelcheck",
       [

@@ -231,7 +231,7 @@ let sweep_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Agreement.Par_sweep.default_jobs ())
+    & opt int (Par_sweep.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"JOBS"
         ~doc:
           "Domains used by --sweep.  The aggregate is bit-identical for \

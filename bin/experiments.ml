@@ -44,7 +44,7 @@ let jobs =
   in
   Arg.(
     value
-    & opt int (Agreement.Par_sweep.default_jobs ())
+    & opt int (Par_sweep.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
 
 let ids =

@@ -9,9 +9,10 @@
    replays the trace auditor on every candidate.
 
    Exit codes: 0 = explored clean, 1 = violations found, 2 = usage
-   error / infeasible parameters.  JSON output carries no timings or
-   job counts, so it is byte-identical across -j values — check.sh
-   diffs -j 1 against -j 2. *)
+   error (including any malformed argument) / infeasible parameters.
+   JSON output carries no timings or job counts, so it is
+   byte-identical across -j values — check.sh diffs -j 1 against
+   -j 2. *)
 
 let parse_inputs ~n = function
   | "all" -> Mcheck.Explore.All
@@ -56,10 +57,9 @@ let print_text model (opts : Mcheck.Explore.options)
   printf "menu: %s windows, %d corrupt source(s) -> %d choices/window@,"
     (match opts.family with `Uniform -> "uniform" | `Full -> "full")
     opts.corrupt r.menu_size;
-  printf "symmetry: %s  dedup: %s  order: %s@,"
+  printf "symmetry: %s  dedup: %s@,"
     (if opts.symmetry then "on" else "off")
-    (if opts.dedup then "on" else "off")
-    (match opts.order with Mcheck.Explore.Bfs -> "bfs" | Mcheck.Explore.Dfs -> "dfs");
+    (if opts.dedup then "on" else "off");
   List.iter (fun note -> printf "note: %s@," note)
     (model.Mcheck.Model.notes ~n:opts.n ~t:opts.t ~corrupt:opts.corrupt);
   printf "roots: %d explored" (List.length r.roots);
@@ -230,7 +230,7 @@ let run_replay model (opts : Mcheck.Explore.options) inputs schedule =
 (* {2 Command} *)
 
 let run protocol n t depth windows corrupt inputs_spec seed symmetry no_dedup
-    audit order max_states jobs format replay =
+    audit max_states jobs format replay =
   match Mcheck.Model.find protocol with
   | None ->
       Printf.eprintf "mcheck: unknown protocol %S; known: %s\n" protocol
@@ -251,13 +251,8 @@ let run protocol n t depth windows corrupt inputs_spec seed symmetry no_dedup
             symmetry;
             dedup = not no_dedup;
             audit;
-            order =
-              (match order with
-              | "dfs" -> Mcheck.Explore.Dfs
-              | _ -> Mcheck.Explore.Bfs);
             max_states;
             jobs;
-            sharder = Agreement.Mcheck_bridge.sharder;
           }
         in
         (match model.Mcheck.Model.feasible ~n ~t with
@@ -281,8 +276,8 @@ let run protocol n t depth windows corrupt inputs_spec seed symmetry no_dedup
       | `Replay code -> code
       | `Explored (opts, r) ->
           (match format with
-          | "json" -> print_json model opts r
-          | _ -> print_text model opts r);
+          | `Json -> print_json model opts r
+          | `Text -> print_text model opts r);
           if r.Mcheck.Explore.violations_total > 0 then 1 else 0
       | exception Invalid_argument msg ->
           Printf.eprintf "mcheck: %s\n" msg;
@@ -366,14 +361,6 @@ let audit_arg =
           "Additionally run the full trace auditor (FIFO, depth, \
            provenance, window, quorum invariants) on every candidate.")
 
-let order_arg =
-  Arg.(
-    value & opt string "bfs"
-    & info [ "order" ] ~docv:"ORDER"
-        ~doc:
-          "bfs (layered; stops at the first violating depth, so the \
-           reported counterexample is minimal) or dfs (explicit stack).")
-
 let max_states_arg =
   Arg.(
     value
@@ -391,7 +378,8 @@ let jobs_arg =
 
 let format_arg =
   Arg.(
-    value & opt string "text"
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format"; "f" ] ~docv:"FMT" ~doc:"text or json.")
 
 let replay_arg =
@@ -415,7 +403,7 @@ let cmd =
     Term.(
       const run $ protocol_arg $ n_arg $ t_arg $ depth_arg $ windows_arg
       $ corrupt_arg $ inputs_arg $ seed_arg $ symmetry_arg $ no_dedup_arg
-      $ audit_arg $ order_arg $ max_states_arg $ jobs_arg $ format_arg
+      $ audit_arg $ max_states_arg $ jobs_arg $ format_arg
       $ replay_arg)
 
 (* Accept the spelled-out [--n 3 --t 1] used throughout the docs:
@@ -425,4 +413,12 @@ let argv =
     (function "--n" -> "-n" | "--t" -> "-t" | a -> a)
     Sys.argv
 
-let () = exit (Cmd.eval' ~argv cmd)
+(* cmdliner reports a malformed argument as 124; the documented
+   contract says 2 for every usage error. *)
+let () =
+  exit
+    (match Cmd.eval_value ~argv cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -35,7 +35,7 @@ let timed f =
   (result, Unix.gettimeofday () -. start)
 
 let () =
-  let jobs = Agreement.Par_sweep.default_jobs () in
+  let jobs = Par_sweep.default_jobs () in
   Format.printf "sweeping %d seeds (n = %d, balancing adversary)@." seed_count n;
   let sequential, seq_time = timed (fun () -> sweep ~jobs:1) in
   let parallel, par_time = timed (fun () -> sweep ~jobs) in

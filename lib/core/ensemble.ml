@@ -184,12 +184,11 @@ let audit ~lint ~lint_fifo ~lint_quorum config =
 (* One seed -> one partial.  Pure in the seed given the (immutable)
    protocol/spec and a strategy factory that builds fresh per-run
    state, so it is safe to evaluate on any domain. *)
-let partial_of_seed ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol
-    ~spec ~run seed =
+let partial_of_seed ~lint ~lint_fifo ~lint_quorum ~protocol ~spec ~run seed =
   let inputs = spec.inputs seed in
   let config =
     Dsim.Engine.init ~protocol ~n:spec.n ~fault_bound:spec.t ~inputs ~seed
-      ~record_events:lint ~track_deliveries ()
+      ~record_events:lint ()
   in
   let outcome = run config seed in
   let acc = fold_outcome (Partial.empty ()) ~inputs outcome in
@@ -198,41 +197,34 @@ let partial_of_seed ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol
     Partial.lint_violations = audit ~lint ~lint_fifo ~lint_quorum config;
   }
 
-let sweep ~jobs ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol ~spec
-    ~run seeds =
+let sweep ?(jobs = 1) ?(lint = false) ?(lint_fifo = true) ?lint_quorum ~protocol
+    ~spec ~run seeds =
   Par_sweep.map_reduce ~jobs ~merge:Partial.merge ~init:(Partial.empty ())
-    ~f:
-      (partial_of_seed ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol
-         ~spec ~run)
+    ~f:(partial_of_seed ~lint ~lint_fifo ~lint_quorum ~protocol ~spec ~run)
     (Array.of_list seeds)
 
-let partial_windowed ?(jobs = 1) ?(lint = false) ?(track_deliveries = false)
-    ?(lint_fifo = true) ?lint_quorum ~protocol ~strategy ~spec ~seeds () =
-  sweep ~jobs ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol ~spec
+let partial_windowed ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~strategy
+    ~spec ~seeds () =
+  sweep ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~spec
     ~run:(fun config seed ->
       Dsim.Runner.run_windows config ~strategy:(strategy seed)
         ~max_windows:spec.max_windows ~stop:spec.stop)
     seeds
 
-let partial_stepwise ?(jobs = 1) ?(lint = false) ?(track_deliveries = false)
-    ?(lint_fifo = true) ?lint_quorum ~protocol ~strategy ~spec ~seeds () =
-  sweep ~jobs ~lint ~track_deliveries ~lint_fifo ~lint_quorum ~protocol ~spec
-    ~run:(fun config seed ->
-      Dsim.Runner.run_steps config ~strategy:(strategy seed)
-        ~max_steps:spec.max_steps ~stop:spec.stop)
-    seeds
-
-let run_windowed ?jobs ?lint ?track_deliveries ?lint_fifo ?lint_quorum ~protocol
-    ~strategy ~spec ~seeds () =
+let run_windowed ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~strategy ~spec
+    ~seeds () =
   finalize
-    (partial_windowed ?jobs ?lint ?track_deliveries ?lint_fifo ?lint_quorum
-       ~protocol ~strategy ~spec ~seeds ())
+    (partial_windowed ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~strategy
+       ~spec ~seeds ())
 
-let run_stepwise ?jobs ?lint ?track_deliveries ?lint_fifo ?lint_quorum ~protocol
-    ~strategy ~spec ~seeds () =
+let run_stepwise ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~strategy ~spec
+    ~seeds () =
   finalize
-    (partial_stepwise ?jobs ?lint ?track_deliveries ?lint_fifo ?lint_quorum
-       ~protocol ~strategy ~spec ~seeds ())
+    (sweep ?jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~spec
+       ~run:(fun config seed ->
+         Dsim.Runner.run_steps config ~strategy:(strategy seed)
+           ~max_steps:spec.max_steps ~stop:spec.stop)
+       seeds)
 
 let rate part total = if total = 0 then nan else float_of_int part /. float_of_int total
 

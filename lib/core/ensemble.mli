@@ -72,7 +72,6 @@ val equal_result : result -> result -> bool
 val run_windowed :
   ?jobs:int ->
   ?lint:bool ->
-  ?track_deliveries:bool ->
   ?lint_fifo:bool ->
   ?lint_quorum:int ->
   protocol:('s, 'm) Dsim.Protocol.t ->
@@ -98,17 +97,11 @@ val run_windowed :
     [lint_fifo] (default true) controls the per-channel FIFO invariant
     — disable it for deferral adversaries that legitimately reorder
     channels.  [lint_quorum] is the minimum number of distinct senders
-    a processor must have heard from before deciding.
-
-    [track_deliveries] (default false) turns on the engine's
-    per-delivery conditioning log ({!Dsim.Engine.recent_deliveries});
-    only the forgetfulness/E9 analyses read it, so plain sweeps leave
-    it off and skip the recording cost. *)
+    a processor must have heard from before deciding. *)
 
 val run_stepwise :
   ?jobs:int ->
   ?lint:bool ->
-  ?track_deliveries:bool ->
   ?lint_fifo:bool ->
   ?lint_quorum:int ->
   protocol:('s, 'm) Dsim.Protocol.t ->
@@ -121,7 +114,6 @@ val run_stepwise :
 val partial_windowed :
   ?jobs:int ->
   ?lint:bool ->
-  ?track_deliveries:bool ->
   ?lint_fifo:bool ->
   ?lint_quorum:int ->
   protocol:('s, 'm) Dsim.Protocol.t ->
@@ -132,19 +124,6 @@ val partial_windowed :
   Partial.t
 (** The pre-[finalize] aggregation behind {!run_windowed}; exposed so
     tests can check the merge algebra against real sweeps. *)
-
-val partial_stepwise :
-  ?jobs:int ->
-  ?lint:bool ->
-  ?track_deliveries:bool ->
-  ?lint_fifo:bool ->
-  ?lint_quorum:int ->
-  protocol:('s, 'm) Dsim.Protocol.t ->
-  strategy:(int -> ('s, 'm) Adversary.Strategy.stepwise) ->
-  spec:spec ->
-  seeds:int list ->
-  unit ->
-  Partial.t
 
 val termination_rate : result -> float
 val agreement_rate : result -> float

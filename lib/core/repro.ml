@@ -1055,7 +1055,6 @@ let e16_modelcheck ?(jobs = 1) ~scale () =
         Mcheck.Explore.depth;
         corrupt;
         jobs;
-        sharder = Mcheck_bridge.sharder;
       }
     in
     let r = Mcheck.Model.run model opts in

@@ -131,7 +131,7 @@ let fingerprint t =
   done;
   Buffer.contents b
 
-let config_fingerprint ?(include_counters = false) t =
+let config_fingerprint t =
   let b = Buffer.create (64 * t.n) in
   let pp_msg m = Format.asprintf "%a" t.protocol.Protocol.pp_message m in
   for p = 0 to t.n - 1 do
@@ -160,9 +160,6 @@ let config_fingerprint ?(include_counters = false) t =
         (Printf.sprintf "m%d>%d:%s;" e.Envelope.src e.Envelope.dst
            (pp_msg e.Envelope.payload)))
     (Mailbox.pending t.mailbox);
-  if include_counters then
-    Buffer.add_string b
-      (Printf.sprintf "#s%d.w%d.i%d" t.step_index t.window_index t.next_msg_id);
   Buffer.contents b
 
 (* Record a decision event when a state transition wrote the output bit. *)

@@ -103,7 +103,7 @@ val state_cores : ('s, 'm) t -> string array
     {!fingerprint}); Hamming distance between configurations is
     computed coordinate-wise on these. *)
 
-val config_fingerprint : ?include_counters:bool -> ('s, 'm) t -> string
+val config_fingerprint : ('s, 'm) t -> string
 (** Canonical rendering of the {e full} decision-relevant
     configuration: per-processor state cores, crash flags, reset
     counters, PRNG states, and pending outbox sends (peeked via the
@@ -111,10 +111,8 @@ val config_fingerprint : ?include_counters:bool -> ('s, 'm) t -> string
     configurations with equal fingerprints have identical futures
     under identical adversary choices, which is what memoized
     deduplication in the bounded model checker needs.  Causal receive
-    depths and trace counters are excluded — they never feed a
-    protocol transition; pass [~include_counters:true] to append
-    step/window/message counters when distinguishing executions (not
-    configurations) matters. *)
+    depths and step/window/message counters are excluded — they never
+    feed a protocol transition. *)
 
 (* {2 Step application} *)
 

@@ -88,7 +88,7 @@ let describe = function
        exactly what the bit-identical determinism contract forbids.  All \
        parallelism must route through Par_sweep's map_reduce, whose merge \
        discipline keeps results independent of scheduling; only \
-       lib/core/par_sweep.ml may touch the primitives directly."
+       lib/par_sweep/par_sweep.ml may touch the primitives directly."
   | R7 ->
       "Any use of Stdlib.compare, (=) or (<>) whose instantiated argument \
        type is not immediate (int, bool, char or unit) is flagged, \

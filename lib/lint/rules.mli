@@ -56,8 +56,8 @@ val scope_of_path : string -> scope
 val applies : t -> scope -> bool
 (** Whether the rule is checked at all for files in this scope:
     R1 and R5 in [lib/] only; R2 and R6 everywhere (the typed layer
-    exempts [lib/core/par_sweep.ml] from R6: it is the sanctioned home
-    of the multicore primitives); R7 in [lib/dsim], [lib/protocols],
+    exempts [lib/par_sweep/par_sweep.ml] from R6: it is the sanctioned
+    home of the multicore primitives); R7 in [lib/dsim], [lib/protocols],
     [lib/adversary], [lib/stats] and [lib/lowerbound]; R10 in the first
     three of those; R8 in [lib/]; R9 in [lib/] except [lib/prng] and
     [lib/lint] (the stream implementation and the linter itself);

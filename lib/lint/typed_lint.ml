@@ -73,7 +73,7 @@ let r6_banned name =
 
 (* The one sanctioned home of the multicore primitives. *)
 let r6_exempt path =
-  Cmt_loader.normalize_source_path path = Some "lib/core/par_sweep.ml"
+  Cmt_loader.normalize_source_path path = Some "lib/par_sweep/par_sweep.ml"
 
 (* ------------------------------------------------------------------ *)
 (* R7: polymorphic compare at a non-immediate type.                    *)

@@ -6,7 +6,7 @@
     - {b R1, R2, R5, R6}: ambient sources named by their resolved path
       ([Random.*], [Sys.time], [Unix.gettimeofday]; [Hashtbl.hash];
       printing to the process's channels; [Domain]/[Atomic]/[Mutex]
-      and friends outside [lib/core/par_sweep.ml]).  Paths are
+      and friends outside [lib/par_sweep/par_sweep.ml]).  Paths are
       resolved by the compiler and module aliases are expanded, so
       [let open Printf in printf] and [module R = Random] are seen.
     - {b R7}: [Stdlib.compare] / [=] / [<>] reached at a non-immediate

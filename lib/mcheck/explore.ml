@@ -21,38 +21,23 @@
    - Symmetry reduction runs twin engines: for each permutation pi in
      the group G (all pid permutations fixing the root input vector and
      the corrupt-source set), the pi-relabeled schedule is replayed and
-     the canonical key is the minimum rendering over the orbit.  This
-     is sound because [Engine.reseed_shared] gives every processor an
+     the canonical key is the minimum rendering over the orbit
+     ([orbit_min]; expansion and the [schedule_state] probe share it
+     and the one rule for when twins exist, [twin_menus]).  This is
+     sound because [Engine.reseed_shared] gives every processor an
      identical coin stream (safety must hold for correlated coins too,
      and correlated coins make configurations permutation-equivariant)
      and because the menu is closed under G (see menu.ml).
 
-   - Exploration is deterministic by construction: BFS layers expand
-     through the injected sharder (Par_sweep's in-order merge), children
-     are generated in menu order, and every counter/violation is merged
-     in slot order — so results are bit-identical across -j 1 / -j 2. *)
+   - The search is breadth-first: stopping at the first violating layer
+     makes the reported counterexample minimal.  Exploration is
+     deterministic by construction: each layer expands through
+     [Par_sweep.map_reduce] (in-order merge), children are generated in
+     menu order, and every counter/violation is merged in slot order —
+     so results are bit-identical across -j 1 / -j 2. *)
 
 type window_family = [ `Uniform | `Full ]
 type inputs_spec = All | Split | Unanimous of bool | Vector of bool array
-type order = Bfs | Dfs
-
-type sharder = {
-  run :
-    'a 'b.
-    jobs:int ->
-    merge:('b -> 'b -> 'b) ->
-    init:'b ->
-    f:('a -> 'b) ->
-    'a array ->
-    'b;
-}
-
-let sequential_sharder =
-  {
-    run =
-      (fun ~jobs:_ ~merge ~init ~f items ->
-        Array.fold_left (fun acc x -> merge acc (f x)) init items);
-  }
 
 type options = {
   n : int;
@@ -68,10 +53,8 @@ type options = {
   symmetry : bool;
   dedup : bool;
   audit : bool;  (* additionally run Trace_lint on every candidate *)
-  order : order;
   max_states : int option;  (* per-root visited budget; None = unbounded *)
-  jobs : int;
-  sharder : sharder;
+  jobs : int;  (* domains expanding each BFS layer *)
   collect : bool;  (* keep canonical state ids and (dedup=false) schedules *)
 }
 
@@ -89,10 +72,8 @@ let default_options ~n ~t ~quorum =
     symmetry = true;
     dedup = true;
     audit = false;
-    order = Bfs;
     max_states = Some 1_000_000;
     jobs = 1;
-    sharder = sequential_sharder;
     collect = false;
   }
 
@@ -121,7 +102,7 @@ type root_stats = {
   candidates : int;
   dedup_hits : int;
   symmetry_hits : int;
-  layers : int list;  (* BFS frontier sizes, depth 0 first; [] for DFS *)
+  layers : int list;  (* BFS frontier sizes, depth 0 first *)
   bounded : bool;
 }
 
@@ -177,25 +158,26 @@ let rec permutations = function
 let all_perms n =
   List.map Array.of_list (permutations (List.init n (fun i -> i)))
 
-let is_identity pi =
-  let ok = ref true in
-  Array.iteri (fun i x -> if i <> x then ok := false) pi;
-  !ok
+let for_alli f a =
+  let rec go i = i >= Array.length a || (f i a.(i) && go (i + 1)) in
+  go 0
 
-(* pi is a symmetry of the root iff relabeling preserves the input
-   vector, maps the corrupt-source prefix to itself, and fixes every
-   protocol-distinguished pid pointwise (a permutation that moves an
-   RBC origin relabels to a run of a *different* protocol, so it is not
-   a symmetry of the dynamics). *)
+let is_identity pi = for_alli Int.equal pi
+
+(* pi respects the protocol roles iff it maps the corrupt-source prefix
+   to itself and fixes every protocol-distinguished pid pointwise (a
+   permutation that moves an RBC origin relabels to a run of a
+   *different* protocol, so it is not a symmetry of the dynamics). *)
+let fixes_roles ~corrupt ~pinned pi =
+  for_alli
+    (fun i pi_i -> (i >= corrupt || pi_i < corrupt) && (i >= pinned || pi_i = i))
+    pi
+
+(* It is a symmetry of the root iff it also preserves the input
+   vector. *)
 let fixes_root ~inputs ~corrupt ~pinned pi =
-  let ok = ref true in
-  Array.iteri
-    (fun i pi_i ->
-      if Bool.equal inputs.(pi_i) inputs.(i) |> not then ok := false;
-      if i < corrupt && pi_i >= corrupt then ok := false;
-      if i < pinned && pi_i <> i then ok := false)
-    pi;
-  !ok
+  fixes_roles ~corrupt ~pinned pi
+  && for_alli (fun i pi_i -> Bool.equal inputs.(pi_i) inputs.(i)) pi
 
 let root_group ~inputs ~corrupt ~pinned n =
   List.filter (fixes_root ~inputs ~corrupt ~pinned) (all_perms n)
@@ -288,7 +270,7 @@ let replay ~protocol ~opts ~inputs ~choices (schedule : int array) =
     schedule;
   (e, census)
 
-let node_key ~opts e census =
+let node_key e census =
   let b = Buffer.create 256 in
   Buffer.add_string b (Dsim.Engine.config_fingerprint e);
   Buffer.add_char b '#';
@@ -297,13 +279,11 @@ let node_key ~opts e census =
       Buffer.add_string b (string_of_int m);
       Buffer.add_char b '.')
     census;
-  ignore opts;
   Buffer.contents b
 
 (* {2 Invariant checks (per candidate edge)} *)
 
-let check_child ~protocol ~opts ~valid ~inputs ~before_outputs child census =
-  ignore protocol;
+let check_child ~opts ~valid ~inputs ~before_outputs child census =
   let viols = ref [] in
   let n = opts.n in
   if Dsim.Engine.decision_conflict child then begin
@@ -346,6 +326,30 @@ let check_child ~protocol ~opts ~valid ~inputs ~before_outputs child census =
   end;
   !viols
 
+(* {2 Canonicalization} *)
+
+(* The relabeled menus whose replays are a schedule's twins, one per
+   non-identity symmetry of the root.  Twins exist whenever a canonical
+   id is needed: under [symmetry] (it is the dedup key) and under
+   [collect] (it is reported). *)
+let twin_menus ~opts ~group menu =
+  if not (opts.symmetry || opts.collect) then []
+  else
+    List.filter_map
+      (fun pi ->
+        if is_identity pi then None
+        else Some (Array.map (Menu.permute_choice ~n:opts.n pi) menu.Menu.choices))
+      group
+
+(* The least key over an orbit: [best] starts as the identity's key,
+   [key] renders one twin.  A direct loop, so a candidate allocates no
+   fold closure. *)
+let rec orbit_min best key = function
+  | [] -> best
+  | twin :: rest ->
+      let k = key twin in
+      orbit_min (if String.compare k best < 0 then k else best) key rest
+
 (* {2 Expansion} *)
 
 type child_rec = {
@@ -373,8 +377,8 @@ let merge_partial acc b =
   }
 
 (* Expand one parent: replay it (and its twins), then try every menu
-   choice.  Pure with respect to shared state, so the sharder may run
-   it on any domain. *)
+   choice.  Pure with respect to shared state, so Par_sweep may run it
+   on any domain. *)
 let expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus schedule =
   let choices = menu.Menu.choices in
   let main, census = replay ~protocol ~opts ~inputs ~choices schedule in
@@ -388,30 +392,24 @@ let expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus schedule =
         (pchoices, te, tc))
       pmenus
   in
-  let want_canonical = opts.symmetry || opts.collect in
   let acc = ref empty_partial in
   for ci = 0 to Array.length choices - 1 do
     let child = Dsim.Engine.copy main in
     let ccensus = Array.copy census in
     apply_choice ~protocol child ccensus choices.(ci);
     let cschedule = Array.append schedule [| ci |] in
-    let viols =
-      check_child ~protocol ~opts ~valid ~inputs ~before_outputs child ccensus
-    in
-    let raw = node_key ~opts child ccensus in
+    let viols = check_child ~opts ~valid ~inputs ~before_outputs child ccensus in
+    let raw = node_key child ccensus in
     let canonical =
-      if not want_canonical then raw
-      else
-        List.fold_left
-          (fun best (pchoices, te, tc) ->
-            let tchild = Dsim.Engine.copy te in
-            let tcc = Array.copy tc in
-            apply_choice ~protocol tchild tcc pchoices.(ci);
-            let k = node_key ~opts tchild tcc in
-            if String.compare k best < 0 then k else best)
-          raw twins
+      orbit_min raw
+        (fun (pchoices, te, tc) ->
+          let tchild = Dsim.Engine.copy te in
+          let tcc = Array.copy tc in
+          apply_choice ~protocol tchild tcc pchoices.(ci);
+          node_key tchild tcc)
+        twins
     in
-    let symmetry_hit = want_canonical && not (String.equal canonical raw) in
+    let symmetry_hit = not (String.equal canonical raw) in
     let dedup_key = if opts.symmetry then canonical else raw in
     let rec_ =
       {
@@ -443,19 +441,9 @@ type root_outcome = {
   rschedules : int array list;
 }
 
-let permuted_menus ~opts ~group menu =
-  List.filter_map
-    (fun pi ->
-      if is_identity pi then None
-      else Some (Array.map (Menu.permute_choice ~n:opts.n pi) menu.Menu.choices))
-    group
-
-let explore_root_bfs ~protocol ~opts ~valid ~menu ~root_index ~inputs =
+let explore_root ~protocol ~opts ~valid ~menu ~root_index ~inputs =
   let group = root_group ~inputs ~corrupt:opts.corrupt ~pinned:opts.pinned opts.n in
-  let pmenus =
-    if opts.symmetry || opts.collect then permuted_menus ~opts ~group menu
-    else []
-  in
+  let pmenus = twin_menus ~opts ~group menu in
   let visited = Hashtbl.create 4096 in
   let canonical_seen = Hashtbl.create 4096 in
   let note_canonical h =
@@ -472,7 +460,7 @@ let explore_root_bfs ~protocol ~opts ~valid ~menu ~root_index ~inputs =
   let bounded = ref false in
   (* Seed with the root configuration. *)
   let root_e, root_c = replay ~protocol ~opts ~inputs ~choices:menu.Menu.choices [||] in
-  let root_key = node_key ~opts root_e root_c in
+  let root_key = node_key root_e root_c in
   Hashtbl.replace visited (Digest.string root_key) ();
   note_canonical (Digest.to_hex (Digest.string root_key));
   if opts.collect && not opts.dedup then schedules_rev := [ [||] ];
@@ -483,7 +471,7 @@ let explore_root_bfs ~protocol ~opts ~valid ~menu ~root_index ~inputs =
      while !d < opts.depth && Array.length !frontier > 0 do
        layers_rev := Array.length !frontier :: !layers_rev;
        let partial =
-         opts.sharder.run ~jobs:opts.jobs ~merge:merge_partial
+         Par_sweep.map_reduce ~jobs:opts.jobs ~merge:merge_partial
            ~init:empty_partial
            ~f:(expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus)
            !frontier
@@ -535,101 +523,6 @@ let explore_root_bfs ~protocol ~opts ~valid ~menu ~root_index ~inputs =
     rschedules = List.rev !schedules_rev;
   }
 
-let explore_root_dfs ~protocol ~opts ~valid ~menu ~root_index ~inputs =
-  let group = root_group ~inputs ~corrupt:opts.corrupt ~pinned:opts.pinned opts.n in
-  let pmenus =
-    if opts.symmetry || opts.collect then permuted_menus ~opts ~group menu
-    else []
-  in
-  (* digest -> shallowest depth seen; rediscovering a state at a smaller
-     depth re-expands it so the depth budget is honoured exactly. *)
-  let visited = Hashtbl.create 4096 in
-  let canonical_seen = Hashtbl.create 4096 in
-  let note_canonical h =
-    if opts.collect && not (Hashtbl.mem canonical_seen h) then
-      Hashtbl.replace canonical_seen h ()
-  in
-  let schedules_rev = ref [] in
-  let candidates = ref 0 in
-  let dedup_hits = ref 0 in
-  let sym_hits = ref 0 in
-  let states = ref 0 in
-  let violations_rev = ref [] in
-  let bounded = ref false in
-  let root_e, root_c = replay ~protocol ~opts ~inputs ~choices:menu.Menu.choices [||] in
-  let root_key = node_key ~opts root_e root_c in
-  Hashtbl.replace visited (Digest.string root_key) 0;
-  note_canonical (Digest.to_hex (Digest.string root_key));
-  if opts.collect && not opts.dedup then schedules_rev := [ [||] ];
-  incr states;
-  let stack = ref [ [||] ] in
-  (try
-     let continue_ = ref true in
-     while !continue_ do
-       match !stack with
-       | [] -> continue_ := false
-       | schedule :: rest ->
-           stack := rest;
-           if Array.length schedule < opts.depth then begin
-             let partial =
-               expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus
-                 schedule
-             in
-             candidates := !candidates + partial.pcands;
-             sym_hits := !sym_hits + partial.psym;
-             violations_rev :=
-               List.rev_append (List.rev partial.pviols_rev) !violations_rev;
-             (* [children_rev] is reverse menu order, so pushing in list
-                order leaves the leftmost child on top of the stack —
-                children are explored in menu order. *)
-             List.iter
-               (fun c ->
-                 note_canonical c.canonical_hex;
-                 if not opts.dedup then begin
-                   incr states;
-                   if opts.collect then
-                     schedules_rev := c.cschedule :: !schedules_rev;
-                   stack := c.cschedule :: !stack
-                 end
-                 else
-                   let cdepth = Array.length c.cschedule in
-                   match Hashtbl.find_opt visited c.digest with
-                   | Some d0 when d0 <= cdepth -> incr dedup_hits
-                   | known ->
-                       (* Unseen, or rediscovered strictly shallower:
-                          (re-)expand so the depth budget is honoured. *)
-                       Hashtbl.replace visited c.digest cdepth;
-                       if Option.is_none known then incr states;
-                       stack := c.cschedule :: !stack)
-               partial.children_rev;
-             match opts.max_states with
-             | Some budget when !states >= budget ->
-                 bounded := true;
-                 raise Exit
-             | _ -> ()
-           end
-     done
-   with Exit -> ());
-  {
-    stats =
-      {
-        root_index;
-        inputs_bits = Array.copy inputs;
-        group_order = List.length group;
-        states = !states;
-        candidates = !candidates;
-        dedup_hits = !dedup_hits;
-        symmetry_hits = !sym_hits;
-        layers = [];
-        bounded = !bounded;
-      };
-    rviolations = List.rev !violations_rev;
-    rcanonical =
-      Hashtbl.fold (fun k () acc -> k :: acc) canonical_seen []
-      |> List.sort String.compare;
-    rschedules = List.rev !schedules_rev;
-  }
-
 (* {2 Top level} *)
 
 let root_vectors ~opts =
@@ -649,15 +542,7 @@ let root_vectors ~opts =
       else
         let perms =
           List.filter
-            (fun pi ->
-              let ok = ref true in
-              Array.iteri
-                (fun i pi_i ->
-                  if i < opts.corrupt && pi_i >= opts.corrupt then
-                    ok := false;
-                  if i < opts.pinned && pi_i <> i then ok := false)
-                pi;
-              !ok)
+            (fixes_roles ~corrupt:opts.corrupt ~pinned:opts.pinned)
             (all_perms opts.n)
         in
         let keep = List.filter (is_canonical_root perms) all in
@@ -675,12 +560,7 @@ let run ~protocol ~valid opts =
   let outcomes =
     List.mapi
       (fun root_index inputs ->
-        let explore =
-          match opts.order with
-          | Bfs -> explore_root_bfs
-          | Dfs -> explore_root_dfs
-        in
-        (root_index, inputs, explore ~protocol ~opts ~valid ~menu ~root_index ~inputs))
+        (root_index, inputs, explore_root ~protocol ~opts ~valid ~menu ~root_index ~inputs))
       roots
   in
   let violations =
@@ -790,17 +670,11 @@ let schedule_state ~protocol ~opts ~inputs schedule =
     Menu.build ~n:opts.n ~t:opts.t ~family:opts.family ~corrupt:opts.corrupt
   in
   let group = root_group ~inputs ~corrupt:opts.corrupt ~pinned:opts.pinned opts.n in
-  let pmenus =
-    if opts.symmetry then permuted_menus ~opts ~group menu else []
+  let key choices =
+    let e, census = replay ~protocol ~opts ~inputs ~choices schedule in
+    node_key e census
   in
-  let e, census = replay ~protocol ~opts ~inputs ~choices:menu.Menu.choices schedule in
-  let raw = node_key ~opts e census in
   let canonical =
-    List.fold_left
-      (fun best pchoices ->
-        let te, tc = replay ~protocol ~opts ~inputs ~choices:pchoices schedule in
-        let k = node_key ~opts te tc in
-        if String.compare k best < 0 then k else best)
-      raw pmenus
+    orbit_min (key menu.Menu.choices) key (twin_menus ~opts ~group menu)
   in
   Digest.to_hex (Digest.string canonical)

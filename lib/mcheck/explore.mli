@@ -5,31 +5,15 @@
     schedule (an array of {!Menu} indices); every edge applies one menu
     choice through [Engine.apply_window].  Agreement, validity and the
     quorum rule are checked on every candidate edge {e before}
-    deduplication, so pruned edges are still audited; the shortest
-    (then lexicographically least) violating schedule is reported as
-    the minimal counterexample and replays deterministically. *)
+    deduplication, so pruned edges are still audited.  The search is
+    breadth-first and stops at the first violating layer, so the
+    shortest (then lexicographically least) violating schedule is
+    reported as the minimal counterexample and replays
+    deterministically.  Each layer fans out through
+    {!Par_sweep.map_reduce}. *)
 
 type window_family = [ `Uniform | `Full ]
 type inputs_spec = All | Split | Unanimous of bool | Vector of bool array
-type order = Bfs | Dfs
-
-type sharder = {
-  run :
-    'a 'b.
-    jobs:int ->
-    merge:('b -> 'b -> 'b) ->
-    init:'b ->
-    f:('a -> 'b) ->
-    'a array ->
-    'b;
-}
-(** How one BFS layer fans out.  The contract is Par_sweep's: an
-    in-order left fold of [merge] over per-item results, so outcomes
-    are bit-identical for every [jobs].  The library only ships
-    {!sequential_sharder}; [Agreement.Mcheck_bridge.sharder] plugs in
-    the real domain pool (injected to keep this library off Domain). *)
-
-val sequential_sharder : sharder
 
 type options = {
   n : int;
@@ -46,17 +30,17 @@ type options = {
   symmetry : bool;
   dedup : bool;
   audit : bool;  (** additionally run [Trace_lint] on every candidate *)
-  order : order;
   max_states : int option;  (** per-root budget; [None] = unbounded *)
   jobs : int;
-  sharder : sharder;
+      (** domains expanding each BFS layer; results are bit-identical
+          for every value *)
   collect : bool;
       (** keep canonical state ids and ([dedup = false]) schedules *)
 }
 
 val default_options : n:int -> t:int -> quorum:int -> options
 (** Depth 3, uniform windows, no corruption, all input vectors,
-    symmetry and dedup on, BFS, a 1M-state budget, sequential. *)
+    symmetry and dedup on, a 1M-state budget, one job. *)
 
 type kind = Agreement | Validity | Quorum | Audit
 
@@ -147,4 +131,7 @@ val schedule_state :
   string
 (** The canonical state id (hex) the schedule lands on — the
     containment probe used by the exhaustiveness qcheck: it must be a
-    member of a collecting run's [canonical] list. *)
+    member of a collecting run's [canonical] list.  It is the orbit
+    minimum under the same rule {!run} uses (twins exist under
+    [symmetry] or [collect]), so it agrees with the run for every
+    combination of the two. *)

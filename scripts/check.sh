@@ -213,6 +213,10 @@ expect 1 "$mcheck" --protocol rbc!quorum-t -n 3 -t 1 --depth 3 --corrupt 1
 expect 2 "$mcheck" --protocol no-such-protocol -n 3 -t 1
 expect 2 "$mcheck" --protocol lewko -n 3 -t 1   # infeasible: lewko needs t < n/6
 expect 2 "$mcheck" --protocol bracha -n 3 -t 1 --corrupt 2  # corrupt > t
+# Malformed arguments are usage errors too, not cmdliner's 124.
+expect 2 "$mcheck" --protocol bracha -n 3 -t 1 --format xml
+expect 2 "$mcheck" --protocol bracha -n 3 -t 1 --order dfs  # no such flag
+expect 2 "$mcheck" --protocol bracha -n notint -t 1
 echo "check: mcheck exit-code matrix ok (0 safe / 1 violation / 2 error)"
 
 # The pinned deep counterexample: the all-quorums-at-t Bracha mutant

@@ -211,7 +211,7 @@ let test_r6_multicore_primitives () =
   check_rules "Mutex flagged" [ "R6" ]
     (diags ~path:"lib/stats/foo.ml" "let m = Mutex.create ()");
   check_rules "the sweep engine is exempt" []
-    (diags ~path:"lib/core/par_sweep.ml" src);
+    (diags ~path:"lib/par_sweep/par_sweep.ml" src);
   check_rules "the exemption is path-specific" [ "R6"; "R6" ]
     (diags ~path:"lib/core/ensemble.ml" src);
   (* A module merely named like a primitive must not trip the prefix

@@ -125,29 +125,39 @@ let test_brute_force_differential () =
     [ (`Uniform, 3, 16); (`Full, 2, 256) ]
 
 (* Every acceptable schedule lands on a canonical state the deduplicated
-   symmetric exploration has seen (exhaustiveness of the pruned search). *)
+   exploration has seen (exhaustiveness of the pruned search).  The
+   symmetric root is explored twice: with symmetry on (the orbit minimum
+   is the dedup key) and off (it is only collected), so the probe must
+   canonicalize under the same rule as the run in both. *)
 let prop_sampled_schedule_contained =
-  let m, opts =
-    opts_of "rbc" ~n:3 ~t:1 (fun o ->
-        {
-          o with
-          Explore.depth = 3;
-          inputs = Explore.Unanimous false;
-          collect = true;
-        })
+  let explored symmetry =
+    let m, opts =
+      opts_of "rbc" ~n:3 ~t:1 (fun o ->
+          {
+            o with
+            Explore.depth = 3;
+            inputs = Explore.Unanimous false;
+            symmetry;
+            collect = true;
+          })
+    in
+    let r = Model.run m opts in
+    (m, opts, List.sort_uniq String.compare r.Explore.canonical, r.Explore.menu_size)
   in
-  let r = Model.run m opts in
-  let canonical = List.sort_uniq String.compare r.Explore.canonical in
-  let menu_size = r.Explore.menu_size in
+  let runs = [ explored true; explored false ] in
+  let _, _, _, menu_size = List.hd runs in
   QCheck.Test.make ~count:60
     ~name:"random acceptable schedule reaches an explored canonical state"
     QCheck.(list_of_size (Gen.int_range 0 3) (int_bound (menu_size - 1)))
     (fun schedule ->
-      let key =
-        Model.schedule_state m opts ~inputs:(Array.make 3 false)
-          (Array.of_list schedule)
-      in
-      List.exists (String.equal key) canonical)
+      List.for_all
+        (fun (m, opts, canonical, _) ->
+          let key =
+            Model.schedule_state m opts ~inputs:(Array.make 3 false)
+              (Array.of_list schedule)
+          in
+          List.exists (String.equal key) canonical)
+        runs)
 
 (* --- symmetry reduction (satellite) --- *)
 
@@ -304,7 +314,7 @@ let test_enumeration_pinned_d4 () =
 (* --- determinism across jobs --- *)
 
 let test_jobs_bit_identical () =
-  let run ~jobs ~sharder =
+  let run ~jobs =
     let m, opts =
       opts_of "rbc!quorum-t" ~n:3 ~t:1 (fun o ->
           {
@@ -313,13 +323,12 @@ let test_jobs_bit_identical () =
             corrupt = 1;
             collect = true;
             jobs;
-            sharder;
           })
     in
     Model.run m opts
   in
-  let sequential = run ~jobs:1 ~sharder:Explore.sequential_sharder in
-  let parallel = run ~jobs:2 ~sharder:Agreement.Mcheck_bridge.sharder in
+  let sequential = run ~jobs:1 in
+  let parallel = run ~jobs:2 in
   Alcotest.(check int) "states" sequential.Explore.total_states
     parallel.Explore.total_states;
   Alcotest.(check int) "violations" sequential.Explore.violations_total

@@ -160,18 +160,18 @@ let test_map_reduce_exceptions () =
         (Printf.sprintf "first exception re-raised at jobs=%d" jobs)
         (Failure "boom")
         (fun () ->
-          ignore (Agreement.Par_sweep.map_reduce ~jobs ~merge:( + ) ~init:0 ~f items)))
+          ignore (Par_sweep.map_reduce ~jobs ~merge:( + ) ~init:0 ~f items)))
     [ 1; 4 ]
 
 let test_chunk () =
   Alcotest.(check (list (list int)))
     "uneven tail" [ [ 1; 2; 3 ]; [ 4; 5 ] ]
-    (Agreement.Par_sweep.chunk ~size:3 [ 1; 2; 3; 4; 5 ]);
+    (Par_sweep.chunk ~size:3 [ 1; 2; 3; 4; 5 ]);
   Alcotest.(check (list (list int))) "empty list" []
-    (Agreement.Par_sweep.chunk ~size:4 []);
+    (Par_sweep.chunk ~size:4 []);
   Alcotest.check_raises "zero size rejected"
     (Invalid_argument "Par_sweep.chunk: size must be positive") (fun () ->
-      ignore (Agreement.Par_sweep.chunk ~size:0 [ 1 ]))
+      ignore (Par_sweep.chunk ~size:0 [ 1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Histogram.merge pinned values.                                      *)
@@ -333,7 +333,7 @@ let prop_partial_chunking_invariant =
         List.fold_left
           (fun acc chunk -> Agreement.Ensemble.Partial.merge acc (sweep chunk))
           (Agreement.Ensemble.Partial.empty ())
-          (Agreement.Par_sweep.chunk ~size seeds)
+          (Par_sweep.chunk ~size seeds)
       in
       Agreement.Ensemble.Partial.equal whole chunked
       && Agreement.Ensemble.Partial.runs whole = List.length seeds)
@@ -344,14 +344,14 @@ let prop_partial_chunking_invariant =
    before/after delta.                                                 *)
 
 let spawn_delta f =
-  let before = Agreement.Par_sweep.spawned_domains () in
+  let before = Par_sweep.spawned_domains () in
   let result = f () in
-  (result, Agreement.Par_sweep.spawned_domains () - before)
+  (result, Par_sweep.spawned_domains () - before)
 
 let items = Array.init 100 (fun i -> i)
 
 let sum ?jobs () =
-  Agreement.Par_sweep.map_reduce ?jobs ~merge:( + ) ~init:0 ~f:(fun x -> x * x) items
+  Par_sweep.map_reduce ?jobs ~merge:( + ) ~init:0 ~f:(fun x -> x * x) items
 
 let expected_sum = Array.fold_left (fun acc x -> acc + (x * x)) 0 items
 
