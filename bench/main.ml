@@ -226,7 +226,11 @@ let bench_reset_fragility_window ~n ~t =
    (persistent) state, which is exactly the per-event work the cost
    linter's R13 flags. *)
 let bench_rbc_quorum_scan ~n ~t ~preload ~mk =
-  let state = ref (Protocols.Reliable_broadcast.create ~n ~t ~self:0 ~equal:Bool.equal ()) in
+  let state =
+    ref
+      (Protocols.Reliable_broadcast.create ~quorums:Protocols.Reliable_broadcast.quorums ~n
+         ~t ~self:0 ~equal:Bool.equal ())
+  in
   for src = 2 to preload + 1 do
     let next, _, _ = Protocols.Reliable_broadcast.receive !state ~src (mk ()) in
     state := next
@@ -463,61 +467,29 @@ let bench_mcheck_replay () =
 
 (* The quorum layer's two costs: the exact integer decision procedure
    on a Theorem 4 obligation (the per-obligation unit the analyzer
-   pays hundreds of times per scan), and an end-to-end check_source
-   run over a small Ben-Or-shaped fixture (typecheck + extraction +
-   discharge). *)
+   pays hundreds of times per scan), and the declaration check over the
+   whole model registry (every family's obligations discharged, the
+   three mutants' nine findings produced). *)
 let bench_symexpr_implies () =
   let region =
-    Lintkit.Symexpr.
+    Protocols.Symexpr.
       [ ge (div (sub n_ (int_ 1)) 6) t_; t_; ge n_ (int_ 1) ]
   in
   let goal =
-    Lintkit.Symexpr.(gt (scale 2 (sub n_ (scale 3 t_))) n_)
+    Protocols.Symexpr.(gt (scale 2 (sub n_ (scale 3 t_))) n_)
   in
   Staged.stage (fun () ->
-      match Lintkit.Symexpr.implies ~region goal with
-      | Lintkit.Symexpr.Holds -> ()
+      match Protocols.Symexpr.implies ~region goal with
+      | Protocols.Symexpr.Holds -> ()
       | _ -> invalid_arg "bench: Theorem 4 obligation must hold")
 
-let quorum_fixture =
-  {|type state = { n : int; fault_bound : int; decide_at : int }
-type props = { byzantine_resilience : int -> int }
-type t = { init : n:int -> t:int -> state; props : props }
-
-let wait_quorum state = state.n - state.fault_bound
-
-let fresh ?decide_at ~n ~t () =
-  {
-    n;
-    fault_bound = t;
-    decide_at = (match decide_at with None -> t + 1 | Some d -> d);
-  }
-
-let finish_propose_phase state tally =
-  ignore (wait_quorum state);
-  if tally >= state.decide_at then Some true else None
-
-let protocol ?decide_quorum () =
-  {
-    init =
-      (fun ~n ~t ->
-        let decide_at = Option.map (fun f -> f ~n ~t) decide_quorum in
-        fresh ?decide_at ~n ~t ());
-    props = { byzantine_resilience = (fun n -> (n - 1) / 5) };
-  }
-
-let _sound = protocol ()
-|}
-
-let bench_quorum_check_source () =
+let bench_quorum_check_declarations () =
   Staged.stage (fun () ->
-      match
-        Lintkit.Quorum_lint.check_source ~path:"lib/protocols/ben_or.ml"
-          quorum_fixture
-      with
-      | Ok [] -> ()
-      | Ok _ -> invalid_arg "bench: fixture must be clean"
-      | Error e -> invalid_arg e)
+      let findings =
+        Lintkit.Quorum_lint.check_declarations Mcheck.Model.lint_entries
+      in
+      if List.length findings <> 9 then
+        invalid_arg "bench: the registry must yield the nine mutant findings")
 
 (* Groups are kept as (name, tests) pairs so machine mode can select a
    subset with --only; the names double as the stable identifiers the
@@ -596,8 +568,8 @@ let groups =
     ( "quorum-lint",
       [
         Test.make ~name:"symexpr-implies-thm4" (bench_symexpr_implies ());
-        Test.make ~name:"check-source-ben-or-fixture"
-          (bench_quorum_check_source ());
+        Test.make ~name:"check-declarations"
+          (bench_quorum_check_declarations ());
       ] );
     (* The n-sweep behind docs/BENCHMARKS.md "Scaling curves": one
        decade per point, each test Theta(n) or Theta(n^2) as noted at

@@ -10,7 +10,9 @@
    default pass checks the determinism rules R1, R2 and R5-R10 over
    lib bin bench examples; --cost checks the hot-path cost rules
    R11-R15; --quorum proves the quorum-threshold arithmetic R16-R18
-   symbolically for all n, t (both default to lib).  The main modules
+   symbolically for all n, t on the declarations of the mcheck model
+   registry whose source files lie under the scanned trees (both
+   default to lib).  The main modules
    of executables only get a cmt from `dune build @check`, so run that
    first.  Exit codes: 0 clean, 1 rule violations, 2 read/parse/load
    errors — so any layer can gate CI via `dune build @lint` /
@@ -101,7 +103,8 @@ let run root dirs format explain cost quorum baseline check =
                 ~dirs:(if dirs = [] then default else dirs)
                 ~root analyze
             in
-            if quorum then scan [ "lib" ] Lintkit.Quorum_lint.analyze
+            if quorum then
+              scan [ "lib" ] (Lintkit.Quorum_lint.analyze Mcheck.Model.lint_entries)
             else if cost then scan [ "lib" ] Lintkit.Cost_lint.analyze
             else scan Lintkit.Driver.default_dirs Lintkit.Typed_lint.analyze
           in

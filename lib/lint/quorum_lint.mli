@@ -1,58 +1,52 @@
 (** The symbolic quorum-safety analyzer (rules R16-R18).
 
-    Walks the typed trees, reduces every quorum-threshold definition —
-    protocol defaults and [?decide_quorum]-style construction-site
-    hooks alike — to an affine form over [n] and [t] ({!Symexpr}), and
-    discharges per-protocol-family obligations with the exact integer
-    decision procedure, over the family's declared resilience region:
+    Every protocol family declares its thresholds once, as
+    {!Protocols.Symexpr} terms in a {!Protocols.Quorums.t}; the protocol
+    evaluates that declaration at [init], and the mcheck registry pairs
+    each instance's declaration with the resilience bound it
+    advertises.  This layer discharges the family's obligations on the
+    declarations with the exact integer decision procedure, over the
+    declared resilience region:
 
     - {b R16}: a threshold obligation (quorum intersection above the
       fault bound, quorum reachable by the honest set, Theorem 4's
       validity conditions) that fails at some (n, t) inside the
       declared region.  The finding carries the witness point.
     - {b R17}: a decide threshold the fault set can satisfy alone
-      (threshold <= t feasible with t >= 1), or a decide function that
-      constructs [Some _] without a dominating >= comparison against
-      its quorum gate.
-    - {b R18}: the registry's resilience claim (the [~byz] bound the
-      mcheck helpers advertise) admits a point where an obligation
-      fails — the claim and the arithmetic disagree.
+      (threshold <= t feasible with t >= 1).  Structurally, over the
+      typed trees: a gate function that constructs [Some _] without a
+      dominating >= comparison against its declared gate, or that
+      compares against a bound computed inline from [n], [t] or
+      [fault_bound] instead of reading the declared value.
+    - {b R18}: the registry's resilience claim admits a point where an
+      obligation fails — the claim and the arithmetic disagree.
 
-    Extraction is a small symbolic evaluator, not a naming convention:
-    optional-argument defaults are read through the compiler's
-    elaborated matches, [Thresholds.default]'s validation is resolved
-    by the all-but-one-branch-raises rule, and local helper closures
-    are beta-reduced.  Thresholds that do not reduce to affine form
-    are reported (R16), never silently trusted. *)
+    Declaration findings are reported at the declaration's [__POS__]. *)
 
-val analyze : Cmt_loader.load -> Rules.diagnostic list
-(** Run R16-R18 over every loaded unit.  Diagnostics carry
-    root-relative paths, honour inline [(* lint: allow Rn *)]
-    suppressions, and are sorted by (path, line, col, rule). *)
+type entry = {
+  decl : Protocols.Quorums.t;
+  claim : Protocols.Symexpr.t option;
+      (** the registry's Byzantine resilience bound over [n] (R18);
+          [None] skips R18 *)
+}
 
-val analyze_units : Cmt_loader.unit_info list -> Rules.diagnostic list
-(** Same on an explicit unit list (used by fixture tests). *)
+val check_declarations : entry list -> Rules.diagnostic list
+(** R16-R18 over the given declarations alone, with no scope filter,
+    suppression or typed tree involved.  Sorted by (path, line, col,
+    rule), keeping one finding per rule at each declaration. *)
+
+val analyze : entry list -> Cmt_loader.load -> Rules.diagnostic list
+(** The CLI pass: {!check_declarations} for every declaration whose
+    source file is among the loaded units (so [--dir] selects
+    declarations by where they are written), plus structural R17 over
+    the loaded gate functions.  Diagnostics honour rule scope and
+    inline [(* lint: allow Rn *)] suppressions. *)
 
 val check_source :
   path:string ->
   string ->
   (Rules.diagnostic list, string) result
-(** Typecheck a standalone source in memory and run the quorum rules on
-    it.  [path] decides rule scope and which family the fixture's
-    [protocol] calls resolve to (e.g. ["lib/protocols/ben_or.ml"]
-    makes bare [protocol] applications Ben-Or construction sites). *)
-
-(** {2 Test-facing extraction view} *)
-
-type extraction = {
-  e_family : string;  (** registry key, e.g. ["ben-or"] *)
-  e_region : Symexpr.t list;
-      (** declared resilience region, constraints [>= 0] *)
-  e_defaults : (string * (Symexpr.t, string) result) list;
-      (** threshold key -> extracted default, or why not *)
-}
-
-val extractions : Cmt_loader.unit_info list -> extraction list
-(** What the symbolic evaluator reads off each loaded protocol family:
-    its resilience region and every default threshold in affine form.
-    Families whose required modules are absent are omitted. *)
+(** Typecheck a standalone source in memory and run structural R17 on
+    it.  [path] decides rule scope and the module name, hence which
+    gate functions are checked (e.g. ["lib/protocols/ben_or.ml"] makes
+    [finish_propose_phase] Ben-Or's decide gate). *)

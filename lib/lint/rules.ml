@@ -176,33 +176,35 @@ let describe = function
        the recursion depth, or restructure to an incremental counter."
   | R16 ->
       "Quorum-intersection arithmetic, proved for every n and t rather \
-       than model-checked for n <= 5: each protocol's thresholds are \
-       extracted from the typed tree as symbolic expressions in n and t \
-       (constant-folding through Thresholds.default/relaxed, let-aliases \
-       and exact floor division) and the per-family obligations are \
-       discharged over the declared resilience region - two decision \
+       than model-checked for n <= 5: each protocol family declares its \
+       thresholds once as symbolic terms in n and t (Protocols.Quorums, \
+       exact floor division included), the protocol evaluates that \
+       declaration at init, and the per-family obligations are \
+       discharged on it over the declared resilience region - two decision \
        quorums intersect in at least t+1 correct pids, quorums of honest \
        senders are reachable (threshold <= n - t), and phase hand-off \
        inequalities (e.g. Theorem 4's n - 2t >= T1 >= T2 >= T3 + t, \
        2*T3 > n) hold.  A failure names a concrete witness (n, t) \
        inside the region where the obligation breaks."
   | R17 ->
-      "No ungated decide: every transition that writes a decision (or \
-       adopts a value for the next phase) must be dominated by a tally \
-       comparison against one of the extracted thresholds, and that \
-       threshold must not be satisfiable by the t faulty processors \
-       alone (there must be no region point with t >= 1 faults where \
-       threshold <= t, else the adversary can manufacture the quorum \
-       single-handedly).  The structural half catches a decide moved \
-       out from under its guard; the arithmetic half catches a guard \
-       lowered until it is no guard at all."
+      "No ungated decide: every gate function that writes a decision \
+       must be dominated by a tally comparison against one of the \
+       declared thresholds, and that threshold must not be satisfiable \
+       by the t faulty processors alone (there must be no region point \
+       with t >= 1 faults where threshold <= t, else the adversary can \
+       manufacture the quorum single-handedly).  The structural half, \
+       read from the typed trees, catches a decide moved out from under \
+       its guard and a gate comparing against a bound computed inline \
+       from n, t or fault_bound instead of the declared value (which \
+       the arithmetic was never proved on); the arithmetic half catches \
+       a declared guard lowered until it is no guard at all."
   | R18 ->
       "The resilience bound a protocol registers (the model registry's \
-       resilience notes, e.g. byzantine t <= (n-1)/3 for Bracha) must \
-       match what its instantiated thresholds actually support: the R16 \
-       obligations are re-discharged for the construction site's \
-       thresholds (custom quorum hooks included) over the registered \
-       region.  A registry entry that advertises more tolerance than \
+       claim, e.g. byzantine t <= (n-1)/3 for Bracha, which its \
+       resilience notes evaluate) must match what the declared \
+       thresholds actually support: the R16 obligations are \
+       re-discharged for each registry entry's declaration (mutants \
+       included) over the registered region.  A registry entry that advertises more tolerance than \
        the arithmetic delivers is exactly the mismatch the !quorum \
        mutants exhibit, and it is caught here statically - the bounded \
        model checker's dynamic counterexamples are the cross-check."
@@ -265,10 +267,9 @@ let applies rule scope =
       scope.top = `Lib
       && (match scope.sub with Some "lint" -> false | _ -> true)
   | R16 | R17 | R18 -> (
-      (* Threshold definitions live in lib/protocols; construction sites
-         with custom quorum hooks and registered resilience bounds live
-         in the model registry (lib/mcheck) and wherever else protocols
-         are instantiated under lib/. *)
+      (* The families' threshold declarations and gate functions live
+         in lib/protocols; the mutants' declarations and the registered
+         resilience claims live in the model registry (lib/mcheck). *)
       scope.top = `Lib
       &&
       match scope.sub with

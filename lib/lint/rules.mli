@@ -64,7 +64,7 @@ val applies : t -> scope -> bool
     R11-R15 in [lib/] except [lib/lint] — within that gate, membership
     in the configured hot set decides whether the cost rules fire;
     R16-R18 in [lib/] except [lib/lint], [lib/prng] and [lib/stats]
-    (threshold definitions and protocol construction sites). *)
+    (threshold declarations, gate functions and the model registry). *)
 
 (** {2 Diagnostics} *)
 

@@ -4,9 +4,11 @@
     resilience notes — so the CLI, the tests and the repro tables all
     drive one set of definitions.
 
-    Mutants live here too: the same protocol with one threshold broken,
-    for which the explorer must produce a minimal violating schedule —
-    the negative control proving the checker can see bugs. *)
+    Mutants live here too: the same protocol built from a declaration
+    with thresholds broken, for which the explorer must produce a
+    minimal violating schedule — the negative control proving the
+    checker can see bugs.  [all] is also the registry the quorum lint
+    checks. *)
 
 type packed = Packed : ('s, 'm) Dsim.Protocol.t -> packed
 
@@ -15,6 +17,13 @@ type t = {
   describe : string;
   mutant : bool;
   packed : packed;
+  quorums : Protocols.Quorums.t;
+      (** the threshold declaration [packed] was built from; the quorum
+          lint proves its obligations *)
+  claim : Protocols.Symexpr.t option;
+      (** the Byzantine resilience bound over [n] this entry advertises
+          (the lint's R18 region and the source of [notes]); [None]
+          when the entry makes no Byzantine claim *)
   quorum : n:int -> t:int -> int;
   valid : inputs:bool array -> corrupt:int -> bool -> bool;
   feasible : n:int -> t:int -> (unit, string) result;
@@ -29,6 +38,9 @@ type t = {
 val all : t list
 (** ben-or, bracha, lewko, rbc, and the mutants [ben-or!quorum-1],
     [bracha!quorum-t], [rbc!quorum-t]. *)
+
+val lint_entries : Lintkit.Quorum_lint.entry list
+(** Every entry's declaration and claim, for the quorum lint. *)
 
 val names : string list
 val find : string -> t option

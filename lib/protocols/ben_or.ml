@@ -38,11 +38,28 @@ let ptally_fingerprint t =
            (match v with None -> "?" | Some true -> "1" | Some false -> "0"))
   |> String.concat ","
 
+(* The declared thresholds, evaluated once per [init]. *)
+type thresholds = { decide_at : int; wait_quorum : int }
+
+let quorums =
+  {
+    Quorums.name = "ben-or";
+    family = "ben-or";
+    pos = __POS__;
+    resilience = Symexpr.(div (sub n_ (int_ 1)) 5);
+    thresholds =
+      Symexpr.[ ("decide_at", add t_ (int_ 1)); ("wait_quorum", sub n_ t_) ];
+  }
+
+let evaluate quorums ~n ~t =
+  let value = Quorums.value quorums ~n ~t in
+  { decide_at = value "decide_at"; wait_quorum = value "wait_quorum" }
+
 type state = {
   id : int;
   n : int;
   fault_bound : int;
-  decide_at : int;  (* matching proposals needed to decide; t+1 unless mutated *)
+  thresholds : thresholds;
   input : bool;
   output : bool option;
   resets : int;
@@ -60,7 +77,7 @@ let reports_for state round =
 let proposals_for state round =
   Option.value ~default:ptally_empty (Round_map.find_opt round state.proposals)
 
-let wait_quorum state = state.n - state.fault_bound
+let wait_quorum state = state.thresholds.wait_quorum
 
 (* Phase transition once the report quorum for the current round is in:
    propose the strict majority value if one exists, else '?'. *)
@@ -84,7 +101,7 @@ let finish_report_phase state =
    agreeing proposals, adopt on one, flip a coin on none. *)
 let finish_propose_phase state rng =
   let tally = proposals_for state state.round in
-  let decide_at = state.decide_at in
+  let decide_at = state.thresholds.decide_at in
   let output =
     match state.output with
     | Some _ as existing -> existing
@@ -131,13 +148,13 @@ let rec advance state rng =
         advance (finish_propose_phase state rng) rng
       else state
 
-let fresh ?decide_at ~n ~t ~id ~input ~resets () =
+let fresh ~thresholds ~n ~t ~id ~input ~resets () =
   let state =
     {
       id;
       n;
       fault_bound = t;
-      decide_at = (match decide_at with None -> t + 1 | Some d -> d);
+      thresholds;
       input;
       output = None;
       resets;
@@ -176,7 +193,7 @@ let on_deliver state ~src message rng =
    input.  Its output bit survives, per the model. *)
 let on_reset state =
   let restarted =
-    fresh ~decide_at:state.decide_at ~n:state.n ~t:state.fault_bound
+    fresh ~thresholds:state.thresholds ~n:state.n ~t:state.fault_bound
       ~id:state.id ~input:state.input ~resets:(state.resets + 1) ()
   in
   { restarted with output = state.output }
@@ -216,13 +233,13 @@ let pp_message ppf = function
 
 let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
 
-let protocol ?(name = "ben-or") ?decide_quorum () =
+let protocol ?(name = "ben-or") ?(quorums = quorums) () =
   {
     Dsim.Protocol.name = name;
     init =
       (fun ~n ~t ~id ~input ->
-        let decide_at = Option.map (fun f -> f ~n ~t) decide_quorum in
-        fresh ?decide_at ~n ~t ~id ~input ~resets:0 ());
+        fresh ~thresholds:(evaluate quorums ~n ~t) ~n ~t ~id ~input ~resets:0
+          ());
     outgoing;
     on_deliver;
     on_reset;
@@ -246,7 +263,7 @@ let protocol ?(name = "ben-or") ?decide_quorum () =
         Dsim.Protocol.forgetful = true;
         fully_communicative = true;
         crash_resilience = (fun n -> (n - 1) / 2);
-        byzantine_resilience = (fun n -> (n - 1) / 5);
+        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
         reset_resilience = (fun _ -> 0);
       };
     pp_message;

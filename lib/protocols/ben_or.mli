@@ -19,18 +19,24 @@ type message =
 
 type state
 
+val quorums : Quorums.t
+(** The family's threshold declaration: [decide_at = t + 1] matching
+    proposals, [wait_quorum = n - t] messages per phase, under the
+    Byzantine resilience bound [t <= (n - 1) / 5] that
+    [props.byzantine_resilience] reports. *)
+
 val protocol :
   ?name:string ->
-  ?decide_quorum:(n:int -> t:int -> int) ->
+  ?quorums:Quorums.t ->
   unit ->
   (state, message) Dsim.Protocol.t
 (** Resets are handled by restarting from the input bit (the protocol
     is not designed for the resetting model; its [reset_resilience] is
     0, and E1 measures what actually happens).
 
-    [decide_quorum] overrides the [t + 1] matching-proposal decision
-    threshold — a mutation-testing hook for the model checker's
-    negative suite; give the mutant a distinct [name]. *)
+    [quorums] replaces the declaration above — the mutation-testing
+    hook for the model checker's negative suite (build it with
+    {!Quorums.override}); give the mutant a distinct [name]. *)
 
 (* White-box accessors for tests. *)
 val round_of_state : state -> int

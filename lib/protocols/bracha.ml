@@ -26,11 +26,39 @@ let tally_with_bit tally bit =
 
 let tally_total tally = tally.val_t + tally.val_f + tally.dec_t + tally.dec_f
 
+let quorums =
+  {
+    Quorums.name = "bracha";
+    family = "bracha";
+    pos = __POS__;
+    resilience = Symexpr.(div (sub n_ (int_ 1)) 3);
+    thresholds =
+      Symexpr.
+        [
+          ("decide_at", add (scale 2 t_) (int_ 1));
+          ("adopt_at", add t_ (int_ 1));
+          ("quorum", sub n_ t_);
+        ]
+      @ Reliable_broadcast.quorums.thresholds;
+  }
+
+(* The declared thresholds Bracha itself reads (the [rbc_*] keys are
+   evaluated by [Reliable_broadcast.create]), once per [init]. *)
+type thresholds = { decide_at : int; adopt_at : int; quorum : int }
+
+let evaluate quorums ~n ~t =
+  let value = Quorums.value quorums ~n ~t in
+  {
+    decide_at = value "decide_at";
+    adopt_at = value "adopt_at";
+    quorum = value "quorum";
+  }
+
 type state = {
   id : int;
   n : int;
   fault_bound : int;
-  decide_at : int;  (* matching [Dec v] needed to decide; 2t+1 unless mutated *)
+  thresholds : thresholds;
   input : bool;
   output : bool option;
   resets : int;
@@ -52,7 +80,7 @@ let vote_equal a b =
   | Val x, Val y | Dec x, Dec y -> Bool.equal x y
   | Val _, Dec _ | Dec _, Val _ -> false
 
-let quorum state = state.n - state.fault_bound
+let quorum state = state.thresholds.quorum
 
 let admitted_for state tag =
   Option.value ~default:Int_map.empty (Int_map.find_opt tag state.admitted)
@@ -161,8 +189,8 @@ let finish_phase state tally rng =
   | 3 ->
       let dec_true = tally.dec_t in
       let dec_false = tally.dec_f in
-      let decide_at = state.decide_at in
-      let adopt_at = state.fault_bound + 1 in
+      let decide_at = state.thresholds.decide_at in
+      let adopt_at = state.thresholds.adopt_at in
       let output =
         match state.output with
         | Some _ as existing -> existing
@@ -186,13 +214,13 @@ let rec advance state rng =
   if tally_total tally >= quorum state then advance (finish_phase state tally rng) rng
   else state
 
-let init_with ?decide_at ~validated ~rbc ~n ~t ~id ~input () =
+let init_with ~thresholds ~validated ~rbc ~n ~t ~id ~input () =
   let state =
     {
       id;
       n;
       fault_bound = t;
-      decide_at = (match decide_at with None -> (2 * t) + 1 | Some d -> d);
+      thresholds;
       input;
       output = None;
       resets = 0;
@@ -235,11 +263,11 @@ let on_deliver state ~src message rng =
   advance state rng
 
 (* Like Ben-Or, Bracha has no re-join procedure: restart from input.
-   [reset_like] keeps the RBC parameters (including any deliberately
-   mutated thresholds) while clearing its instances. *)
+   The evaluated thresholds carry over, and [reset_like] keeps the RBC
+   parameters while clearing its instances. *)
 let on_reset state =
   let restarted =
-    init_with ~decide_at:state.decide_at ~validated:state.validated
+    init_with ~thresholds:state.thresholds ~validated:state.validated
       ~rbc:(Reliable_broadcast.reset_like state.rbc) ~n:state.n
       ~t:state.fault_bound ~id:state.id ~input:state.input ()
   in
@@ -292,27 +320,21 @@ let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
 let rewrite_vote vote bit =
   match vote with Val _ -> Val bit | Dec _ -> Dec bit
 
-let protocol ?(validated = false) ?name ?decide_quorum ?rbc_echo_quorum
-    ?rbc_ready_resend ?rbc_accept_quorum () =
+let protocol ?(validated = false) ?name ?(quorums = quorums) () =
   let name =
     match name with
     | Some n -> n
     | None -> if validated then "bracha-validated" else "bracha"
   in
-  let apply_quorum f ~n ~t = Option.map (fun g -> g ~n ~t) f in
   {
     Dsim.Protocol.name = name;
     init =
       (fun ~n ~t ~id ~input ->
         let rbc =
-          Reliable_broadcast.create
-            ?echo_quorum:(apply_quorum rbc_echo_quorum ~n ~t)
-            ?ready_resend:(apply_quorum rbc_ready_resend ~n ~t)
-            ?accept_quorum:(apply_quorum rbc_accept_quorum ~n ~t)
-            ~n ~t ~self:id ~equal:vote_equal ()
+          Reliable_broadcast.create ~quorums ~n ~t ~self:id ~equal:vote_equal ()
         in
-        init_with ?decide_at:(apply_quorum decide_quorum ~n ~t) ~validated ~rbc
-          ~n ~t ~id ~input ());
+        init_with ~thresholds:(evaluate quorums ~n ~t) ~validated ~rbc ~n ~t
+          ~id ~input ());
     outgoing;
     on_deliver;
     on_reset;
@@ -350,7 +372,7 @@ let protocol ?(validated = false) ?name ?decide_quorum ?rbc_echo_quorum
         Dsim.Protocol.forgetful = false;
         fully_communicative = false;
         crash_resilience = (fun n -> (n - 1) / 3);
-        byzantine_resilience = (fun n -> (n - 1) / 3);
+        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
         reset_resilience = (fun _ -> 0);
       };
     pp_message;

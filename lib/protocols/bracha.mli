@@ -37,23 +37,27 @@ type vote = Val of bool | Dec of bool
 type message = vote Reliable_broadcast.msg
 type state
 
+val quorums : Quorums.t
+(** The family's threshold declaration, under the resilience bound
+    [t <= (n - 1) / 3] that [props.byzantine_resilience] reports:
+    [decide_at = 2t + 1] matching [Dec v], [adopt_at = t + 1],
+    [quorum = n - t] accepted votes per phase, and the three [rbc_*]
+    keys of {!Reliable_broadcast.quorums}. *)
+
 val protocol :
   ?validated:bool ->
   ?name:string ->
-  ?decide_quorum:(n:int -> t:int -> int) ->
-  ?rbc_echo_quorum:(n:int -> t:int -> int) ->
-  ?rbc_ready_resend:(n:int -> t:int -> int) ->
-  ?rbc_accept_quorum:(n:int -> t:int -> int) ->
+  ?quorums:Quorums.t ->
   unit ->
   (state, message) Dsim.Protocol.t
 (** [validated] defaults to [false] (thresholds + RBC only).
 
-    The optional quorum overrides exist for mutation-style negative
-    tests: [decide_quorum] replaces the [2t + 1] matching-[Dec]
-    decision threshold, and the [rbc_*] overrides are passed to
-    {!Reliable_broadcast.create}.  A mutated protocol must also be
-    given a distinct [name] so traces, repro tables and model-checker
-    reports cannot be mistaken for the sound protocol. *)
+    [quorums] replaces the declaration above, for mutation-style
+    negative tests (build it with {!Quorums.override}); its [rbc_*]
+    keys are passed to {!Reliable_broadcast.create}.  A mutated
+    protocol must also be given a distinct [name] so traces, repro
+    tables and model-checker reports cannot be mistaken for the sound
+    protocol. *)
 
 val quarantined_count : state -> int
 (** Accepted-but-unjustified votes currently held back (always 0 when

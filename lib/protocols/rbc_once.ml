@@ -21,8 +21,7 @@ let start state =
     { state with rbc; outbox_rev = List.rev_append sends state.outbox_rev }
   else state
 
-let init_with ?echo_quorum ?ready_resend ?accept_quorum ~origin ~n ~t ~id
-    ~input () =
+let init_with ~quorums ~origin ~n ~t ~id ~input () =
   start
     {
       id;
@@ -32,8 +31,7 @@ let init_with ?echo_quorum ?ready_resend ?accept_quorum ~origin ~n ~t ~id
       output = None;
       resets = 0;
       rbc =
-        Reliable_broadcast.create ?echo_quorum ?ready_resend ?accept_quorum ~n
-          ~t ~self:id ~equal:Bool.equal ();
+        Reliable_broadcast.create ~quorums ~n ~t ~self:id ~equal:Bool.equal ();
       outbox_rev = [];
     }
 
@@ -60,9 +58,9 @@ let on_deliver state ~src message _rng =
   | None -> state
   | Some payload -> { state with output = Some payload }
 
-(* A reset processor restarts its RBC bookkeeping (keeping any mutated
-   thresholds); the origin re-broadcasts.  The output bit survives, per
-   the model. *)
+(* A reset processor restarts its RBC bookkeeping (keeping the
+   evaluated thresholds); the origin re-broadcasts.  The output bit
+   survives, per the model. *)
 let on_reset state =
   start
     {
@@ -99,9 +97,8 @@ let pp_message ppf = function
 
 let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
 
-let protocol ?(name = "rbc-once") ?(origin = 0) ?rbc_echo_quorum
-    ?rbc_ready_resend ?rbc_accept_quorum () =
-  let apply_quorum f ~n ~t = Option.map (fun g -> g ~n ~t) f in
+let protocol ?(name = "rbc-once") ?(origin = 0)
+    ?(quorums = Reliable_broadcast.quorums) () =
   {
     Dsim.Protocol.name;
     init =
@@ -109,11 +106,7 @@ let protocol ?(name = "rbc-once") ?(origin = 0) ?rbc_echo_quorum
         if origin < 0 || origin >= n then
           Protocol_error.raise_error
             (Origin_out_of_range { who = "Rbc_once.protocol"; origin; n });
-        init_with
-          ?echo_quorum:(apply_quorum rbc_echo_quorum ~n ~t)
-          ?ready_resend:(apply_quorum rbc_ready_resend ~n ~t)
-          ?accept_quorum:(apply_quorum rbc_accept_quorum ~n ~t)
-          ~origin ~n ~t ~id ~input ());
+        init_with ~quorums ~origin ~n ~t ~id ~input ());
     outgoing;
     on_deliver;
     on_reset;
@@ -147,7 +140,7 @@ let protocol ?(name = "rbc-once") ?(origin = 0) ?rbc_echo_quorum
         Dsim.Protocol.forgetful = false;
         fully_communicative = false;
         crash_resilience = (fun n -> (n - 1) / 3);
-        byzantine_resilience = (fun n -> (n - 1) / 3);
+        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
         reset_resilience = (fun _ -> 0);
       };
     pp_message;

@@ -21,12 +21,12 @@ type state
 val protocol :
   ?name:string ->
   ?origin:int ->
-  ?rbc_echo_quorum:(n:int -> t:int -> int) ->
-  ?rbc_ready_resend:(n:int -> t:int -> int) ->
-  ?rbc_accept_quorum:(n:int -> t:int -> int) ->
+  ?quorums:Quorums.t ->
   unit ->
   (state, message) Dsim.Protocol.t
-(** The quorum overrides are mutation-testing hooks forwarded to
-    {!Reliable_broadcast.create}; give mutants a distinct [name]. *)
+(** [quorums] (default {!Reliable_broadcast.quorums}, whose resilience
+    bound [props.byzantine_resilience] reports) is the mutation-testing
+    hook: a declaration with weakened [rbc_*] thresholds, forwarded to
+    {!Reliable_broadcast.create}.  Give mutants a distinct [name]. *)
 
 val origin_of_state : state -> int

@@ -31,28 +31,49 @@ let inst_empty =
   { echoes = Int_map.empty; readies = Int_map.empty; echo_tally = [];
     ready_tally = []; echo_sent = false; ready_sent = false; accepted = None }
 
+let quorums =
+  {
+    Quorums.name = "rbc";
+    family = "rbc";
+    pos = __POS__;
+    resilience = Symexpr.(div (sub n_ (int_ 1)) 3);
+    thresholds =
+      Symexpr.
+        [
+          ("rbc_echo_quorum", add (div (add n_ t_) 2) (int_ 1));
+          ("rbc_ready_resend", add t_ (int_ 1));
+          ("rbc_accept_quorum", add (scale 2 t_) (int_ 1));
+        ];
+  }
+
+(* The declared thresholds, evaluated once per [create]. *)
+type thresholds = {
+  rbc_echo_quorum : int;
+  rbc_ready_resend : int;
+  rbc_accept_quorum : int;
+}
+
 type 'p t = {
   n : int;
   fault_bound : int;
   self : int;
   equal : 'p -> 'p -> bool;  (* payload equality; never polymorphic [=] *)
-  echo_quorum : int;
-  ready_resend : int;
-  accept_quorum : int;
+  thresholds : thresholds;
   instances : 'p inst Key_map.t;
   started : Int_set.t;  (* tags this processor already originated *)
 }
 
-let create ?echo_quorum ?ready_resend ?accept_quorum ~n ~t ~self ~equal () =
-  let dflt v = function None -> v | Some v' -> v' in
+let create ~quorums ~n ~t ~self ~equal () =
+  let value = Quorums.value quorums ~n ~t in
   { n; fault_bound = t; self; equal;
-    echo_quorum = dflt (((n + t) / 2) + 1) echo_quorum;
-    ready_resend = dflt (t + 1) ready_resend;
-    accept_quorum = dflt ((2 * t) + 1) accept_quorum;
+    thresholds =
+      { rbc_echo_quorum = value "rbc_echo_quorum";
+        rbc_ready_resend = value "rbc_ready_resend";
+        rbc_accept_quorum = value "rbc_accept_quorum" };
     instances = Key_map.empty; started = Int_set.empty }
 
-(* Mutation-testing hook: a fresh state sharing this one's parameters
-   (including any deliberately broken thresholds). *)
+(* A fresh state sharing this one's parameters, evaluated thresholds
+   included. *)
 let reset_like t = { t with instances = Key_map.empty; started = Int_set.empty }
 
 (* A uniform send is a single [Step.Broadcast] value: the engine
@@ -91,10 +112,6 @@ let rec tally_count equal payload = function
   | [] -> 0
   | (p, k) :: rest -> if equal p payload then k else tally_count equal payload rest
 
-let echo_quorum t = t.echo_quorum
-let ready_resend t = t.ready_resend
-let accept_quorum t = t.accept_quorum
-
 (* Evaluate an instance's thresholds after new evidence arrived; returns
    the updated instance, messages to send, and the acceptance if new. *)
 let evaluate t key inst payload =
@@ -102,8 +119,10 @@ let evaluate t key inst payload =
   let sends = ref [] in
   let inst =
     if (not inst.ready_sent)
-       && (tally_count t.equal payload inst.echo_tally >= echo_quorum t
-          || tally_count t.equal payload inst.ready_tally >= ready_resend t)
+       && (tally_count t.equal payload inst.echo_tally
+           >= t.thresholds.rbc_echo_quorum
+          || tally_count t.equal payload inst.ready_tally
+             >= t.thresholds.rbc_ready_resend)
     then begin
       sends := to_all t (Ready { origin; tag; payload });
       { inst with ready_sent = true }
@@ -112,7 +131,8 @@ let evaluate t key inst payload =
   in
   let accepted_now =
     if Option.is_none inst.accepted
-       && tally_count t.equal payload inst.ready_tally >= accept_quorum t
+       && tally_count t.equal payload inst.ready_tally
+          >= t.thresholds.rbc_accept_quorum
     then Some payload
     else None
   in

@@ -26,30 +26,33 @@ type 'p msg =
   | Echo of { origin : int; tag : int; payload : 'p }
   | Ready of { origin : int; tag : int; payload : 'p }
 
+val quorums : Quorums.t
+(** The [rbc] family's threshold declaration, under the resilience
+    bound [t <= (n - 1) / 3]: matching echoes needed to send [Ready]
+    ([rbc_echo_quorum = (n + t) / 2 + 1]), matching [Ready]s that
+    trigger a relayed [Ready] ([rbc_ready_resend = t + 1]), and
+    matching [Ready]s needed to accept ([rbc_accept_quorum = 2t + 1]). *)
+
 val create :
-  ?echo_quorum:int ->
-  ?ready_resend:int ->
-  ?accept_quorum:int ->
+  quorums:Quorums.t ->
   n:int ->
   t:int ->
   self:int ->
   equal:('p -> 'p -> bool) ->
   unit ->
   'p t
-(** [equal] decides when two payloads match for quorum counting; it
-    must be a structural, deterministic equality (polymorphic [=] is
-    banned in this subtree by lint rule R7).
+(** [quorums] must declare the three [rbc_*] keys; they are evaluated
+    here, once.  Pass {!quorums} for the sound primitive; the model
+    checker's mutants pass a weakened declaration and must then yield
+    a violating schedule.
 
-    The optional thresholds override the sound defaults — matching
-    echoes needed to send [Ready] ([(n + t) / 2 + 1]), matching
-    [Ready]s that trigger a relayed [Ready] ([t + 1]), and matching
-    [Ready]s needed to accept ([2t + 1]).  They exist for
-    mutation-style negative tests: the model checker deliberately
-    weakens them and must then find a violating schedule. *)
+    [equal] decides when two payloads match for quorum counting; it
+    must be a structural, deterministic equality (polymorphic [=] is
+    banned in this subtree by lint rule R7). *)
 
 val reset_like : 'p t -> 'p t
 (** A fresh state with the same parameters (n, t, self, equality, and
-    any overridden thresholds): what a resetting processor restarts
+    the evaluated thresholds): what a resetting processor restarts
     with. *)
 
 val broadcast : 'p t -> tag:int -> 'p -> 'p t * 'p msg Dsim.Step.send list

@@ -117,13 +117,13 @@ let rec to_string e =
         else
           let mag = abs coef in
           let core = if mag = 1 then name else Printf.sprintf "%d*%s" mag name in
-          if acc = "" then (if coef < 0 then "-" ^ core else core) ^ acc
+          if String.equal acc "" then (if coef < 0 then "-" ^ core else core) ^ acc
           else acc ^ (if coef < 0 then " - " else " + ") ^ core
       in
       let s = term a "n" "" in
       let s = term b "t" s in
-      if c = 0 && s <> "" then s
-      else if s = "" then string_of_int c
+      if c = 0 && not (String.equal s "") then s
+      else if String.equal s "" then string_of_int c
       else if c < 0 then Printf.sprintf "%s - %d" s (-c)
       else Printf.sprintf "%s + %d" s c
   | None -> (
@@ -373,7 +373,7 @@ let solve sys =
         (fun acc sys -> match acc with Some _ -> acc | None -> solve_system sys)
         None systems
 
-let feasible sys = solve sys <> None
+let feasible sys = Option.is_some (solve sys)
 
 (* ------------------------------------------------------------------ *)
 (* The obligation shape.                                               *)

@@ -11,8 +11,27 @@ let validate ~n ~t th =
   else if th.t3 <= 0 then Error "T3 must be positive"
   else Ok ()
 
+let quorums =
+  {
+    Quorums.name = "lewko";
+    family = "lewko";
+    pos = __POS__;
+    resilience = Symexpr.(div (sub n_ (int_ 1)) 6);
+    thresholds =
+      Symexpr.
+        [
+          ("t1", sub n_ (scale 2 t_));
+          ("t2", sub n_ (scale 2 t_));
+          ("t3", sub n_ (scale 3 t_));
+        ];
+  }
+
+let evaluate ~n ~t =
+  let value = Quorums.value quorums ~n ~t in
+  { t1 = value "t1"; t2 = value "t2"; t3 = value "t3" }
+
 let default ~n ~t =
-  let candidate = { t1 = n - (2 * t); t2 = n - (2 * t); t3 = n - (3 * t) } in
+  let candidate = evaluate ~n ~t in
   match validate ~n ~t candidate with
   | Ok () -> candidate
   | Error message ->
@@ -20,15 +39,10 @@ let default ~n ~t =
         (Infeasible_thresholds
            { who = "Thresholds.default"; n; t; reason = message })
 
-let feasible ~n ~t =
-  match validate ~n ~t { t1 = n - (2 * t); t2 = n - (2 * t); t3 = n - (3 * t) } with
-  | Ok () -> true
-  | Error _ -> false
+let feasible ~n ~t = Result.is_ok (validate ~n ~t (evaluate ~n ~t))
 
-let max_fault_bound ~n =
-  (* Largest t with 6t < n; Theorem 4's t < n/6 regime. *)
-  let candidate = (n - 1) / 6 in
-  if candidate < 0 then 0 else candidate
+(* Largest t with 6t < n; Theorem 4's t < n/6 regime. *)
+let max_fault_bound ~n = max 0 (Quorums.resilience quorums ~n)
 
 let relaxed ~n ~t =
   (* Smallest valid T3 (a bare majority), then the smallest valid T2. *)

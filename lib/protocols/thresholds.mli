@@ -17,6 +17,11 @@ type t = {
   t3 : int;  (** Matching votes required to adopt deterministically. *)
 }
 
+val quorums : Quorums.t
+(** The [lewko] family's declaration: [t1 = t2 = n - 2t], [t3 = n - 3t],
+    under the resilience bound [t <= (n - 1) / 6].  {!default},
+    {!feasible} and {!max_fault_bound} all read it. *)
+
 val default : n:int -> t:int -> t
 (** Theorem 4's instantiation: [T1 = T2 = n - 2t], [T3 = n - 3t].
     Raises [Invalid_argument] when no valid thresholds exist

@@ -11,6 +11,27 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+echo "check: qcheck properties under a fresh seed"
+# dune runtest draws every property's cases from the fixed seed in
+# test/test_seed.ml, so two runs agree; this rerun of the suites that
+# hold properties draws a new seed each time, so the search for
+# counterexamples goes on.  Replay a failure with
+# QCHECK_SEED=<seed> dune runtest.
+fresh_seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+echo "check: QCHECK_SEED=$fresh_seed"
+qcheck_out=$(mktemp)
+if (cd _build/default/test && QCHECK_SEED=$fresh_seed ./test_main.exe test \
+      'window|kernel-diff|properties|lint|symexpr|quorum-lint|par-sweep|mcheck') \
+     > "$qcheck_out" 2>&1; then
+  echo "check: qcheck properties hold under QCHECK_SEED=$fresh_seed"
+  rm -f "$qcheck_out"
+else
+  tail -40 "$qcheck_out" >&2
+  echo "check: FAIL — a qcheck property failed under QCHECK_SEED=$fresh_seed" >&2
+  rm -f "$qcheck_out"
+  exit 1
+fi
+
 echo "check: typed determinism lint (R1, R2, R5-R10) SARIF report"
 dune build @lint
 # Exit 1 here means a finding slipped past the alias; exit 2 means the
@@ -43,7 +64,7 @@ dune build @lint-quorum
 # so any finding here is a real threshold-arithmetic regression.
 quorum_dirs="--dir lib/adversary --dir lib/core --dir lib/dsim \
   --dir lib/lowerbound --dir lib/prng --dir lib/protocols \
-  --dir lib/shmem --dir lib/stats --dir lib/syncsim"
+  --dir lib/shmem --dir lib/stats --dir lib/syncsim --dir lib/par_sweep"
 # shellcheck disable=SC2086
 if dune exec bin/lint.exe -- --quorum $quorum_dirs \
      --baseline lint/quorum-baseline.tsv --format sarif > lint-quorum.sarif
@@ -55,8 +76,9 @@ else
 fi
 
 echo "check: quorum lint negative controls (!quorum mutants must be flagged)"
-# The full-tree scan (lib/ including lib/mcheck) must report exactly
-# the three registry mutants — each caught by all of R16 (quorum
+# The full-tree scan (lib/ including lib/mcheck, where the mutants'
+# threshold declarations live) must report exactly the three registry
+# mutants — each caught by all of R16 (quorum
 # intersection), R17 (fault-set-met decide gate) and R18 (registry
 # resilience bound) — and nothing else.  A mutant that scans clean
 # means the analyzer lost precision; an extra finding means a sound

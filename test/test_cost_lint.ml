@@ -7,7 +7,7 @@
 
 open Lintkit
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Test_seed.to_alcotest
 
 let cfg ?(roots = [ "Fx.hot" ]) ?(overrides = []) () =
   { Cost_lint.default_config with hot_roots = roots; overrides }

@@ -10,7 +10,7 @@
    step counts and sweep outputs captured from the pre-rewrite kernel,
    proving executions are byte-identical to seed at [-j 1] and [-j 2]. *)
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Test_seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Reference mailbox: the pre-rewrite Int_map implementation.          *)

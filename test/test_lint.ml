@@ -561,8 +561,8 @@ let suite =
     Alcotest.test_case "R5 let-open printf" `Quick test_r5_let_open;
     Alcotest.test_case "R5 ambient channels" `Quick test_r5_ambient_channels;
     Alcotest.test_case "find_substring" `Quick test_find_substring;
-    QCheck_alcotest.to_alcotest qcheck_find_substring;
-    QCheck_alcotest.to_alcotest qcheck_suppression_roundtrip;
+    Test_seed.to_alcotest qcheck_find_substring;
+    Test_seed.to_alcotest qcheck_suppression_roundtrip;
     Alcotest.test_case "suppression parser edges" `Quick
       test_suppression_parser_edges;
     Alcotest.test_case "R6 multicore primitives" `Quick test_r6_multicore_primitives;

@@ -3,7 +3,7 @@
    (with pinned minimal counterexamples), replay determinism, and the
    pid-naming Window.validate diagnostics. *)
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Test_seed.to_alcotest
 
 module Menu = Mcheck.Menu
 module Explore = Mcheck.Explore

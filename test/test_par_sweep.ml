@@ -5,7 +5,7 @@
    cases where an off-by-one in chunking or worker count would hide
    (empty seed lists, zero budgets, sweeps where nothing terminates). *)
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Test_seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures.                                                    *)

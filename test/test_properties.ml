@@ -1,6 +1,6 @@
 (* Property-based tests (qcheck) on the library's core invariants. *)
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+let to_alcotest = Test_seed.to_alcotest
 
 (* --- randomness --- *)
 

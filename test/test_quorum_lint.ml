@@ -1,20 +1,28 @@
-(* The determinism lint's symbolic quorum-safety analyzer
-   (R16-R18).  Fixture twins per rule (flagged / clean)
-   typechecked in memory; agreement of the symbolic region with
-   [Thresholds.feasible] at the t = n/6 boundary; a run over the real
-   tree that must flag exactly the three !quorum registry mutants (each
-   by R16, R17 and R18) and nothing else; the extraction view of every
-   family's thresholds; and the static/dynamic cross-check — each
-   statically flagged mutant replays its pinned mcheck counterexample
-   to a real agreement violation, and the sound protocol survives the
-   identical schedule. *)
+(* The symbolic quorum-safety analyzer (R16-R18) over threshold
+   declarations.  Declaration twins per rule (flagged / clean) built
+   with [Quorums.override]; structural R17 fixture twins typechecked in
+   memory; every default declaration pinned to its closed-form
+   arithmetic (qcheck over n <= 200); agreement of the declared region
+   with [Thresholds.feasible] at the t = n/6 boundary; a run over the
+   real tree and the mcheck registry that must flag exactly the three
+   !quorum mutants (each by R16, R17 and R18) and nothing else; the
+   declared thresholds of every family in affine form; and the
+   static/dynamic cross-check — each statically flagged mutant replays
+   its pinned mcheck counterexample to a real agreement violation, and
+   the sound protocol survives the identical schedule. *)
 
 open Lintkit
+module Quorums = Protocols.Quorums
+module Symexpr = Protocols.Symexpr
 
 let rules_of ds = List.map (fun d -> Rules.id d.Rules.rule) ds
 
 let check_rules what expected ds =
   Alcotest.(check (list string)) what expected (rules_of ds)
+
+let lint decls =
+  Quorum_lint.check_declarations
+    (List.map (fun decl -> { Quorum_lint.decl; claim = None }) decls)
 
 let quorum_diags ~path source =
   match Quorum_lint.check_source ~path source with
@@ -27,49 +35,15 @@ let contains haystack needle =
   Option.is_some (Rules.find_substring haystack needle 0)
 
 (* ------------------------------------------------------------------ *)
-(* R16/R17 fixtures: a minimal Ben-Or-shaped module (the path makes
-   bare [protocol] applications Ben-Or construction sites), one sound
-   and one with the decide quorum lowered to 1.                        *)
+(* R16/R17 declaration twins: Ben-Or's declaration, sound and with the
+   decide quorum lowered.                                              *)
 
-let ben_or_fixture ?(default = "t + 1") ~site () =
-  Printf.sprintf
-    {|type state = { n : int; fault_bound : int; decide_at : int }
-type props = { byzantine_resilience : int -> int }
-type t = { init : n:int -> t:int -> state; props : props }
-
-let wait_quorum state = state.n - state.fault_bound
-
-let fresh ?decide_at ~n ~t () =
-  {
-    n;
-    fault_bound = t;
-    decide_at = (match decide_at with None -> %s | Some d -> d);
-  }
-
-let finish_propose_phase state tally =
-  ignore (wait_quorum state);
-  if tally >= state.decide_at then Some true else None
-
-let protocol ?decide_quorum () =
-  {
-    init =
-      (fun ~n ~t ->
-        let decide_at = Option.map (fun f -> f ~n ~t) decide_quorum in
-        fresh ?decide_at ~n ~t ());
-    props = { byzantine_resilience = (fun n -> (n - 1) / 5) };
-  }
-
-%s
-|}
-    default site
+let ben_or_with changes =
+  Quorums.override Protocols.Ben_or.quorums ~name:"ben-or!fixture"
+    ~pos:__POS__ changes
 
 let test_r16_r17_mutant_site () =
-  let ds =
-    quorum_diags ~path:"lib/protocols/ben_or.ml"
-      (ben_or_fixture
-         ~site:"let _mutant = protocol ~decide_quorum:(fun ~n:_ ~t:_ -> 1) ()"
-         ())
-  in
+  let ds = lint [ ben_or_with [ ("decide_at", Symexpr.int_ 1) ] ] in
   check_rules "decide quorum of 1 breaks intersection and the decide gate"
     [ "R16"; "R17" ] ds;
   Alcotest.(check bool)
@@ -80,25 +54,118 @@ let test_r16_r17_mutant_site () =
     (contains (messages ds) "met by the fault set alone")
 
 let test_r16_r17_sound_twins () =
-  check_rules "sound site is clean" []
-    (quorum_diags ~path:"lib/protocols/ben_or.ml"
-       (ben_or_fixture ~site:"let _sound = protocol ()" ()));
+  check_rules "sound site is clean" [] (lint [ Protocols.Ben_or.quorums ]);
   check_rules "strengthened hook is clean" []
-    (quorum_diags ~path:"lib/protocols/ben_or.ml"
-       (ben_or_fixture
-          ~site:
-            "let _strong = protocol ~decide_quorum:(fun ~n:_ ~t -> (2 * t) + 1) ()"
-          ()))
+    (lint
+       [
+         ben_or_with
+           [ ("decide_at", Symexpr.(add (scale 2 t_) (int_ 1))) ];
+       ])
 
 let test_r16_bad_default () =
-  (* Lowering the *default* (no construction site needed) is also a
-     finding: the family's synthetic default check catches it. *)
-  let ds =
-    quorum_diags ~path:"lib/protocols/ben_or.ml"
-      (ben_or_fixture ~default:"t" ~site:"let _sound = protocol ()" ())
-  in
+  (* Lowering the declared default itself is also a finding. *)
+  let ds = lint [ ben_or_with [ ("decide_at", Symexpr.t_) ] ] in
   Alcotest.(check bool) "default of t fails decide >= t+1" true
     (List.mem "R16" (rules_of ds))
+
+(* ------------------------------------------------------------------ *)
+(* R17 structural twins: a gate comparing against inline arithmetic on
+   the instance parameters is flagged; reading the declared value is
+   clean.                                                              *)
+
+let gate_fixture bound =
+  Printf.sprintf
+    {|type thresholds = { decide_at : int }
+type state = { n : int; fault_bound : int; thresholds : thresholds }
+
+let finish_propose_phase state tally =
+  if tally >= %s then Some true else None
+|}
+    bound
+
+let test_r17_inline_gate_twins () =
+  let ds =
+    quorum_diags ~path:"lib/protocols/ben_or.ml"
+      (gate_fixture "state.n - state.fault_bound")
+  in
+  check_rules "inline bound: ungated decide and inline arithmetic"
+    [ "R17"; "R17" ] ds;
+  Alcotest.(check bool)
+    "R17 names the inline bound" true
+    (contains (messages ds) "computed inline from n, t or fault_bound");
+  check_rules "declared bound is clean" []
+    (quorum_diags ~path:"lib/protocols/ben_or.ml"
+       (gate_fixture "state.thresholds.decide_at"))
+
+(* ------------------------------------------------------------------ *)
+(* Every default declaration evaluates to today's closed forms, and the
+   values read from it agree.                                          *)
+
+let closed_forms =
+  let rbc =
+    [
+      ("rbc_echo_quorum", fun ~n ~t -> ((n + t) / 2) + 1);
+      ("rbc_ready_resend", fun ~n:_ ~t -> t + 1);
+      ("rbc_accept_quorum", fun ~n:_ ~t -> (2 * t) + 1);
+    ]
+  in
+  [
+    ( Protocols.Ben_or.quorums,
+      (fun n -> (n - 1) / 5),
+      [
+        ("decide_at", fun ~n:_ ~t -> t + 1); ("wait_quorum", fun ~n ~t -> n - t);
+      ] );
+    ( Protocols.Bracha.quorums,
+      (fun n -> (n - 1) / 3),
+      [
+        ("decide_at", fun ~n:_ ~t -> (2 * t) + 1);
+        ("adopt_at", fun ~n:_ ~t -> t + 1);
+        ("quorum", fun ~n ~t -> n - t);
+      ]
+      @ rbc );
+    (Protocols.Reliable_broadcast.quorums, (fun n -> (n - 1) / 3), rbc);
+    ( Protocols.Thresholds.quorums,
+      (fun n -> (n - 1) / 6),
+      [
+        ("t1", fun ~n ~t -> n - (2 * t));
+        ("t2", fun ~n ~t -> n - (2 * t));
+        ("t3", fun ~n ~t -> n - (3 * t));
+      ] );
+  ]
+
+let byzantine_resilience protocol n =
+  protocol.Dsim.Protocol.props.Dsim.Protocol.byzantine_resilience n
+
+let prop_closed_forms =
+  QCheck.Test.make ~count:200 ~name:"declarations evaluate to their closed forms"
+    QCheck.(int_range 1 200)
+    (fun n ->
+      List.for_all
+        (fun (decl, bound, keys) ->
+          let b = bound n in
+          Quorums.resilience decl ~n = b
+          && List.for_all
+               (fun t ->
+                 List.for_all
+                   (fun (key, f) -> Quorums.value decl ~n ~t key = f ~n ~t)
+                   keys)
+               (List.init (b + 1) Fun.id))
+        closed_forms
+      && byzantine_resilience (Protocols.Ben_or.protocol ()) n = (n - 1) / 5
+      && byzantine_resilience (Protocols.Bracha.protocol ()) n = (n - 1) / 3
+      && byzantine_resilience (Protocols.Rbc_once.protocol ()) n = (n - 1) / 3
+      &&
+      let b = Protocols.Thresholds.max_fault_bound ~n in
+      b = Quorums.resilience Protocols.Thresholds.quorums ~n
+      && List.for_all
+           (fun t ->
+             let value = Quorums.value Protocols.Thresholds.quorums ~n ~t in
+             Protocols.Thresholds.feasible ~n ~t
+             && Protocols.Thresholds.default ~n ~t
+                = { Protocols.Thresholds.t1 = value "t1"; t2 = value "t2";
+                    t3 = value "t3" })
+           (List.init (b + 1) Fun.id)
+      && not (Protocols.Thresholds.feasible ~n ~t:(b + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Region agreement with Theorem 4's calculus at t = n/6 +- 1.         *)
@@ -156,7 +223,7 @@ let find_root () =
   in
   up (Sys.getcwd ()) 5
 
-let real_units =
+let real_load =
   lazy
     (match find_root () with
     | None -> None
@@ -165,15 +232,19 @@ let real_units =
         if load.Cmt_loader.load_errors <> [] then
           Alcotest.failf "cmt load errors: %s"
             (String.concat "; " load.Cmt_loader.load_errors);
-        Some load.Cmt_loader.units)
+        Some load)
+
+let registry = Mcheck.Model.lint_entries
+
+let real_findings () =
+  Option.map (Quorum_lint.analyze registry) (Lazy.force real_load)
 
 let mutants = [ "ben-or!quorum-1"; "bracha!quorum-t"; "rbc!quorum-t" ]
 
 let test_real_tree_mutants_flagged () =
-  match Lazy.force real_units with
+  match real_findings () with
   | None -> ()
-  | Some units ->
-      let ds = Quorum_lint.analyze_units units in
+  | Some ds ->
       List.iter
         (fun d ->
           Alcotest.(check string)
@@ -194,10 +265,9 @@ let test_real_tree_mutants_flagged () =
         (List.length ds)
 
 let test_real_tree_sound_families_clean () =
-  match Lazy.force real_units with
+  match real_findings () with
   | None -> ()
-  | Some units ->
-      let ds = Quorum_lint.analyze_units units in
+  | Some ds ->
       List.iter
         (fun sound ->
           Alcotest.(check bool) (sound ^ " has no findings") false
@@ -207,54 +277,46 @@ let test_real_tree_sound_families_clean () =
         [ "ben-or:"; "bracha:"; "rbc:"; "lewko:" ]
 
 let test_real_tree_extractions () =
-  match Lazy.force real_units with
-  | None -> ()
-  | Some units ->
-      let extractions = Quorum_lint.extractions units in
-      let family key =
-        match
-          List.find_opt (fun e -> e.Quorum_lint.e_family = key) extractions
-        with
-        | Some e -> e
-        | None -> Alcotest.failf "family %s not extracted" key
-      in
-      let affine fam key =
-        match List.assoc_opt key fam.Quorum_lint.e_defaults with
-        | Some (Ok e) -> (
-            match Symexpr.as_affine e with
-            | Some a -> a
-            | None -> Alcotest.failf "%s not affine" key)
-        | Some (Error why) -> Alcotest.failf "%s: %s" key why
-        | None -> Alcotest.failf "no default for %s" key
-      in
-      (* Ben-Or: decide_at = t + 1, wait_quorum = n - t. *)
-      Alcotest.(check (triple int int int))
-        "ben-or decide_at" (0, 1, 1)
-        (affine (family "ben-or") "decide_at");
-      Alcotest.(check (triple int int int))
-        "ben-or wait_quorum" (1, -1, 0)
-        (affine (family "ben-or") "wait_quorum");
-      (* RBC accept quorum: 2t + 1. *)
-      Alcotest.(check (triple int int int))
-        "rbc accept quorum" (0, 2, 1)
-        (affine (family "rbc") "rbc_accept_quorum");
-      (* Lewko: Theorem 4's T3 = n - 3t, over the 6t < n region that
-         must agree with [Thresholds.feasible] at the boundary. *)
-      Alcotest.(check (triple int int int))
-        "lewko t3" (1, -3, 0)
-        (affine (family "lewko") "t3");
-      let lewko = family "lewko" in
-      for n = 7 to 40 do
-        let tb = Protocols.Thresholds.max_fault_bound ~n in
-        List.iter
-          (fun t ->
-            if t >= 0 then
-              Alcotest.(check bool)
-                (Printf.sprintf "lewko region n=%d t=%d" n t)
-                (Protocols.Thresholds.feasible ~n ~t)
-                (admits lewko.Quorum_lint.e_region ~n ~t))
-          [ tb; tb + 1 ]
-      done
+  let family key =
+    match List.find_opt (fun e -> e.Quorum_lint.decl.name = key) registry with
+    | Some e -> e.Quorum_lint.decl
+    | None -> Alcotest.failf "family %s not registered" key
+  in
+  let affine decl key =
+    match Symexpr.as_affine (Quorums.threshold decl key) with
+    | Some a -> a
+    | None -> Alcotest.failf "%s not affine" key
+  in
+  (* Ben-Or: decide_at = t + 1, wait_quorum = n - t. *)
+  Alcotest.(check (triple int int int))
+    "ben-or decide_at" (0, 1, 1)
+    (affine (family "ben-or") "decide_at");
+  Alcotest.(check (triple int int int))
+    "ben-or wait_quorum" (1, -1, 0)
+    (affine (family "ben-or") "wait_quorum");
+  (* RBC accept quorum: 2t + 1. *)
+  Alcotest.(check (triple int int int))
+    "rbc accept quorum" (0, 2, 1)
+    (affine (family "rbc") "rbc_accept_quorum");
+  (* Lewko: Theorem 4's T3 = n - 3t, over the 6t < n region that must
+     agree with [Thresholds.feasible] at the boundary. *)
+  Alcotest.(check (triple int int int))
+    "lewko t3" (1, -3, 0)
+    (affine (family "lewko") "t3");
+  let lewko =
+    Symexpr.[ ge (family "lewko").resilience t_; t_; ge n_ (int_ 1) ]
+  in
+  for n = 7 to 40 do
+    let tb = Protocols.Thresholds.max_fault_bound ~n in
+    List.iter
+      (fun t ->
+        if t >= 0 then
+          Alcotest.(check bool)
+            (Printf.sprintf "lewko region n=%d t=%d" n t)
+            (Protocols.Thresholds.feasible ~n ~t)
+            (admits lewko ~n ~t))
+      [ tb; tb + 1 ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Static/dynamic cross-check: each statically flagged mutant replays
@@ -272,10 +334,9 @@ let replay name ~inputs ~schedule f =
       f (Mcheck.Model.replay m opts ~inputs schedule)
 
 let test_static_verdicts_match_dynamic () =
-  (match Lazy.force real_units with
+  (match real_findings () with
   | None -> ()
-  | Some units ->
-      let ds = Quorum_lint.analyze_units units in
+  | Some ds ->
       List.iter
         (fun mutant ->
           Alcotest.(check bool) (mutant ^ " statically flagged") true
@@ -308,6 +369,9 @@ let suite =
     Alcotest.test_case "R16/R17 mutant site" `Quick test_r16_r17_mutant_site;
     Alcotest.test_case "R16/R17 sound twins" `Quick test_r16_r17_sound_twins;
     Alcotest.test_case "R16 bad default" `Quick test_r16_bad_default;
+    Alcotest.test_case "R17 inline gate bound twins" `Quick
+      test_r17_inline_gate_twins;
+    Test_seed.to_alcotest prop_closed_forms;
     Alcotest.test_case "region matches Thresholds.feasible" `Quick
       test_region_matches_feasible;
     Alcotest.test_case "region verdicts vs calculus" `Quick test_region_verdicts;

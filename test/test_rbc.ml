@@ -4,7 +4,8 @@
 
 module Rbc = Protocols.Reliable_broadcast
 
-let create ?(self = 0) () = Rbc.create ~n:7 ~t:2 ~self ~equal:String.equal ()
+let create ?(self = 0) () =
+  Rbc.create ~quorums:Rbc.quorums ~n:7 ~t:2 ~self ~equal:String.equal ()
 
 (* Expand lazy broadcast envelopes into the explicit (destination,
    message) pairs the engine would enqueue (n = 7 throughout). *)
@@ -173,7 +174,10 @@ let test_equivocation_safety () =
    once all traffic is flushed (totality). *)
 let simulate_equivocation ?(split = 3) ~seed () =
   let n = 7 and t = 2 in
-  let states = Array.init n (fun self -> Rbc.create ~n ~t ~self ~equal:String.equal ()) in
+  let states =
+    Array.init n (fun self ->
+        Rbc.create ~quorums:Rbc.quorums ~n ~t ~self ~equal:String.equal ())
+  in
   let rng = Prng.Stream.root seed in
   (* The corrupt origin (processor 6) sends Initial("v") to the first
      [split] processors and Initial("w") to the rest; everything else

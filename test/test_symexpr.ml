@@ -5,7 +5,7 @@
    qcheck differential proving [solve] agrees with brute force on
    box-bounded random systems. *)
 
-open Lintkit
+open Protocols
 
 let e_n = Symexpr.n_
 let e_t = Symexpr.t_
@@ -216,6 +216,6 @@ let suite =
       test_mutant_arithmetic;
     Alcotest.test_case "max/min splits and Theorem 4 boundary" `Quick
       test_max_min_and_theorem4;
-    QCheck_alcotest.to_alcotest diff_feasible;
-    QCheck_alcotest.to_alcotest diff_implies;
+    Test_seed.to_alcotest diff_feasible;
+    Test_seed.to_alcotest diff_implies;
   ]

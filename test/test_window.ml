@@ -194,5 +194,5 @@ let suite =
     Alcotest.test_case "hybrid" `Quick test_hybrid;
     Alcotest.test_case "hybrid endpoints" `Quick test_hybrid_endpoints;
     Alcotest.test_case "clamp edge" `Quick test_clamp_edge;
-    QCheck_alcotest.to_alcotest prop_of_masks_roundtrip;
+    Test_seed.to_alcotest prop_of_masks_roundtrip;
   ]
