@@ -303,7 +303,6 @@ let bcast_protocol ~all : (bcast_state, int) Dsim.Protocol.t =
     state_core = (fun s -> Printf.sprintf "b:%d:%d:%b" s.bid s.got s.armed);
     props = Dsim.Protocol.default_props;
     pp_message = (fun ppf m -> Format.pp_print_int ppf m);
-    pp_state = (fun ppf s -> Format.pp_print_int ppf s.got);
   }
 
 (* Eagerly-expanded twin: every [Step.Broadcast] becomes n explicit

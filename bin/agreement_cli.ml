@@ -8,7 +8,12 @@
    With --sweep COUNT the same (protocol, adversary) pair runs over
    COUNT consecutive seeds instead and the aggregate ensemble result is
    printed; -j spreads the sweep over domains without changing any
-   number in the output. *)
+   number in the output.
+
+   --trace prints every recorded event as one JSON Lines object (the
+   same lines --json writes after its summary line).  Exit codes: 0 =
+   the run or sweep finished, 2 = usage error (including any malformed
+   argument) or infeasible parameters. *)
 
 type protocol_choice = Lewko | Lewko_det | Ben_or | Bracha | Bracha_validated
 
@@ -17,8 +22,8 @@ let parse_inputs ~n = function
   | "ones" -> Array.make n true
   | "split" -> Array.init n (fun i -> i mod 2 = 0)
   | spec ->
-      if String.length spec = n then
-        Array.init n (fun i -> spec.[i] = '1')
+      if String.length spec = n && String.for_all (fun c -> c = '0' || c = '1') spec
+      then Array.init n (fun i -> spec.[i] = '1')
       else
         invalid_arg
           (Printf.sprintf "inputs must be zeros|ones|split or a %d-char bitstring" n)
@@ -54,7 +59,7 @@ let print_outcome name outcome =
 
 let print_trace config =
   List.iter
-    (fun event -> Format.printf "  %a@." Dsim.Trace.pp_event event)
+    (fun event -> print_endline (Dsim.Trace_export.event_to_json event))
     (Dsim.Trace.events (Dsim.Engine.trace config))
 
 let export_trace config = function
@@ -211,7 +216,9 @@ let budget_arg =
     & info [ "budget"; "b" ] ~doc:"Max windows (stepwise runs use 1000x steps).")
 
 let trace_arg =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
+  Arg.(
+    value & flag
+    & info [ "trace" ] ~doc:"Print the full event trace as JSON Lines.")
 
 let json_arg =
   Arg.(
@@ -237,12 +244,21 @@ let jobs_arg =
           "Domains used by --sweep.  The aggregate is bit-identical for \
            every value.")
 
+(* Unknown adversaries, bad input specs and infeasible (n, t) surface
+   as [Invalid_argument] from the lookups, the protocols and
+   [Engine.init]; all of them are usage errors. *)
 let run protocol_name adversary n t inputs_spec seed budget trace json sweep
     jobs =
-  if sweep > 0 then
-    run_sweep protocol_name ~jobs ~adversary ~n ~t ~inputs_spec ~seed
-      ~count:sweep ~budget
-  else run_single protocol_name adversary n t inputs_spec seed budget trace json
+  match
+    if sweep > 0 then
+      run_sweep protocol_name ~jobs ~adversary ~n ~t ~inputs_spec ~seed
+        ~count:sweep ~budget
+    else run_single protocol_name adversary n t inputs_spec seed budget trace json
+  with
+  | () -> 0
+  | exception Invalid_argument msg ->
+      Printf.eprintf "agreement_cli: %s\n" msg;
+      2
 
 let cmd =
   let doc = "Run one agreement execution under a chosen adversary" in
@@ -252,4 +268,13 @@ let cmd =
       const run $ protocol $ adversary $ n_arg $ t_arg $ inputs_arg $ seed_arg
       $ budget_arg $ trace_arg $ json_arg $ sweep_arg $ jobs_arg)
 
-let () = exit (Cmd.eval cmd)
+(* cmdliner reports a malformed argument as 124 and an uncaught
+   exception as 125; the documented contract says 2 for every usage
+   error. *)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

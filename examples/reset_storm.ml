@@ -39,7 +39,8 @@ let () =
   List.iter
     (fun event ->
       match event with
-      | Dsim.Trace.Decided _ -> Format.printf "  %a@." Dsim.Trace.pp_event event
+      | Dsim.Trace.Decided _ ->
+          Format.printf "  %s@." (Dsim.Trace_export.event_to_json event)
       | _ -> ())
     events;
   (* Audit the full trace: even under the storm, FIFO channels, causal

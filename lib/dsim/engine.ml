@@ -92,7 +92,6 @@ let step_index t = t.step_index
 let window_index t = t.window_index
 let trace t = t.trace
 let receive_depth t p = t.receive_depths.(p)
-let deliveries_tracked t = t.track_deliveries
 
 let recent_deliveries t p =
   List.map
@@ -122,14 +121,6 @@ let decision_conflict t =
   List.mem true values && List.mem false values
 
 let state_cores t = Array.map t.protocol.Protocol.state_core t.states
-
-let fingerprint t =
-  let b = Buffer.create (32 * t.n) in
-  for p = 0 to t.n - 1 do
-    if p > 0 then Buffer.add_char b '|';
-    Buffer.add_string b (t.protocol.Protocol.state_core t.states.(p))
-  done;
-  Buffer.contents b
 
 let config_fingerprint t =
   let b = Buffer.create (64 * t.n) in

@@ -67,9 +67,6 @@ val trace : ('s, 'm) t -> Trace.t
 val receive_depth : ('s, 'm) t -> int -> int
 (** Maximum causal depth among messages this processor has received. *)
 
-val deliveries_tracked : ('s, 'm) t -> bool
-(** Whether this configuration records the {!recent_deliveries} log. *)
-
 val recent_deliveries : ('s, 'm) t -> int -> string list
 (** Canonical "src:payload" strings of the messages delivered to this
     processor since its last message-emitting sending step (cleared by
@@ -92,15 +89,10 @@ val some_decided : ('s, 'm) t -> bool
 val decision_conflict : ('s, 'm) t -> bool
 (** Both a 0-output and a 1-output exist — a correctness violation. *)
 
-val fingerprint : ('s, 'm) t -> string
-(** Canonical digest of the per-processor states (via
-    [Protocol.state_core]); two configurations with equal fingerprints
-    agree on all decision-relevant processor memory.  Used by the
-    Hamming-distance machinery of the lower bound. *)
-
 val state_cores : ('s, 'm) t -> string array
-(** Per-processor canonical cores (coordinate projection of
-    {!fingerprint}); Hamming distance between configurations is
+(** Per-processor canonical cores (via [Protocol.state_core]): two
+    configurations with equal cores agree on all decision-relevant
+    processor memory.  Hamming distance between configurations is
     computed coordinate-wise on these. *)
 
 val config_fingerprint : ('s, 'm) t -> string

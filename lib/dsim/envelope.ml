@@ -7,7 +7,3 @@ type 'm t = {
   sent_at_step : int;
   sent_in_window : int;
 }
-
-let pp pp_payload ppf e =
-  Format.fprintf ppf "#%d %d->%d depth=%d {%a}" e.id e.src e.dst e.depth pp_payload
-    e.payload

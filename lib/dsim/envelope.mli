@@ -12,5 +12,3 @@ type 'm t = {
   sent_at_step : int;  (** Engine step index at which the send occurred. *)
   sent_in_window : int;  (** Window index at send time; [-1] outside windows. *)
 }
-
-val pp : (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit

@@ -1,9 +1,6 @@
 type props = {
   forgetful : bool;
   fully_communicative : bool;
-  crash_resilience : int -> int;
-  byzantine_resilience : int -> int;
-  reset_resilience : int -> int;
 }
 
 type ('s, 'm) t = {
@@ -21,18 +18,6 @@ type ('s, 'm) t = {
   state_core : 's -> string;
   props : props;
   pp_message : Format.formatter -> 'm -> unit;
-  pp_state : Format.formatter -> 's -> unit;
 }
 
-let default_props =
-  {
-    forgetful = false;
-    fully_communicative = false;
-    crash_resilience = (fun _ -> 0);
-    byzantine_resilience = (fun _ -> 0);
-    reset_resilience = (fun _ -> 0);
-  }
-
-let observe_default ~id ?(round = 1) ?(estimate = None) ?(output = None)
-    ?(input = false) ?(resets = 0) ?(phase = 0) () =
-  Obs.make ~id ~round ~estimate ~output ~input ~resets ~phase
+let default_props = { forgetful = false; fully_communicative = false }

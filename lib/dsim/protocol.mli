@@ -21,13 +21,6 @@ type props = {
   fully_communicative : bool;
       (** Declared: receiving the latest messages from [n - t]
           processors triggers a send to all [n] (Def. 16). *)
-  crash_resilience : int -> int;
-      (** Largest [t] tolerated against crash failures at a given [n]
-          ([0] when the protocol targets another model). *)
-  byzantine_resilience : int -> int;
-  reset_resilience : int -> int;
-      (** Largest per-window reset budget tolerated (strongly adaptive
-          model); [0] when resets are not supported. *)
 }
 
 type ('s, 'm) t = {
@@ -68,14 +61,9 @@ type ('s, 'm) t = {
           wise on these for the Hamming-distance machinery. *)
   props : props;
   pp_message : Format.formatter -> 'm -> unit;
-  pp_state : Format.formatter -> 's -> unit;
 }
 
 val default_props : props
-(** Conservative defaults: not forgetful, not fully communicative, zero
-    resilience everywhere. *)
-
-val observe_default :
-  id:int -> ?round:int -> ?estimate:bool option -> ?output:bool option ->
-  ?input:bool -> ?resets:int -> ?phase:int -> unit -> Obs.t
-(** Convenience constructor used by protocol implementations. *)
+(** Conservative defaults: not forgetful, not fully communicative.
+    Fault bounds are not protocol properties here: each family declares
+    its resilience in its [Protocols.Quorums.t]. *)

@@ -19,15 +19,3 @@ let expand ~n sends =
       | Unicast (dst, m) -> [ (dst, m) ]
       | Broadcast m -> List.init n (fun dst -> (dst, m)))
     sends
-
-let pp_send pp_payload ppf = function
-  | Unicast (dst, m) -> Format.fprintf ppf "p%d<={%a}" dst pp_payload m
-  | Broadcast m -> Format.fprintf ppf "*<={%a}" pp_payload m
-
-let pp pp_payload ppf = function
-  | Send p -> Format.fprintf ppf "send(p%d)" p
-  | Deliver id -> Format.fprintf ppf "deliver(#%d)" id
-  | Drop id -> Format.fprintf ppf "drop(#%d)" id
-  | Reset p -> Format.fprintf ppf "reset(p%d)" p
-  | Crash p -> Format.fprintf ppf "crash(p%d)" p
-  | Corrupt (id, m) -> Format.fprintf ppf "corrupt(#%d, %a)" id pp_payload m

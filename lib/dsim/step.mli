@@ -38,8 +38,3 @@ val expand : n:int -> 'm send list -> (int * 'm) list
     exact order the engine assigns message ids (broadcasts expand to
     dst [0 .. n-1] ascending).  O(total envelopes) — for analysis and
     tests, not the engine's hot path. *)
-
-val pp_send :
-  (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm send -> unit
-
-val pp : (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit

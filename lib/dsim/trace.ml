@@ -75,23 +75,3 @@ let decisions t = List.rev t.decisions_rev
 
 let first_decision t =
   match List.rev t.decisions_rev with [] -> None | d :: _ -> Some d
-
-let pp_event ppf = function
-  | Sent { src; dst; msg_id; depth } ->
-      Format.fprintf ppf "sent #%d %d->%d depth=%d" msg_id src dst depth
-  | Delivered { src; dst; msg_id; depth } ->
-      Format.fprintf ppf "delivered #%d %d->%d depth=%d" msg_id src dst depth
-  | Dropped { msg_id } -> Format.fprintf ppf "dropped #%d" msg_id
-  | Reset_done { pid } -> Format.fprintf ppf "reset p%d" pid
-  | Crashed { pid } -> Format.fprintf ppf "crashed p%d" pid
-  | Decided { pid; value; step; window; chain_depth } ->
-      Format.fprintf ppf "decided p%d=%d at step %d window %d chain %d" pid
-        (if value then 1 else 0)
-        step window chain_depth
-  | Window_closed { index } -> Format.fprintf ppf "window %d closed" index
-
-let pp ppf t =
-  Format.fprintf ppf
-    "sent=%d delivered=%d dropped=%d resets=%d crashes=%d windows=%d decisions=%d"
-    t.sent t.delivered t.dropped t.resets t.crashes t.windows_closed
-    (List.length t.decisions_rev)

@@ -47,6 +47,3 @@ val decisions : t -> (int * bool * int * int * int) list
     recorded, even when events are not. *)
 
 val first_decision : t -> (int * bool * int * int * int) option
-
-val pp_event : Format.formatter -> event -> unit
-val pp : Format.formatter -> t -> unit

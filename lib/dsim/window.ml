@@ -259,11 +259,3 @@ let is_fault_free w ~n =
   match w.body with
   | Uniform { size; _ } -> w.arity = 0 || size = n
   | Per { sizes; _ } -> Array.for_all (fun size -> size = n) sizes
-
-let pp ppf w =
-  let pp_list ppf l =
-    Format.fprintf ppf "{%a}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Format.pp_print_int) l
-  in
-  Format.fprintf ppf "@[<v>window: resets=%a@," pp_list w.resets;
-  Array.iteri (fun i s -> Format.fprintf ppf "  S_%d=%a@," i pp_list s) (to_lists w);
-  Format.fprintf ppf "@]"

@@ -13,8 +13,8 @@
     pids outside the packable range [0, {!mask_clamp}) ride in sorted
     side lists so behaviour stays exact at any pid.  The classic
     [int list array] view is a lazily-projected, memoized accessor
-    ({!to_lists}) consumed only by {!pp}, {!validate} error paths and
-    tests — {!allows}, {!receive_set_size} and the engine's delivery
+    ({!to_lists}) consumed only by {!validate} error paths, {!receive_set}
+    and tests — {!allows}, {!receive_set_size} and the engine's delivery
     loop never materialize a list.  Construct windows through {!make} /
     {!uniform} / {!hybrid} / {!of_masks}, which normalize the pid lists
     and derive the packed form. *)
@@ -81,4 +81,3 @@ val allows : t -> dst:int -> src:int -> bool
     matching {!receive_set}. *)
 
 val is_fault_free : t -> n:int -> bool
-val pp : Format.formatter -> t -> unit

@@ -22,8 +22,6 @@ let rec raw_components path =
 
 let path_components path = List.map normalize_component (raw_components path)
 
-let path_name path = String.concat "." (path_components path)
-
 (* "Stdlib.Hashtbl.replace" and "Hashtbl.replace" must hit the same
    primitive tables. *)
 let strip_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c

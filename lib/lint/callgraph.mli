@@ -33,9 +33,6 @@ val path_components : Path.t -> string list
 (** Flattened path with dune's [Lib__Module] mangling normalized away
     (["Dsim__Protocol.t"] -> [["Protocol"; "t"]]). *)
 
-val path_name : Path.t -> string
-(** [path_components] joined with dots. *)
-
 val stdlib_name : Path.t -> string
-(** Like {!path_name} with a leading ["Stdlib."] stripped, so
-    primitive tables match both spellings. *)
+(** [path_components] joined with dots, a leading ["Stdlib."] stripped
+    so primitive tables match both spellings. *)

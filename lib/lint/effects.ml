@@ -10,8 +10,6 @@ let kind_id = function
   | Io d -> "io: " ^ d
   | Raise d -> "raise: " ^ d
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_id k)
-
 let default_exempt_modules = [ "Stream"; "Splitmix" ]
 
 (* ------------------------------------------------------------------ *)

@@ -35,8 +35,6 @@ type finding = {
 val kind_id : kind -> string
 (** Stable human-readable key, also used for deduplication. *)
 
-val pp_kind : Format.formatter -> kind -> unit
-
 val default_exempt_modules : string list
 (** [["Stream"; "Splitmix"]]. *)
 

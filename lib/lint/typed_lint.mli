@@ -33,7 +33,7 @@
 type config = {
   pure_fields : string list;
       (** [Protocol.t] fields whose values must be effect-free.
-          Pretty-printers ([pp_message], [pp_state]) and metadata are
+          The pretty-printer ([pp_message]) and metadata are
           deliberately absent. *)
   raise_allowlist : string list;
       (** Exception constructors a transition may raise (defaults:

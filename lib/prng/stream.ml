@@ -2,8 +2,6 @@ type t = Splitmix.t
 
 let root seed = Splitmix.create (Splitmix.int64_seed_of_int seed)
 
-let of_seed64 = Splitmix.create
-
 (* Derivation is by value, not by consuming the parent: we mix the
    parent's current state with the index so that deriving index [i] is a
    pure function of (parent state, i). *)

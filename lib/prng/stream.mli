@@ -13,8 +13,6 @@ type t
 val root : int -> t
 (** [root seed] is the root stream of an experiment. *)
 
-val of_seed64 : int64 -> t
-
 val derive : t -> int -> t
 (** [derive t i] is the [i]-th child stream; deriving the same index
     twice from streams in the same state yields identical children. *)

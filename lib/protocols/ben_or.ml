@@ -231,8 +231,6 @@ let pp_message ppf = function
       Format.fprintf ppf "P(%d,%s)" round
         (match value with None -> "?" | Some true -> "1" | Some false -> "0")
 
-let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
-
 let protocol ?(name = "ben-or") ?(quorums = quorums) () =
   {
     Dsim.Protocol.name = name;
@@ -258,21 +256,6 @@ let protocol ?(name = "ben-or") ?(quorums = quorums) () =
         | Report r -> Some (Report { r with value = bit })
         | Propose p -> Some (Propose { p with value = Some bit }));
     state_core;
-    props =
-      {
-        Dsim.Protocol.forgetful = true;
-        fully_communicative = true;
-        crash_resilience = (fun n -> (n - 1) / 2);
-        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
-        reset_resilience = (fun _ -> 0);
-      };
+    props = { Dsim.Protocol.forgetful = true; fully_communicative = true };
     pp_message;
-    pp_state;
   }
-
-let round_of_state state = state.round
-
-let phase_of_state state =
-  match state.phase with Report_wait -> `Report | Propose_wait -> `Propose
-
-let estimate_of_state state = state.x

@@ -23,7 +23,7 @@ val quorums : Quorums.t
 (** The family's threshold declaration: [decide_at = t + 1] matching
     proposals, [wait_quorum = n - t] messages per phase, under the
     Byzantine resilience bound [t <= (n - 1) / 5] that
-    [props.byzantine_resilience] reports. *)
+    [Quorums.resilience Ben_or.quorums] reports. *)
 
 val protocol :
   ?name:string ->
@@ -31,14 +31,9 @@ val protocol :
   unit ->
   (state, message) Dsim.Protocol.t
 (** Resets are handled by restarting from the input bit (the protocol
-    is not designed for the resetting model; its [reset_resilience] is
-    0, and E1 measures what actually happens).
+    is not designed for the resetting model and tolerates no resets;
+    E1 measures what actually happens).
 
     [quorums] replaces the declaration above — the mutation-testing
     hook for the model checker's negative suite (build it with
     {!Quorums.override}); give the mutant a distinct [name]. *)
-
-(* White-box accessors for tests. *)
-val round_of_state : state -> int
-val phase_of_state : state -> [ `Report | `Propose ]
-val estimate_of_state : state -> bool

@@ -315,8 +315,6 @@ let pp_message ppf = function
   | Reliable_broadcast.Ready { origin; tag; payload } ->
       Format.fprintf ppf "ready[%d@%d]%a" tag origin pp_vote payload
 
-let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
-
 let rewrite_vote vote bit =
   match vote with Val _ -> Val bit | Dec _ -> Dec bit
 
@@ -367,19 +365,8 @@ let protocol ?(validated = false) ?name ?(quorums = quorums) () =
         | Reliable_broadcast.Ready r ->
             Some (Reliable_broadcast.Ready { r with payload = rewrite_vote r.payload bit }));
     state_core;
-    props =
-      {
-        Dsim.Protocol.forgetful = false;
-        fully_communicative = false;
-        crash_resilience = (fun n -> (n - 1) / 3);
-        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
-        reset_resilience = (fun _ -> 0);
-      };
+    props = { Dsim.Protocol.forgetful = false; fully_communicative = false };
     pp_message;
-    pp_state;
   }
 
-let round_of_state state = state.round
-let phase_of_state state = state.phase
-let estimate_of_state state = state.x
 let quarantined_count state = List.length state.quarantine

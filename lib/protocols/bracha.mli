@@ -39,7 +39,7 @@ type state
 
 val quorums : Quorums.t
 (** The family's threshold declaration, under the resilience bound
-    [t <= (n - 1) / 3] that [props.byzantine_resilience] reports:
+    [t <= (n - 1) / 3] that [Quorums.resilience Bracha.quorums] reports:
     [decide_at = 2t + 1] matching [Dec v], [adopt_at = t + 1],
     [quorum = n - t] accepted votes per phase, and the three [rbc_*]
     keys of {!Reliable_broadcast.quorums}. *)
@@ -63,8 +63,5 @@ val quarantined_count : state -> int
 (** Accepted-but-unjustified votes currently held back (always 0 when
     the protocol was built without validation). *)
 
-(* White-box accessors for tests. *)
-val round_of_state : state -> int
-val phase_of_state : state -> int
-val estimate_of_state : state -> bool
+(* White-box accessor for tests. *)
 val tag_of : round:int -> phase:int -> int

@@ -124,13 +124,3 @@ let consistent report =
   in
   ok report.declared_forgetful report.forgetful
   && ok report.declared_fully_communicative report.fully_communicative
-
-let pp_verdict ppf = function
-  | No_counterexample trials -> Format.fprintf ppf "no counterexample (%d checks)" trials
-  | Counterexample w -> Format.fprintf ppf "counterexample: %s" w
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%s:@,  forgetful: declared=%b, %a@,  fully communicative: declared=%b, %a@]"
-    r.protocol_name r.declared_forgetful pp_verdict r.forgetful
-    r.declared_fully_communicative pp_verdict r.fully_communicative

@@ -46,5 +46,3 @@ val consistent : report -> bool
 (** Declared properties are not contradicted by the dynamic evidence:
     a declared-true property found a counterexample means [false];
     everything else is consistent. *)
-
-val pp_report : Format.formatter -> report -> unit

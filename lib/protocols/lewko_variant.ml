@@ -152,9 +152,6 @@ let state_core state =
 let pp_message ppf (m : message) =
   Format.fprintf ppf "(%d,%d)" m.round (if m.value then 1 else 0)
 
-let pp_state ppf state =
-  Format.fprintf ppf "%a" Dsim.Obs.pp (observe state)
-
 let protocol ?thresholds ?(coin = Prng.Stream.bool) () =
   {
     Dsim.Protocol.name = "lewko-variant";
@@ -174,22 +171,8 @@ let protocol ?thresholds ?(coin = Prng.Stream.bool) () =
     message_origin = (fun _ -> None);
     rewrite_bit = (fun m value -> Some { m with value });
     state_core;
-    props =
-      {
-        Dsim.Protocol.forgetful = true;
-        fully_communicative = true;
-        crash_resilience = (fun n -> Thresholds.max_fault_bound ~n);
-        byzantine_resilience = (fun _ -> 0);
-        reset_resilience = (fun n -> Thresholds.max_fault_bound ~n);
-      };
+    props = { Dsim.Protocol.forgetful = true; fully_communicative = true };
     pp_message;
-    pp_state;
   }
-
-let round_of_state state =
-  match state.mode with Normal -> state.round | Recovering -> -1
-
-let estimate_of_state state =
-  match state.mode with Normal -> Some state.x | Recovering -> None
 
 let pending_votes state ~round = Tally.count (tally_for state round)

@@ -39,9 +39,5 @@ val protocol :
 
 (* Exposed for white-box tests. *)
 
-val round_of_state : state -> int
-(** Current round; [-1] while recovering from a reset. *)
-
-val estimate_of_state : state -> bool option
 val pending_votes : state -> round:int -> int
 (** Distinct votes collected so far for the given round. *)

@@ -95,8 +95,6 @@ let pp_message ppf = function
   | Reliable_broadcast.Ready { origin; tag; payload } ->
       Format.fprintf ppf "ready[%d@%d]%a" tag origin pp_payload payload
 
-let pp_state ppf state = Dsim.Obs.pp ppf (observe state)
-
 let protocol ?(name = "rbc-once") ?(origin = 0)
     ?(quorums = Reliable_broadcast.quorums) () =
   {
@@ -135,16 +133,6 @@ let protocol ?(name = "rbc-once") ?(origin = 0)
         | Reliable_broadcast.Ready r ->
             Some (Reliable_broadcast.Ready { r with payload = bit }));
     state_core;
-    props =
-      {
-        Dsim.Protocol.forgetful = false;
-        fully_communicative = false;
-        crash_resilience = (fun n -> (n - 1) / 3);
-        byzantine_resilience = (fun n -> Quorums.resilience quorums ~n);
-        reset_resilience = (fun _ -> 0);
-      };
+    props = { Dsim.Protocol.forgetful = false; fully_communicative = false };
     pp_message;
-    pp_state;
   }
-
-let origin_of_state state = state.origin

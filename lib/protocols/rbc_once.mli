@@ -25,8 +25,6 @@ val protocol :
   unit ->
   (state, message) Dsim.Protocol.t
 (** [quorums] (default {!Reliable_broadcast.quorums}, whose resilience
-    bound [props.byzantine_resilience] reports) is the mutation-testing
-    hook: a declaration with weakened [rbc_*] thresholds, forwarded to
-    {!Reliable_broadcast.create}.  Give mutants a distinct [name]. *)
-
-val origin_of_state : state -> int
+    bound [Quorums.resilience Reliable_broadcast.quorums] reports) is
+    the mutation-testing hook: a declaration with weakened [rbc_*]
+    thresholds, forwarded to {!Reliable_broadcast.create}.  Give mutants a distinct [name]. *)

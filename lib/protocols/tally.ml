@@ -16,15 +16,6 @@ let add t ~src value =
 let count t = t.zeros + t.ones
 let count_value t value = if value then t.ones else t.zeros
 
-let majority_value t =
-  if t.ones > t.zeros then Some true else if t.zeros > t.ones then Some false else None
-
-let best_value t =
-  if count t = 0 then None
-  else if t.ones > t.zeros then Some (true, t.ones)
-  else Some (false, t.zeros)
-
-let has_src t src = Int_map.mem src t.votes
 let srcs t = List.map fst (Int_map.bindings t.votes)
 
 let fingerprint t =

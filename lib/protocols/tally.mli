@@ -19,14 +19,6 @@ val count : t -> int
 val count_value : t -> bool -> int
 (** Votes for a specific bit. *)
 
-val majority_value : t -> bool option
-(** The bit with strictly more votes than its complement, if any. *)
-
-val best_value : t -> (bool * int) option
-(** The bit with the most votes and its count (ties broken toward
-    [false] for determinism); [None] when empty. *)
-
-val has_src : t -> int -> bool
 val srcs : t -> int list
 val fingerprint : t -> string
 (** Canonical string, for state serialization. *)

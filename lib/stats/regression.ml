@@ -31,7 +31,3 @@ let loglog points =
       points
   in
   linear usable
-
-let pp_fit ppf f =
-  Format.fprintf ppf "slope=%.4f intercept=%.4f r2=%.4f (n=%d)" f.slope f.intercept
-    f.r_squared f.n_points

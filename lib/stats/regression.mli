@@ -22,5 +22,3 @@ val log2_linear : (float * float) list -> fit
 val loglog : (float * float) list -> fit
 (** Fit [log2 y = slope * log2 x + intercept]; drops non-positive
     coordinates.  For polynomial data the slope recovers the degree. *)
-
-val pp_fit : Format.formatter -> fit -> unit

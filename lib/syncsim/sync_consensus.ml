@@ -37,5 +37,3 @@ let protocol =
     output;
     estimate = (fun state -> state.x);
   }
-
-let round_of_state state = state.round

@@ -20,5 +20,3 @@
 type state
 
 val protocol : (state, bool) Sync_engine.protocol
-
-val round_of_state : state -> int

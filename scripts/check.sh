@@ -11,6 +11,35 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+test_budget_s=90
+echo "check: per-suite test time (budget ${test_budget_s} s total)"
+# Each alcotest suite runs alone so its wall time can be attributed.
+# Only the total is gated, at about twice the 39.5 s the whole suite
+# took on a 2-core Intel Xeon when the budget was set; a suite that
+# grows past its share shows up in the table first.
+suite_times=$(mktemp)
+for suite in $(cd _build/default/test && ./test_main.exe list | awk '{print $1}' | uniq); do
+  start=$(date +%s%N)
+  if ! (cd _build/default/test && ./test_main.exe test "^$suite\$") > /dev/null 2>&1; then
+    echo "check: FAIL — test suite $suite failed when run alone" >&2
+    rm -f "$suite_times"
+    exit 1
+  fi
+  end=$(date +%s%N)
+  echo "$suite $(( (end - start) / 1000000 ))" >> "$suite_times"
+done
+if sort -k2 -n -r "$suite_times" | awk -v budget="$test_budget_s" '
+     { printf "  %-18s %7.2f s\n", $1, $2 / 1000; total += $2 }
+     END { printf "  %-18s %7.2f s\n", "total", total / 1000;
+           exit (total > budget * 1000) }'; then
+  echo "check: test suites within the ${test_budget_s} s budget"
+  rm -f "$suite_times"
+else
+  echo "check: FAIL — test suites took longer than ${test_budget_s} s in total" >&2
+  rm -f "$suite_times"
+  exit 1
+fi
+
 echo "check: qcheck properties under a fresh seed"
 # dune runtest draws every property's cases from the fixed seed in
 # test/test_seed.ml, so two runs agree; this rerun of the suites that
@@ -240,6 +269,34 @@ expect 2 "$mcheck" --protocol bracha -n 3 -t 1 --format xml
 expect 2 "$mcheck" --protocol bracha -n 3 -t 1 --order dfs  # no such flag
 expect 2 "$mcheck" --protocol bracha -n notint -t 1
 echo "check: mcheck exit-code matrix ok (0 safe / 1 violation / 2 error)"
+
+echo "check: agreement_cli exit codes and trace rendering"
+# Same contract as mcheck: 0 = the run finished, 2 = usage error or
+# infeasible parameters, never cmdliner's 124/125.
+cli="_build/default/bin/agreement_cli.exe"
+expect 0 "$cli" -p bracha -a benign -n 4 -t 1 --inputs 0110
+expect 2 "$cli" -a nosuch
+expect 2 "$cli" -n 0
+expect 2 "$cli" -n 5 -t 9
+expect 2 "$cli" -n 3 -t 0 --inputs 0101
+expect 2 "$cli" -n -3
+expect 2 "$cli" -n 3 -t 0 --inputs 01x
+# --trace prints JSON Lines, the one event rendering: its event lines
+# must be exactly the events --json writes after the summary line.
+trace_dir=$(mktemp -d)
+"$cli" -p lewko -a reset-random -n 7 -t 1 --trace --json "$trace_dir/trace.jsonl" \
+  > "$trace_dir/stdout"
+grep '^{' "$trace_dir/stdout" > "$trace_dir/printed"
+tail -n +2 "$trace_dir/trace.jsonl" > "$trace_dir/written"
+if [ -s "$trace_dir/printed" ] && cmp -s "$trace_dir/printed" "$trace_dir/written"; then
+  echo "check: --trace prints the $(wc -l < "$trace_dir/printed") event lines --json writes"
+else
+  echo "check: FAIL — --trace output differs from the --json event lines" >&2
+  diff "$trace_dir/printed" "$trace_dir/written" | head -20 >&2 || true
+  rm -rf "$trace_dir"
+  exit 1
+fi
+rm -rf "$trace_dir"
 
 # The pinned deep counterexample: the all-quorums-at-t Bracha mutant
 # must conflict on the 9-window equivocation replay, and sound Bracha

@@ -197,11 +197,11 @@ let test_lookahead_custom_candidates () =
 
 let test_lookahead_does_not_mutate () =
   let config = make_config ~n:7 ~t:1 () in
-  let before = Dsim.Engine.fingerprint config in
+  let before = Test_cores.joined config in
   let strategy = Adversary.Lookahead.windowed ~samples:3 ~horizon:2 ~seed:3 () in
   ignore (strategy config);
   Alcotest.(check string) "configuration untouched by lookahead" before
-    (Dsim.Engine.fingerprint config)
+    (Test_cores.joined config)
 
 let test_split_brain_freezes_deterministic () =
   (* The FLP demonstration as a regression test: pinned coin + the

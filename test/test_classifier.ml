@@ -85,7 +85,6 @@ let memoryful : (memoryful_state, string) Dsim.Protocol.t =
     state_core = (fun s -> Printf.sprintf "%d:%d" s.id s.lifetime_received);
     props = Dsim.Protocol.default_props;
     pp_message = (fun ppf m -> Format.pp_print_string ppf m);
-    pp_state = (fun ppf s -> Format.pp_print_int ppf s.id);
   }
 
 let test_memoryful_detected () =

@@ -60,7 +60,6 @@ let toy : (toy_state, string) Dsim.Protocol.t =
              (List.map (fun (src, m) -> Printf.sprintf "%d-%s" src m) s.received)));
     props = Dsim.Protocol.default_props;
     pp_message = (fun ppf m -> Format.pp_print_string ppf m);
-    pp_state = (fun ppf s -> Format.pp_print_int ppf s.id);
   }
 
 let make ?(n = 3) ?(t = 1) ?(inputs = [| true; false; true |]) ?(seed = 1)
@@ -228,7 +227,7 @@ let test_copy_isolation () =
     (Dsim.Mailbox.size (Dsim.Engine.mailbox config));
   Alcotest.(check int) "original resets intact" 0 (Dsim.Engine.reset_count config 2);
   Alcotest.(check bool) "fingerprints diverged" true
-    (Dsim.Engine.fingerprint config <> Dsim.Engine.fingerprint fork)
+    (Test_cores.joined config <> Test_cores.joined fork)
 
 let test_determinism () =
   let run seed =
@@ -242,7 +241,7 @@ let test_determinism () =
       (Dsim.Runner.run_windows config
          ~strategy:(Adversary.Split_vote.windowed ())
          ~max_windows:300 ~stop:`First_decision);
-    Dsim.Engine.fingerprint config
+    Test_cores.joined config
   in
   Alcotest.(check string) "same seed, same execution" (run 11) (run 11);
   Alcotest.(check bool) "different seed, different execution" true (run 11 <> run 12)
@@ -258,7 +257,7 @@ let test_reseed_changes_coins () =
       (Dsim.Runner.run_windows config
          ~strategy:(Adversary.Split_vote.windowed ())
          ~max_windows:50 ~stop:`Never);
-    Dsim.Engine.fingerprint config
+    Test_cores.joined config
   in
   let replay = run (Dsim.Engine.copy base) in
   let replay2 = run (Dsim.Engine.copy base) in

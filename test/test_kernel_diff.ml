@@ -460,7 +460,7 @@ let configs_agree fast slow =
       Dsim.Trace.resets tr,
       Dsim.Engine.step_index c )
   in
-  String.equal (Dsim.Engine.fingerprint fast) (Dsim.Engine.fingerprint slow)
+  String.equal (Test_cores.joined fast) (Test_cores.joined slow)
   && pending fast = pending slow
   && counters fast = counters slow
 
@@ -572,7 +572,7 @@ let prop_lazy_vs_eager_broadcast =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* The recent-deliveries gate: off by default, free of side effects.   *)
+(* The recent-deliveries gate: off records nothing, on perturbs nothing. *)
 
 let test_delivery_tracking_gate () =
   let protocol = Protocols.Ben_or.protocol () in
@@ -589,10 +589,6 @@ let test_delivery_tracking_gate () =
   in
   let off = run ~track_deliveries:false in
   let on = run ~track_deliveries:true in
-  Alcotest.(check bool) "gate off by default" false
-    (Dsim.Engine.deliveries_tracked off);
-  Alcotest.(check bool) "gate on when asked" true
-    (Dsim.Engine.deliveries_tracked on);
   for p = 0 to 4 do
     Alcotest.(check (list string))
       (Printf.sprintf "untracked log empty for p%d" p)
@@ -604,7 +600,7 @@ let test_delivery_tracking_gate () =
        (fun p -> not (List.is_empty (Dsim.Engine.recent_deliveries on p)))
        [ 0; 1; 2; 3; 4 ]);
   Alcotest.(check string) "tracking does not perturb the execution"
-    (Dsim.Engine.fingerprint off) (Dsim.Engine.fingerprint on)
+    (Test_cores.joined off) (Test_cores.joined on)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned executions: fingerprint digests, step and window counts
@@ -623,8 +619,8 @@ let windowed_pin ?record_events ~protocol ~n ~t ~seed ~max_windows strategy =
   in
   ( outcome.Dsim.Runner.steps,
     outcome.Dsim.Runner.windows,
-    Digest.to_hex (Digest.string (Dsim.Engine.fingerprint config)),
-    Dsim.Engine.fingerprint config,
+    Digest.to_hex (Digest.string (Test_cores.joined config)),
+    Test_cores.joined config,
     Dsim.Engine.trace config )
 
 let stepwise_pin ~protocol ~n ~t ~seed ~max_steps strategy =
@@ -636,7 +632,7 @@ let stepwise_pin ~protocol ~n ~t ~seed ~max_steps strategy =
     Dsim.Runner.run_steps config ~strategy ~max_steps ~stop:`First_decision
   in
   ( outcome.Dsim.Runner.steps,
-    Digest.to_hex (Digest.string (Dsim.Engine.fingerprint config)) )
+    Digest.to_hex (Digest.string (Test_cores.joined config)) )
 
 let check_pin name (exp_steps, exp_windows, exp_md5) (steps, windows, md5, _fp, _trace) =
   Alcotest.(check int) (name ^ " steps") exp_steps steps;

@@ -11,6 +11,11 @@ let init ?(input = true) ?(id = 0) () =
 
 let deliver state ~src message = protocol.Dsim.Protocol.on_deliver state ~src message (rng ())
 
+(* Round and estimate as [observe] reports them: round -1 and no
+   estimate while recovering from a reset. *)
+let round_of state = (protocol.Dsim.Protocol.observe state).Dsim.Obs.round
+let estimate_of state = (protocol.Dsim.Protocol.observe state).Dsim.Obs.estimate
+
 let vote round value = { Protocols.Lewko_variant.round; value }
 
 let feed state votes =
@@ -31,7 +36,7 @@ let test_init_broadcasts () =
       Alcotest.(check int) "round 1" 1 m.Protocols.Lewko_variant.round;
       Alcotest.(check bool) "carries input" true m.Protocols.Lewko_variant.value)
     messages;
-  Alcotest.(check int) "round 1" 1 (Protocols.Lewko_variant.round_of_state state)
+  Alcotest.(check int) "round 1" 1 (round_of state)
 
 let test_outgoing_idempotent () =
   let state = init () in
@@ -44,7 +49,7 @@ let test_waits_for_t1 () =
   let state = init () in
   let state = feed state [ (1, 1, true); (2, 1, true); (3, 1, true); (4, 1, true) ] in
   Alcotest.(check int) "still round 1 after 4 votes" 1
-    (Protocols.Lewko_variant.round_of_state state);
+    (round_of state);
   Alcotest.(check int) "pending count" 4
     (Protocols.Lewko_variant.pending_votes state ~round:1)
 
@@ -56,7 +61,7 @@ let test_decides_at_t2 () =
   in
   Alcotest.(check bool) "decided 1" true (protocol.Dsim.Protocol.output state = Some true);
   Alcotest.(check int) "advanced to round 2" 2
-    (Protocols.Lewko_variant.round_of_state state);
+    (round_of state);
   (* The round-2 vote is queued. *)
   let _, messages = drain state in
   Alcotest.(check int) "round-2 broadcast" 7 (List.length messages);
@@ -73,7 +78,7 @@ let test_adopts_at_t3_without_deciding () =
   in
   Alcotest.(check bool) "no decision" true (protocol.Dsim.Protocol.output state = None);
   Alcotest.(check bool) "adopted majority deterministically" true
-    (Protocols.Lewko_variant.estimate_of_state state = Some true)
+    (estimate_of state = Some true)
 
 let test_coin_on_balance () =
   (* 3/2 split is below T3 on both sides: the estimate must come from
@@ -89,7 +94,7 @@ let test_coin_on_balance () =
         state
         [ (1, true); (2, true); (3, true); (4, false); (5, false) ]
     in
-    match Protocols.Lewko_variant.estimate_of_state state with
+    match estimate_of state with
     | Some v -> outcomes := v :: !outcomes
     | None -> Alcotest.fail "expected an estimate"
   done;
@@ -112,7 +117,7 @@ let test_old_round_votes_ignored () =
   in
   (* Now in round 2; a late round-1 vote must not count anywhere. *)
   let state = feed state [ (6, 1, false) ] in
-  Alcotest.(check int) "round unchanged" 2 (Protocols.Lewko_variant.round_of_state state);
+  Alcotest.(check int) "round unchanged" 2 (round_of state);
   Alcotest.(check int) "no round-1 tally kept" 0
     (Protocols.Lewko_variant.pending_votes state ~round:1)
 
@@ -128,18 +133,18 @@ let test_future_round_votes_buffered () =
     feed state
       [ (1, 1, true); (2, 1, true); (3, 1, true); (4, 1, true); (5, 1, true) ]
   in
-  Alcotest.(check int) "round 2 now" 2 (Protocols.Lewko_variant.round_of_state state);
+  Alcotest.(check int) "round 2 now" 2 (round_of state);
   let state = feed state [ (5, 2, true) ] in
   Alcotest.(check int) "round 3 after 5th future vote" 3
-    (Protocols.Lewko_variant.round_of_state state)
+    (round_of state)
 
 let test_reset_and_recovery () =
   let state = init () in
   let state = protocol.Dsim.Protocol.on_reset state in
   Alcotest.(check int) "recovering round" (-1)
-    (Protocols.Lewko_variant.round_of_state state);
+    (round_of state);
   Alcotest.(check bool) "no estimate while recovering" true
-    (Protocols.Lewko_variant.estimate_of_state state = None);
+    (estimate_of state = None);
   let obs = protocol.Dsim.Protocol.observe state in
   Alcotest.(check int) "reset counter" 1 obs.Dsim.Obs.resets;
   (* A recovering processor sends nothing. *)
@@ -152,9 +157,9 @@ let test_reset_and_recovery () =
       [ (1, 5, true); (2, 5, true); (3, 5, true); (4, 5, true); (5, 5, false) ]
   in
   Alcotest.(check int) "recovered to round 6" 6
-    (Protocols.Lewko_variant.round_of_state state);
+    (round_of state);
   Alcotest.(check bool) "estimate adopted" true
-    (Protocols.Lewko_variant.estimate_of_state state = Some true);
+    (estimate_of state = Some true);
   let _, messages = drain state in
   Alcotest.(check int) "resumes broadcasting" 7 (List.length messages)
 

@@ -339,7 +339,7 @@ let prop_engine_determinism =
           (Dsim.Runner.run_windows config
              ~strategy:(Adversary.Split_vote.windowed ())
              ~max_windows:200 ~stop:`First_decision);
-        Dsim.Engine.fingerprint config
+        Test_cores.joined config
       in
       run () = run ())
 

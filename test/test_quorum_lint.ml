@@ -133,9 +133,6 @@ let closed_forms =
       ] );
   ]
 
-let byzantine_resilience protocol n =
-  protocol.Dsim.Protocol.props.Dsim.Protocol.byzantine_resilience n
-
 let prop_closed_forms =
   QCheck.Test.make ~count:200 ~name:"declarations evaluate to their closed forms"
     QCheck.(int_range 1 200)
@@ -151,9 +148,6 @@ let prop_closed_forms =
                    keys)
                (List.init (b + 1) Fun.id))
         closed_forms
-      && byzantine_resilience (Protocols.Ben_or.protocol ()) n = (n - 1) / 5
-      && byzantine_resilience (Protocols.Bracha.protocol ()) n = (n - 1) / 3
-      && byzantine_resilience (Protocols.Rbc_once.protocol ()) n = (n - 1) / 3
       &&
       let b = Protocols.Thresholds.max_fault_bound ~n in
       b = Quorums.resilience Protocols.Thresholds.quorums ~n

@@ -2,10 +2,7 @@
 
 let test_empty () =
   Alcotest.(check int) "count" 0 (Protocols.Tally.count Protocols.Tally.empty);
-  Alcotest.(check bool) "no majority" true
-    (Protocols.Tally.majority_value Protocols.Tally.empty = None);
-  Alcotest.(check bool) "no best" true
-    (Protocols.Tally.best_value Protocols.Tally.empty = None)
+  Alcotest.(check (list int)) "no srcs" [] (Protocols.Tally.srcs Protocols.Tally.empty)
 
 let test_counting () =
   let t = Protocols.Tally.add Protocols.Tally.empty ~src:0 true in
@@ -13,27 +10,14 @@ let test_counting () =
   let t = Protocols.Tally.add t ~src:2 false in
   Alcotest.(check int) "count" 3 (Protocols.Tally.count t);
   Alcotest.(check int) "ones" 2 (Protocols.Tally.count_value t true);
-  Alcotest.(check int) "zeros" 1 (Protocols.Tally.count_value t false);
-  Alcotest.(check bool) "majority true" true
-    (Protocols.Tally.majority_value t = Some true);
-  Alcotest.(check bool) "best (true, 2)" true
-    (Protocols.Tally.best_value t = Some (true, 2))
+  Alcotest.(check int) "zeros" 1 (Protocols.Tally.count_value t false)
 
 let test_dedup () =
   let t = Protocols.Tally.add Protocols.Tally.empty ~src:0 true in
   let t = Protocols.Tally.add t ~src:0 false in
   Alcotest.(check int) "duplicate ignored" 1 (Protocols.Tally.count t);
   Alcotest.(check int) "first vote kept" 1 (Protocols.Tally.count_value t true);
-  Alcotest.(check bool) "has src" true (Protocols.Tally.has_src t 0);
-  Alcotest.(check bool) "lacks other src" false (Protocols.Tally.has_src t 1)
-
-let test_tie () =
-  let t = Protocols.Tally.add Protocols.Tally.empty ~src:0 true in
-  let t = Protocols.Tally.add t ~src:1 false in
-  Alcotest.(check bool) "tie has no majority" true
-    (Protocols.Tally.majority_value t = None);
-  Alcotest.(check bool) "tie best breaks to false" true
-    (Protocols.Tally.best_value t = Some (false, 1))
+  Alcotest.(check (list int)) "one src" [ 0 ] (Protocols.Tally.srcs t)
 
 let test_srcs_and_fingerprint () =
   let t = Protocols.Tally.add Protocols.Tally.empty ~src:5 true in
@@ -46,6 +30,5 @@ let suite =
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "counting" `Quick test_counting;
     Alcotest.test_case "dedup" `Quick test_dedup;
-    Alcotest.test_case "tie" `Quick test_tie;
     Alcotest.test_case "srcs and fingerprint" `Quick test_srcs_and_fingerprint;
   ]

@@ -74,24 +74,6 @@ let test_hybrid_endpoints () =
   Alcotest.(check (list int)) "j=n all s0" s0 (Dsim.Window.receive_set wn 3);
   Alcotest.(check (list int)) "j=n resets from r0" [ 0 ] (Dsim.Window.resets wn)
 
-let test_printers () =
-  let w = Dsim.Window.uniform ~n:3 ~silenced:[ 0 ] ~resets:[ 1 ] () in
-  Alcotest.(check bool) "window printer" true
-    (String.length (Format.asprintf "%a" Dsim.Window.pp w) > 0);
-  let pp_payload ppf s = Format.pp_print_string ppf s in
-  List.iter
-    (fun (step, expected) ->
-      Alcotest.(check string) "step printer" expected
-        (Format.asprintf "%a" (Dsim.Step.pp pp_payload) step))
-    [
-      (Dsim.Step.Send 2, "send(p2)");
-      (Dsim.Step.Deliver 5, "deliver(#5)");
-      (Dsim.Step.Drop 5, "drop(#5)");
-      (Dsim.Step.Reset 1, "reset(p1)");
-      (Dsim.Step.Crash 0, "crash(p0)");
-      (Dsim.Step.Corrupt (3, "evil"), "corrupt(#3, evil)");
-    ]
-
 (* Masks are the ground truth and lists a projected view; round-trip
    through [of_masks] must reproduce the view exactly, and a window
    rebuilt from the projected lists must agree on every observable. *)
@@ -183,7 +165,6 @@ let test_clamp_edge () =
 
 let suite =
   [
-    Alcotest.test_case "printers" `Quick test_printers;
     Alcotest.test_case "uniform fault free" `Quick test_uniform_fault_free;
     Alcotest.test_case "uniform silenced" `Quick test_uniform_silenced;
     Alcotest.test_case "validate small receive set" `Quick test_validate_receive_too_small;

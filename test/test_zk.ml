@@ -49,10 +49,10 @@ let test_member_unanimous () =
 
 let test_member_does_not_mutate () =
   let c = config (Array.make 7 false) in
-  let before = Dsim.Engine.fingerprint c in
+  let before = Test_cores.joined c in
   let rng = Prng.Stream.root 3 in
   ignore (Lowerbound.Zk_sets.member c ~k:1 ~value:false ~samples:4 ~tau:0.9 ~rng);
-  Alcotest.(check string) "config untouched" before (Dsim.Engine.fingerprint c)
+  Alcotest.(check string) "config untouched" before (Test_cores.joined c)
 
 let test_separation () =
   let sep =
