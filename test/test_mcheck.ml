@@ -311,6 +311,79 @@ let test_enumeration_pinned_d4 () =
   Alcotest.(check int) "symmetry-collapsed" 27_045 r.Explore.total_symmetry_hits;
   Alcotest.(check int) "clean" 0 r.Explore.violations_total
 
+(* --- key bytes pinned --- *)
+
+(* The dedup key is rendered text, and its bytes are load-bearing:
+   symmetry hits compare keys under [String.compare], and canonical
+   ids are their digests.  These MD5s pin the bytes of every rendering
+   layer — message text, state cores, PRNG hex, pending sends — so a
+   change to how a key is written must leave them unchanged. *)
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_canonical_ids_pinned () =
+  List.iter
+    (fun (name, n, t, f, expected) ->
+      let m, opts =
+        opts_of name ~n ~t (fun o -> f { o with Explore.collect = true })
+      in
+      let r = Model.run m opts in
+      Alcotest.(check string)
+        (name ^ " canonical ids")
+        expected
+        (md5 (String.concat "\n" r.Explore.canonical)))
+    [
+      ("bracha", 3, 1, (fun o -> { o with Explore.depth = 3 }),
+       "5a7ec3aa287e0ddde6394c7c77685d98");
+      ("ben-or", 3, 1, (fun o -> { o with Explore.depth = 3 }),
+       "a91d1ba43dbcd840197ef75998677331");
+      ("rbc", 3, 1, (fun o -> { o with Explore.depth = 2; corrupt = 1 }),
+       "595c6d7dbcfaca361b1fdaeb3dce7f93");
+      ("lewko", 3, 0, (fun o -> { o with Explore.depth = 4 }),
+       "e96450a484e04005b5296c2e0a23baad");
+    ]
+
+(* The state cores after a fixed three-window schedule, and the
+   configuration key at every step of it.  The root is also keyed after
+   one sending step on a copy: a window always empties the mailbox, so
+   only a bare send leaves envelopes there to render. *)
+let test_state_cores_pinned () =
+  let run (Model.Packed protocol) ~t expected_cores expected_keys =
+    let n = 4 in
+    let e =
+      Dsim.Engine.init ~protocol ~n ~fault_bound:t
+        ~inputs:[| true; false; false; true |] ~seed:11 ()
+    in
+    let sent = Dsim.Engine.copy e in
+    Dsim.Engine.apply sent (Dsim.Step.Send 0);
+    let keys = ref [ Dsim.Engine.config_fingerprint sent ] in
+    List.iter
+      (fun w ->
+        Dsim.Engine.apply_window e w;
+        keys := Dsim.Engine.config_fingerprint e :: !keys)
+      [
+        Dsim.Window.uniform ~n ();
+        Dsim.Window.uniform ~n ~silenced:[ 3 ] ();
+        Dsim.Window.uniform ~n ~resets:(if t > 0 then [ 1 ] else []) ();
+      ];
+    let name = protocol.Dsim.Protocol.name in
+    Alcotest.(check string)
+      (name ^ " state cores")
+      expected_cores
+      (md5 (Test_cores.joined e));
+    Alcotest.(check string)
+      (name ^ " configuration keys")
+      expected_keys
+      (md5 (String.concat "\n" (List.rev !keys)))
+  in
+  run (model "bracha").Model.packed ~t:1 "b3d10f17f9c66f77270a60416644fba7"
+    "628c009ace138f40a4abf6f19dd30f04";
+  run (model "ben-or").Model.packed ~t:1 "fe11729df8f48557554ab08ec3fc9467"
+    "cf5318248051f645d46825a945c82abb";
+  run (model "rbc").Model.packed ~t:1 "7fb2e96f8680e68149fb09f6b5be72de"
+    "ccbc8b4924ea41140f46ba2747ef3851";
+  run (model "lewko").Model.packed ~t:0 "255f2c5ea74b1e33546f826490ea68a2"
+    "c485dbd8d9bdb209588e721824d80797"
+
 (* --- determinism across jobs --- *)
 
 let test_jobs_bit_identical () =
@@ -444,6 +517,9 @@ let suite =
       test_sound_models_clean;
     Alcotest.test_case "enumeration pinned at bracha n3t1 d4" `Slow
       test_enumeration_pinned_d4;
+    Alcotest.test_case "canonical ids pinned" `Quick test_canonical_ids_pinned;
+    Alcotest.test_case "state cores and key pinned" `Quick
+      test_state_cores_pinned;
     Alcotest.test_case "results bit-identical across jobs" `Quick
       test_jobs_bit_identical;
     Alcotest.test_case "shared reseed makes configurations comparable" `Quick
