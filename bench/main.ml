@@ -302,7 +302,7 @@ let bcast_protocol ~all : (bcast_state, int) Dsim.Protocol.t =
     rewrite_bit = (fun _ _ -> None);
     state_core = (fun s -> Printf.sprintf "b:%d:%d:%b" s.bid s.got s.armed);
     props = Dsim.Protocol.default_props;
-    pp_message = (fun ppf m -> Format.pp_print_int ppf m);
+    add_message = (fun b m -> Buffer.add_string b (string_of_int m));
   }
 
 (* Eagerly-expanded twin: every [Step.Broadcast] becomes n explicit

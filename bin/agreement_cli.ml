@@ -244,12 +244,26 @@ let jobs_arg =
           "Domains used by --sweep.  The aggregate is bit-identical for \
            every value.")
 
-(* Unknown adversaries, bad input specs and infeasible (n, t) surface
-   as [Invalid_argument] from the lookups, the protocols and
-   [Engine.init]; all of them are usage errors. *)
+(* Counts the run would otherwise take silently: a negative budget runs
+   zero windows, a negative sweep falls back to one run, and -j is
+   meaningless below one domain. *)
+let check_counts ~budget ~sweep ~jobs =
+  let at_least name floor v =
+    if v < floor then
+      invalid_arg (Printf.sprintf "--%s must be >= %d, got %d" name floor v)
+  in
+  at_least "budget" 0 budget;
+  at_least "sweep" 0 sweep;
+  at_least "jobs" 1 jobs
+
+(* Out-of-range counts, unknown adversaries, bad input specs and
+   infeasible (n, t) surface as [Invalid_argument] from [check_counts],
+   the lookups, the protocols and [Engine.init]; all of them are usage
+   errors. *)
 let run protocol_name adversary n t inputs_spec seed budget trace json sweep
     jobs =
   match
+    check_counts ~budget ~sweep ~jobs;
     if sweep > 0 then
       run_sweep protocol_name ~jobs ~adversary ~n ~t ~inputs_spec ~seed
         ~count:sweep ~budget

@@ -94,9 +94,14 @@ let trace t = t.trace
 let receive_depth t p = t.receive_depths.(p)
 
 let recent_deliveries t p =
+  let b = Buffer.create 32 in
   List.map
     (fun (src, payload) ->
-      Format.asprintf "%d:%a" src t.protocol.Protocol.pp_message payload)
+      Buffer.clear b;
+      Buffer.add_string b (string_of_int src);
+      Buffer.add_char b ':';
+      t.protocol.Protocol.add_message b payload;
+      Buffer.contents b)
     t.recent_deliveries.(p)
 let max_chain_depth t = Array.fold_left max 0 t.receive_depths
 
@@ -122,15 +127,15 @@ let decision_conflict t =
 
 let state_cores t = Array.map t.protocol.Protocol.state_core t.states
 
-let config_fingerprint t =
-  let b = Buffer.create (64 * t.n) in
-  let pp_msg m = Format.asprintf "%a" t.protocol.Protocol.pp_message m in
+let config_fingerprint b t =
+  let add_int i = Buffer.add_string b (string_of_int i) in
+  let add_message = t.protocol.Protocol.add_message b in
   for p = 0 to t.n - 1 do
     Buffer.add_string b (t.protocol.Protocol.state_core t.states.(p));
     Buffer.add_char b (if t.crashed.(p) then 'C' else '.');
-    Buffer.add_string b (string_of_int t.reset_counts.(p));
+    add_int t.reset_counts.(p);
     Buffer.add_char b '~';
-    Buffer.add_string b (Prng.Stream.fingerprint t.rngs.(p));
+    Prng.Stream.add_fingerprint b t.rngs.(p);
     (* Pending outbox: [outgoing] is pure (lint R8), so peeking at the
        sends the current state would emit observes outbox content
        without mutating the configuration. *)
@@ -139,19 +144,24 @@ let config_fingerprint t =
       (fun send ->
         match send with
         | Step.Unicast (dst, payload) ->
-            Buffer.add_string b (Printf.sprintf ">u%d:%s" dst (pp_msg payload))
+            Buffer.add_string b ">u";
+            add_int dst;
+            Buffer.add_char b ':';
+            add_message payload
         | Step.Broadcast payload ->
-            Buffer.add_string b (Printf.sprintf ">b:%s" (pp_msg payload)))
+            Buffer.add_string b ">b:";
+            add_message payload)
       sends;
     Buffer.add_char b '|'
   done;
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (Printf.sprintf "m%d>%d:%s;" e.Envelope.src e.Envelope.dst
-           (pp_msg e.Envelope.payload)))
-    (Mailbox.pending t.mailbox);
-  Buffer.contents b
+  Mailbox.iter t.mailbox (fun e ->
+      Buffer.add_char b 'm';
+      add_int e.Envelope.src;
+      Buffer.add_char b '>';
+      add_int e.Envelope.dst;
+      Buffer.add_char b ':';
+      add_message e.Envelope.payload;
+      Buffer.add_char b ';')
 
 (* Record a decision event when a state transition wrote the output bit. *)
 let note_decision t p before_output =

@@ -95,11 +95,14 @@ val state_cores : ('s, 'm) t -> string array
     processor memory.  Hamming distance between configurations is
     computed coordinate-wise on these. *)
 
-val config_fingerprint : ('s, 'm) t -> string
-(** Canonical rendering of the {e full} decision-relevant
-    configuration: per-processor state cores, crash flags, reset
-    counters, PRNG states, and pending outbox sends (peeked via the
-    pure [outgoing]), plus the mailbox's in-transit envelopes.  Two
+val config_fingerprint : Buffer.t -> ('s, 'm) t -> unit
+(** Append the canonical rendering of the {e full} decision-relevant
+    configuration to the buffer: per-processor state cores, crash
+    flags, reset counters, PRNG states, and pending outbox sends
+    (peeked via the pure [outgoing]), plus the mailbox's in-transit
+    envelopes in ascending id order.  Messages go in through
+    [Protocol.add_message] and the PRNG state as hex, so nothing but
+    the state cores is rendered to an intermediate string.  Two
     configurations with equal fingerprints have identical futures
     under identical adversary choices, which is what memoized
     deduplication in the bounded model checker needs.  Causal receive

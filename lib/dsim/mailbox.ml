@@ -473,7 +473,7 @@ let is_empty t = size t = 0
 
 (* Ascending-id walk over both stores: arena occupancy scan merged with
    the broadcast table's pending bits (both naturally ascending). *)
-let iter_all t f =
+let iter t f =
   let r = ref t.lo in
   let arena_next () =
     while !r < t.hi && Option.is_none t.payloads.(!r) do
@@ -521,12 +521,12 @@ let iter_all t f =
 
 let pending t =
   let acc = ref [] in
-  iter_all t (fun e -> acc := e :: !acc);
+  iter t (fun e -> acc := e :: !acc);
   List.rev !acc
 
 let pending_ids t =
   let acc = ref [] in
-  iter_all t (fun e -> acc := e.Envelope.id :: !acc);
+  iter t (fun e -> acc := e.Envelope.id :: !acc);
   List.rev !acc
 
 (* Two-pointer merge of dst's arena queue (ascending by construction)
@@ -536,7 +536,7 @@ let pending_ids t =
    envelope is safe. *)
 let iter_for t ~dst f =
   if dst < 0 then
-    iter_all t (fun e -> if e.Envelope.dst = dst then f e)
+    iter t (fun e -> if e.Envelope.dst = dst then f e)
   else begin
     let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
     let k = ref 0 in

@@ -68,8 +68,13 @@ val replace_payload : 'm t -> int -> 'm -> bool
 val size : 'm t -> int
 val is_empty : 'm t -> bool
 
+val iter : 'm t -> ('m Envelope.t -> unit) -> unit
+(** Visit every pending envelope in ascending-id order (arena merged
+    with the broadcast table).  The callback must not add to this
+    mailbox. *)
+
 val pending : 'm t -> 'm Envelope.t list
-(** All pending envelopes, ascending id. *)
+(** All pending envelopes, ascending id: {!iter} collected. *)
 
 val pending_for : 'm t -> dst:int -> 'm Envelope.t list
 val pending_ids : 'm t -> int list

@@ -17,7 +17,7 @@ type ('s, 'm) t = {
   rewrite_bit : 'm -> bool -> 'm option;
   state_core : 's -> string;
   props : props;
-  pp_message : Format.formatter -> 'm -> unit;
+  add_message : Buffer.t -> 'm -> unit;
 }
 
 let default_props = { forgetful = false; fully_communicative = false }

@@ -58,9 +58,18 @@ type ('s, 'm) t = {
   state_core : 's -> string;
       (** Canonical serialization of the full local state (identity,
           memory, counters).  Configurations are compared coordinate-
-          wise on these for the Hamming-distance machinery. *)
+          wise on these for the Hamming-distance machinery, and each
+          is one processor's share of the model checker's dedup key,
+          so implementations fill one local [Buffer] rather than
+          formatting. *)
   props : props;
-  pp_message : Format.formatter -> 'm -> unit;
+  add_message : Buffer.t -> 'm -> unit;
+      (** Append the message's canonical text ([init[3]V1],
+          [echo[3@0]D0], ...) to the buffer.  Written straight into the
+          caller's buffer, with no [Format] or [Printf], because the
+          model checker renders every pending message of every explored
+          configuration into its dedup key
+          ({!Engine.config_fingerprint}). *)
 }
 
 val default_props : props

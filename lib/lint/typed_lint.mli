@@ -33,8 +33,9 @@
 type config = {
   pure_fields : string list;
       (** [Protocol.t] fields whose values must be effect-free.
-          The pretty-printer ([pp_message]) and metadata are
-          deliberately absent. *)
+          The message renderer ([add_message], which appends to the
+          caller's buffer by design) and metadata are deliberately
+          absent. *)
   raise_allowlist : string list;
       (** Exception constructors a transition may raise (defaults:
           [Invalid_argument], [Assert_failure] — guard rails, not

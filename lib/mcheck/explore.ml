@@ -18,6 +18,14 @@
      every candidate edge *before* the dedup drop, so pruned edges are
      still audited.
 
+   - A key is text, written into one buffer per expanded parent: the
+     configuration (state cores, [Protocol.add_message] for every
+     pending message, PRNG states as hex) and then the census, with no
+     [Format], no [Printf] and no intermediate lists.  Its bytes, not
+     just its equality, are load-bearing: [symmetry_hit] compares a raw
+     key with its orbit minimum under [String.compare], and canonical
+     ids are key digests, so a change of encoding would move both.
+
    - Symmetry reduction runs twin engines: for each permutation pi in
      the group G (all pid permutations fixing the root input vector and
      the corrupt-source set), the pi-relabeled schedule is replayed and
@@ -270,9 +278,12 @@ let replay ~protocol ~opts ~inputs ~choices (schedule : int array) =
     schedule;
   (e, census)
 
-let node_key e census =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Dsim.Engine.config_fingerprint e);
+(* The configuration's rendering with the census appended, written into
+   [b] from empty, so one buffer per expanded parent serves every key it
+   renders. *)
+let node_key b e census =
+  Buffer.clear b;
+  Dsim.Engine.config_fingerprint b e;
   Buffer.add_char b '#';
   Array.iter
     (fun m ->
@@ -392,6 +403,7 @@ let expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus schedule =
         (pchoices, te, tc))
       pmenus
   in
+  let b = Buffer.create 1024 in
   let acc = ref empty_partial in
   for ci = 0 to Array.length choices - 1 do
     let child = Dsim.Engine.copy main in
@@ -399,14 +411,14 @@ let expand_parent ~protocol ~opts ~valid ~inputs ~menu ~pmenus schedule =
     apply_choice ~protocol child ccensus choices.(ci);
     let cschedule = Array.append schedule [| ci |] in
     let viols = check_child ~opts ~valid ~inputs ~before_outputs child ccensus in
-    let raw = node_key child ccensus in
+    let raw = node_key b child ccensus in
     let canonical =
       orbit_min raw
         (fun (pchoices, te, tc) ->
           let tchild = Dsim.Engine.copy te in
           let tcc = Array.copy tc in
           apply_choice ~protocol tchild tcc pchoices.(ci);
-          node_key tchild tcc)
+          node_key b tchild tcc)
         twins
     in
     let symmetry_hit = not (String.equal canonical raw) in
@@ -460,7 +472,7 @@ let explore_root ~protocol ~opts ~valid ~menu ~root_index ~inputs =
   let bounded = ref false in
   (* Seed with the root configuration. *)
   let root_e, root_c = replay ~protocol ~opts ~inputs ~choices:menu.Menu.choices [||] in
-  let root_key = node_key root_e root_c in
+  let root_key = node_key (Buffer.create 256) root_e root_c in
   Hashtbl.replace visited (Digest.string root_key) ();
   note_canonical (Digest.to_hex (Digest.string root_key));
   if opts.collect && not opts.dedup then schedules_rev := [ [||] ];
@@ -670,9 +682,10 @@ let schedule_state ~protocol ~opts ~inputs schedule =
     Menu.build ~n:opts.n ~t:opts.t ~family:opts.family ~corrupt:opts.corrupt
   in
   let group = root_group ~inputs ~corrupt:opts.corrupt ~pinned:opts.pinned opts.n in
+  let b = Buffer.create 256 in
   let key choices =
     let e, census = replay ~protocol ~opts ~inputs ~choices schedule in
-    node_key e census
+    node_key b e census
   in
   let canonical =
     orbit_min (key menu.Menu.choices) key (twin_menus ~opts ~group menu)

@@ -64,4 +64,17 @@ let sample_without_replacement t k n =
   done;
   List.sort compare (Array.to_list (Array.sub idx 0 k))
 
-let fingerprint t = Printf.sprintf "%Lx" (Splitmix.raw_state t)
+(* The state word as lowercase hex, read as unsigned and without
+   leading zeros: the bytes [Printf.sprintf "%Lx"] writes, digit by
+   digit into the caller's buffer. *)
+let add_fingerprint b t =
+  let x = Splitmix.raw_state t in
+  let shift = ref 60 in
+  while !shift > 0 && Int64.equal (Int64.shift_right_logical x !shift) 0L do
+    shift := !shift - 4
+  done;
+  while !shift >= 0 do
+    let nibble = Int64.to_int (Int64.shift_right_logical x !shift) land 15 in
+    Buffer.add_char b "0123456789abcdef".[nibble];
+    shift := !shift - 4
+  done

@@ -40,7 +40,8 @@ val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] is a sorted list of [k] distinct
     values drawn uniformly from [0, n).  Requires [0 <= k <= n]. *)
 
-val fingerprint : t -> string
-(** Canonical rendering of the stream's current state: equal
-    fingerprints imply identical future draws.  Used by the bounded
-    model checker's configuration digests. *)
+val add_fingerprint : Buffer.t -> t -> unit
+(** Append the canonical rendering of the stream's current state (its
+    state word in lowercase hex, no leading zeros): equal fingerprints
+    imply identical future draws.  Used by the bounded model checker's
+    configuration keys. *)

@@ -31,12 +31,19 @@ let ptally_add t ~src value =
 
 let ptally_count t = t.p_count
 
+let proposal_char = function None -> '?' | Some true -> '1' | Some false -> '0'
+
+(* [src:proposal] per entry, ','-separated in ascending [src]. *)
 let ptally_fingerprint t =
-  Int_map.bindings t.proposals
-  |> List.map (fun (src, v) ->
-         Printf.sprintf "%d:%s" src
-           (match v with None -> "?" | Some true -> "1" | Some false -> "0"))
-  |> String.concat ","
+  let b = Buffer.create 32 in
+  Int_map.iter
+    (fun src v ->
+      if Buffer.length b > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (string_of_int src);
+      Buffer.add_char b ':';
+      Buffer.add_char b (proposal_char v))
+    t.proposals;
+  Buffer.contents b
 
 (* The declared thresholds, evaluated once per [init]. *)
 type thresholds = { decide_at : int; wait_quorum : int }
@@ -205,31 +212,56 @@ let observe state =
     ~output:state.output ~input:state.input ~resets:state.resets
     ~phase:(match state.phase with Report_wait -> 0 | Propose_wait -> 1)
 
+(* [bo:id:round:phase:x:output:input:resets:R{<reports>}:P{<proposals>}:<outbox>],
+   each tally map as [round[<tally>];...] in ascending rounds. *)
 let state_core state =
-  let bit b = if b then '1' else '0' in
-  let reports =
-    Round_map.bindings state.reports
-    |> List.map (fun (r, t) -> Printf.sprintf "%d[%s]" r (Tally.fingerprint t))
-    |> String.concat ";"
+  let b = Buffer.create 128 in
+  let int i = Buffer.add_string b (string_of_int i) in
+  let field_int i = Buffer.add_char b ':'; int i in
+  let field_char c = Buffer.add_char b ':'; Buffer.add_char b c in
+  let bit v = if v then '1' else '0' in
+  (* A separator goes before every round but the first: the one written
+     while the buffer still ends at the map's start mark. *)
+  let rounds fingerprint map =
+    let start = Buffer.length b in
+    Round_map.iter
+      (fun r tally ->
+        if Buffer.length b > start then Buffer.add_char b ';';
+        int r;
+        Buffer.add_char b '[';
+        Buffer.add_string b (fingerprint tally);
+        Buffer.add_char b ']')
+      map
   in
-  let proposals =
-    Round_map.bindings state.proposals
-    |> List.map (fun (r, t) -> Printf.sprintf "%d[%s]" r (ptally_fingerprint t))
-    |> String.concat ";"
-  in
-  Printf.sprintf "bo:%d:%d:%d:%c:%s:%c:%d:R{%s}:P{%s}:%d" state.id state.round
-    (match state.phase with Report_wait -> 0 | Propose_wait -> 1)
-    (bit state.x)
-    (match state.output with None -> "_" | Some v -> String.make 1 (bit v))
-    (bit state.input) state.resets reports proposals
-    (Dsim.Step.send_count ~n:state.n state.outbox_rev)
+  Buffer.add_string b "bo";
+  field_int state.id;
+  field_int state.round;
+  field_char (match state.phase with Report_wait -> '0' | Propose_wait -> '1');
+  field_char (bit state.x);
+  field_char (match state.output with None -> '_' | Some v -> bit v);
+  field_char (bit state.input);
+  field_int state.resets;
+  Buffer.add_string b ":R{";
+  rounds Tally.fingerprint state.reports;
+  Buffer.add_string b "}:P{";
+  rounds ptally_fingerprint state.proposals;
+  Buffer.add_char b '}';
+  field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
+  Buffer.contents b
 
-let pp_message ppf = function
-  | Report { round; value } ->
-      Format.fprintf ppf "R(%d,%d)" round (if value then 1 else 0)
-  | Propose { round; value } ->
-      Format.fprintf ppf "P(%d,%s)" round
-        (match value with None -> "?" | Some true -> "1" | Some false -> "0")
+(* [R(round,bit)] or [P(round,proposal)]. *)
+let add_message b message =
+  let add kind round value =
+    Buffer.add_char b kind;
+    Buffer.add_char b '(';
+    Buffer.add_string b (string_of_int round);
+    Buffer.add_char b ',';
+    Buffer.add_char b value;
+    Buffer.add_char b ')'
+  in
+  match message with
+  | Report { round; value } -> add 'R' round (if value then '1' else '0')
+  | Propose { round; value } -> add 'P' round (proposal_char value)
 
 let protocol ?(name = "ben-or") ?(quorums = quorums) () =
   {
@@ -257,5 +289,5 @@ let protocol ?(name = "ben-or") ?(quorums = quorums) () =
         | Propose p -> Some (Propose { p with value = Some bit }));
     state_core;
     props = { Dsim.Protocol.forgetful = true; fully_communicative = true };
-    pp_message;
+    add_message;
   }

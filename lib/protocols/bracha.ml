@@ -285,35 +285,50 @@ let vote_fingerprint = function
   | Dec true -> "D1"
   | Dec false -> "D0"
 
+(* [br:id:round:phase:x:output:input:resets:<rbc>:A{<admitted>}:Q<quarantined>:<outbox>],
+   where <admitted> is [tag{<origin><vote>,...};...] in ascending keys. *)
 let state_core state =
-  let bit b = if b then '1' else '0' in
-  let admitted =
-    Int_map.bindings state.admitted
-    |> List.map (fun (tag, votes) ->
-           Printf.sprintf "%d{%s}" tag
-             (Int_map.bindings votes
-             |> List.map (fun (o, v) -> Printf.sprintf "%d%s" o (vote_fingerprint v))
-             |> String.concat ","))
-    |> String.concat ";"
-  in
-  Printf.sprintf "br:%d:%d:%d:%c:%s:%c:%d:%s:A{%s}:Q%d:%d" state.id state.round
-    state.phase (bit state.x)
-    (match state.output with None -> "_" | Some v -> String.make 1 (bit v))
-    (bit state.input) state.resets
-    (Reliable_broadcast.fingerprint vote_fingerprint state.rbc)
-    admitted
-    (List.length state.quarantine)
-    (Dsim.Step.send_count ~n:state.n state.outbox_rev)
+  let b = Buffer.create 256 in
+  let int i = Buffer.add_string b (string_of_int i) in
+  let field_int i = Buffer.add_char b ':'; int i in
+  let field_char c = Buffer.add_char b ':'; Buffer.add_char b c in
+  let bit v = if v then '1' else '0' in
+  Buffer.add_string b "br";
+  field_int state.id;
+  field_int state.round;
+  field_int state.phase;
+  field_char (bit state.x);
+  field_char (match state.output with None -> '_' | Some v -> bit v);
+  field_char (bit state.input);
+  field_int state.resets;
+  Buffer.add_char b ':';
+  Buffer.add_string b (Reliable_broadcast.fingerprint vote_fingerprint state.rbc);
+  Buffer.add_string b ":A{";
+  (* A separator goes before every entry but a map's first: the one
+     written while the buffer still ends at the map's start mark. *)
+  let tags_start = Buffer.length b in
+  Int_map.iter
+    (fun tag votes ->
+      if Buffer.length b > tags_start then Buffer.add_char b ';';
+      int tag;
+      Buffer.add_char b '{';
+      let votes_start = Buffer.length b in
+      Int_map.iter
+        (fun origin vote ->
+          if Buffer.length b > votes_start then Buffer.add_char b ',';
+          int origin;
+          Buffer.add_string b (vote_fingerprint vote))
+        votes;
+      Buffer.add_char b '}')
+    state.admitted;
+  Buffer.add_string b "}:Q";
+  int (List.length state.quarantine);
+  field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
+  Buffer.contents b
 
-let pp_vote ppf v = Format.pp_print_string ppf (vote_fingerprint v)
-
-let pp_message ppf = function
-  | Reliable_broadcast.Initial { tag; payload } ->
-      Format.fprintf ppf "init[%d]%a" tag pp_vote payload
-  | Reliable_broadcast.Echo { origin; tag; payload } ->
-      Format.fprintf ppf "echo[%d@%d]%a" tag origin pp_vote payload
-  | Reliable_broadcast.Ready { origin; tag; payload } ->
-      Format.fprintf ppf "ready[%d@%d]%a" tag origin pp_vote payload
+let add_message =
+  Reliable_broadcast.add_message (fun b vote ->
+      Buffer.add_string b (vote_fingerprint vote))
 
 let rewrite_vote vote bit =
   match vote with Val _ -> Val bit | Dec _ -> Dec bit
@@ -366,7 +381,7 @@ let protocol ?(validated = false) ?name ?(quorums = quorums) () =
             Some (Reliable_broadcast.Ready { r with payload = rewrite_vote r.payload bit }));
     state_core;
     props = { Dsim.Protocol.forgetful = false; fully_communicative = false };
-    pp_message;
+    add_message;
   }
 
 let quarantined_count state = List.length state.quarantine

@@ -30,10 +30,15 @@ let forgetful_core config p =
 let next_sends config p =
   let protocol = Dsim.Engine.protocol config in
   let _, sends = protocol.Dsim.Protocol.outgoing (Dsim.Engine.state config p) in
-  Dsim.Step.expand ~n:(Dsim.Engine.n config) sends
-  |> List.map (fun (dst, m) ->
-         Format.asprintf "%d<=%a" dst protocol.Dsim.Protocol.pp_message m)
-  |> String.concat " "
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (dst, m) ->
+      if Buffer.length b > 0 then Buffer.add_char b ' ';
+      Buffer.add_string b (string_of_int dst);
+      Buffer.add_string b "<=";
+      protocol.Dsim.Protocol.add_message b m)
+    (Dsim.Step.expand ~n:(Dsim.Engine.n config) sends);
+  Buffer.contents b
 
 let check protocol ~n ~t ~seeds ~windows_per_run =
   let core_table : (string, string) Hashtbl.t = Hashtbl.create 256 in

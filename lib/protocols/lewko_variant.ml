@@ -136,21 +136,44 @@ let observe state =
     ~output:state.output ~input:state.input ~resets:state.resets
     ~phase:(match state.mode with Normal -> 0 | Recovering -> 1)
 
+(* [lv:id:mode:output:round:x:input:resets:<tallies>:<outbox>], the
+   tallies as [round[<tally>];...] in ascending rounds. *)
 let state_core state =
-  let tallies =
-    Round_map.bindings state.tallies
-    |> List.map (fun (r, tally) -> Printf.sprintf "%d[%s]" r (Tally.fingerprint tally))
-    |> String.concat ";"
-  in
-  let bit b = if b then '1' else '0' in
-  Printf.sprintf "lv:%d:%c:%s:%d:%c:%c:%d:%s:%d" state.id
-    (match state.mode with Normal -> 'N' | Recovering -> 'R')
-    (match state.output with None -> "_" | Some v -> String.make 1 (bit v))
-    state.round (bit state.x) (bit state.input) state.resets tallies
-    (Dsim.Step.send_count ~n:state.n state.outbox)
+  let b = Buffer.create 96 in
+  let int i = Buffer.add_string b (string_of_int i) in
+  let field_int i = Buffer.add_char b ':'; int i in
+  let field_char c = Buffer.add_char b ':'; Buffer.add_char b c in
+  let bit v = if v then '1' else '0' in
+  Buffer.add_string b "lv";
+  field_int state.id;
+  field_char (match state.mode with Normal -> 'N' | Recovering -> 'R');
+  field_char (match state.output with None -> '_' | Some v -> bit v);
+  field_int state.round;
+  field_char (bit state.x);
+  field_char (bit state.input);
+  field_int state.resets;
+  Buffer.add_char b ':';
+  (* A separator goes before every round but the first: the one written
+     while the buffer still ends at the map's start mark. *)
+  let start = Buffer.length b in
+  Round_map.iter
+    (fun r tally ->
+      if Buffer.length b > start then Buffer.add_char b ';';
+      int r;
+      Buffer.add_char b '[';
+      Buffer.add_string b (Tally.fingerprint tally);
+      Buffer.add_char b ']')
+    state.tallies;
+  field_int (Dsim.Step.send_count ~n:state.n state.outbox);
+  Buffer.contents b
 
-let pp_message ppf (m : message) =
-  Format.fprintf ppf "(%d,%d)" m.round (if m.value then 1 else 0)
+(* [(round,bit)]. *)
+let add_message b (m : message) =
+  Buffer.add_char b '(';
+  Buffer.add_string b (string_of_int m.round);
+  Buffer.add_char b ',';
+  Buffer.add_char b (if m.value then '1' else '0');
+  Buffer.add_char b ')'
 
 let protocol ?thresholds ?(coin = Prng.Stream.bool) () =
   {
@@ -172,7 +195,7 @@ let protocol ?thresholds ?(coin = Prng.Stream.bool) () =
     rewrite_bit = (fun m value -> Some { m with value });
     state_core;
     props = { Dsim.Protocol.forgetful = true; fully_communicative = true };
-    pp_message;
+    add_message;
   }
 
 let pending_votes state ~round = Tally.count (tally_for state round)

@@ -77,23 +77,28 @@ let observe state =
     ~estimate:state.output ~output:state.output ~input:state.input
     ~resets:state.resets ~phase:0
 
+let bit_string v = if v then "1" else "0"
+
+(* [rb:id:origin:output:input:resets:<rbc>:<outbox>]. *)
 let state_core state =
-  let bit b = if b then '1' else '0' in
-  Printf.sprintf "rb:%d:%d:%s:%c:%d:%s:%d" state.id state.origin
-    (match state.output with None -> "_" | Some v -> String.make 1 (bit v))
-    (bit state.input) state.resets
-    (Reliable_broadcast.fingerprint (fun b -> if b then "1" else "0") state.rbc)
-    (Dsim.Step.send_count ~n:state.n state.outbox_rev)
+  let b = Buffer.create 64 in
+  let int i = Buffer.add_string b (string_of_int i) in
+  let field_int i = Buffer.add_char b ':'; int i in
+  Buffer.add_string b "rb";
+  field_int state.id;
+  field_int state.origin;
+  Buffer.add_char b ':';
+  Buffer.add_string b (match state.output with None -> "_" | Some v -> bit_string v);
+  Buffer.add_char b ':';
+  Buffer.add_string b (bit_string state.input);
+  field_int state.resets;
+  Buffer.add_char b ':';
+  Buffer.add_string b (Reliable_broadcast.fingerprint bit_string state.rbc);
+  field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
+  Buffer.contents b
 
-let pp_payload ppf b = Format.pp_print_int ppf (if b then 1 else 0)
-
-let pp_message ppf = function
-  | Reliable_broadcast.Initial { tag; payload } ->
-      Format.fprintf ppf "init[%d]%a" tag pp_payload payload
-  | Reliable_broadcast.Echo { origin; tag; payload } ->
-      Format.fprintf ppf "echo[%d@%d]%a" tag origin pp_payload payload
-  | Reliable_broadcast.Ready { origin; tag; payload } ->
-      Format.fprintf ppf "ready[%d@%d]%a" tag origin pp_payload payload
+let add_message =
+  Reliable_broadcast.add_message (fun b v -> Buffer.add_string b (bit_string v))
 
 let protocol ?(name = "rbc-once") ?(origin = 0)
     ?(quorums = Reliable_broadcast.quorums) () =
@@ -134,5 +139,5 @@ let protocol ?(name = "rbc-once") ?(origin = 0)
             Some (Reliable_broadcast.Ready { r with payload = bit }));
     state_core;
     props = { Dsim.Protocol.forgetful = false; fully_communicative = false };
-    pp_message;
+    add_message;
   }

@@ -196,13 +196,53 @@ let accepted t ~tag =
 
 let accepted_count t ~tag = List.length (accepted t ~tag)
 
-let fingerprint pp t =
-  Key_map.bindings t.instances
-  |> List.map (fun ((origin, tag), inst) ->
-         Printf.sprintf "(%d,%d)e%dr%d%s%s%s" origin tag
-           (Int_map.cardinal inst.echoes)
-           (Int_map.cardinal inst.readies)
-           (if inst.echo_sent then "E" else "")
-           (if inst.ready_sent then "R" else "")
-           (match inst.accepted with None -> "" | Some p -> "A" ^ pp p))
-  |> String.concat ";"
+(* [(origin,tag)e<echoes>r<readies>[E][R][A<payload>]] per instance,
+   ';'-separated in key order, written into one local buffer (callers
+   are state cores, which may not pass their own buffer on). *)
+let fingerprint render t =
+  let b = Buffer.create 64 in
+  let int i = Buffer.add_string b (string_of_int i) in
+  Key_map.iter
+    (fun (origin, tag) inst ->
+      if Buffer.length b > 0 then Buffer.add_char b ';';
+      Buffer.add_char b '(';
+      int origin;
+      Buffer.add_char b ',';
+      int tag;
+      Buffer.add_string b ")e";
+      int (Int_map.cardinal inst.echoes);
+      Buffer.add_char b 'r';
+      int (Int_map.cardinal inst.readies);
+      if inst.echo_sent then Buffer.add_char b 'E';
+      if inst.ready_sent then Buffer.add_char b 'R';
+      match inst.accepted with
+      | None -> ()
+      | Some p ->
+          Buffer.add_char b 'A';
+          Buffer.add_string b (render p))
+    t.instances;
+  Buffer.contents b
+
+let add_message add_payload b message =
+  let int i = Buffer.add_string b (string_of_int i) in
+  let relayed head ~origin ~tag =
+    Buffer.add_string b head;
+    int tag;
+    Buffer.add_char b '@';
+    int origin
+  in
+  let payload =
+    match message with
+    | Initial { tag; payload } ->
+        Buffer.add_string b "init[";
+        int tag;
+        payload
+    | Echo { origin; tag; payload } ->
+        relayed "echo[" ~origin ~tag;
+        payload
+    | Ready { origin; tag; payload } ->
+        relayed "ready[" ~origin ~tag;
+        payload
+  in
+  Buffer.add_char b ']';
+  add_payload b payload

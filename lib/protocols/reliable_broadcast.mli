@@ -73,4 +73,11 @@ val accepted : 'p t -> tag:int -> (int * 'p) list
 val accepted_count : 'p t -> tag:int -> int
 
 val fingerprint : ('p -> string) -> 'p t -> string
-(** Canonical serialization for state digests. *)
+(** Canonical serialization for state digests, each accepted payload
+    rendered by the given function. *)
+
+val add_message : (Buffer.t -> 'p -> unit) -> Buffer.t -> 'p msg -> unit
+(** [add_message add_payload b m] appends [m]'s canonical text —
+    [init[tag]P], [echo[tag@origin]P] or [ready[tag@origin]P], with
+    [add_payload] writing [P] — for a protocol's
+    [Dsim.Protocol.add_message]. *)

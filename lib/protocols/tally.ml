@@ -19,6 +19,12 @@ let count_value t value = if value then t.ones else t.zeros
 let srcs t = List.map fst (Int_map.bindings t.votes)
 
 let fingerprint t =
-  Int_map.bindings t.votes
-  |> List.map (fun (src, v) -> Printf.sprintf "%d:%d" src (if v then 1 else 0))
-  |> String.concat ","
+  let b = Buffer.create 32 in
+  Int_map.iter
+    (fun src v ->
+      if Buffer.length b > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (string_of_int src);
+      Buffer.add_char b ':';
+      Buffer.add_char b (if v then '1' else '0'))
+    t.votes;
+  Buffer.contents b

@@ -21,4 +21,5 @@ val count_value : t -> bool -> int
 
 val srcs : t -> int list
 val fingerprint : t -> string
-(** Canonical string, for state serialization. *)
+(** Canonical string, for state serialization: [src:bit] per vote,
+    ','-separated in ascending [src]. *)

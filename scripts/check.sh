@@ -281,6 +281,9 @@ expect 2 "$cli" -n 5 -t 9
 expect 2 "$cli" -n 3 -t 0 --inputs 0101
 expect 2 "$cli" -n -3
 expect 2 "$cli" -n 3 -t 0 --inputs 01x
+expect 2 "$cli" --budget=-1
+expect 2 "$cli" --sweep=-1
+expect 2 "$cli" --sweep 2 -j 0
 # --trace prints JSON Lines, the one event rendering: its event lines
 # must be exactly the events --json writes after the summary line.
 trace_dir=$(mktemp -d)

@@ -84,7 +84,7 @@ let memoryful : (memoryful_state, string) Dsim.Protocol.t =
     rewrite_bit = (fun _ _ -> None);
     state_core = (fun s -> Printf.sprintf "%d:%d" s.id s.lifetime_received);
     props = Dsim.Protocol.default_props;
-    pp_message = (fun ppf m -> Format.pp_print_string ppf m);
+    add_message = Buffer.add_string;
   }
 
 let test_memoryful_detected () =

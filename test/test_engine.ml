@@ -59,7 +59,7 @@ let toy : (toy_state, string) Dsim.Protocol.t =
           (String.concat ";"
              (List.map (fun (src, m) -> Printf.sprintf "%d-%s" src m) s.received)));
     props = Dsim.Protocol.default_props;
-    pp_message = (fun ppf m -> Format.pp_print_string ppf m);
+    add_message = Buffer.add_string;
   }
 
 let make ?(n = 3) ?(t = 1) ?(inputs = [| true; false; true |]) ?(seed = 1)

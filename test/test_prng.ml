@@ -167,6 +167,20 @@ let test_sample_invalid () =
     (Invalid_argument "Stream.sample_without_replacement") (fun () ->
       ignore (Prng.Stream.sample_without_replacement s 7 6))
 
+(* The fingerprint is written digit by digit, without [Printf]; it must
+   be the bytes ["%Lx"] prints, short (leading-zero) states included.
+   A root stream's state is its expanded seed. *)
+let test_fingerprint_is_hex () =
+  let short = ref 0 in
+  for seed = 0 to 999 do
+    let b = Buffer.create 16 in
+    Prng.Stream.add_fingerprint b (Prng.Stream.root seed);
+    let expected = Printf.sprintf "%Lx" (Prng.Splitmix.int64_seed_of_int seed) in
+    if String.length expected < 16 then incr short;
+    Alcotest.(check string) "hex state" expected (Buffer.contents b)
+  done;
+  Alcotest.(check bool) "some states have leading zero digits" true (!short > 0)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -190,4 +204,5 @@ let suite =
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "sample full" `Quick test_sample_full;
     Alcotest.test_case "sample invalid" `Quick test_sample_invalid;
+    Alcotest.test_case "fingerprint is %Lx hex" `Quick test_fingerprint_is_hex;
   ]

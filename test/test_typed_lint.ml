@@ -92,7 +92,7 @@ let test_r7_covers_syntactic_fixtures () =
 
 let protocol_prelude =
   "module Protocol = struct\n\
-  \  type t = { name : string; init : int -> int; pp_message : int -> unit }\n\
+  \  type t = { name : string; init : int -> int; add_message : Buffer.t -> int -> unit }\n\
    end\n"
 
 (* A print in library code is also R5's finding; the R8 fixtures that
@@ -102,13 +102,13 @@ let test_r8_effectful_transition () =
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
       ^ "let noisy n = print_int n; n\n\
-         let p = { Protocol.name = \"fx\"; init = noisy; pp_message = ignore }"));
+         let p = { Protocol.name = \"fx\"; init = noisy; add_message = (fun _ _ -> ()) }"));
   let interproc =
     protocol_prelude
     ^ "let table : (int, int) Hashtbl.t = Hashtbl.create 8\n\
        let remember x = Hashtbl.replace table x x; x\n\
        let transition s = remember s\n\
-       let p = { Protocol.name = \"fx\"; init = transition; pp_message = ignore }"
+       let p = { Protocol.name = \"fx\"; init = transition; add_message = (fun _ _ -> ()) }"
   in
   (match typed_diags ~path:"lib/protocols/fx.ml" interproc with
   | [ d ] ->
@@ -125,7 +125,16 @@ let test_r8_effectful_transition () =
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
       ^ "let bad n = if n < 0 then failwith \"neg\" else n\n\
-         let p = { Protocol.name = \"fx\"; init = bad; pp_message = ignore }"))
+         let p = { Protocol.name = \"fx\"; init = bad; add_message = (fun _ _ -> ()) }"));
+  check_rules "a local buffer passed to a helper" [ "R8" ]
+    (typed_diags ~path:"lib/protocols/fx.ml"
+       (protocol_prelude
+      ^ "let add_int b i = Buffer.add_string b (string_of_int i)\n\
+         let render n =\n\
+        \  let b = Buffer.create 8 in\n\
+        \  add_int b n;\n\
+        \  String.length (Buffer.contents b)\n\
+         let p = { Protocol.name = \"fx\"; init = render; add_message = (fun _ _ -> ()) }"))
 
 let test_r8_clean () =
   check_rules "locally-allocated mutation is pure" []
@@ -135,17 +144,29 @@ let test_r8_clean () =
         \  let t = Hashtbl.create 8 in\n\
         \  for i = 0 to n do Hashtbl.replace t i i done;\n\
         \  Hashtbl.length t\n\
-         let p = { Protocol.name = \"fx\"; init = count; pp_message = ignore }"));
+         let p = { Protocol.name = \"fx\"; init = count; add_message = (fun _ _ -> ()) }"));
   check_rules "allowlisted raises are guard rails, not effects" []
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
       ^ "let guarded n = if n < 0 then invalid_arg \"neg\" else (assert (n >= 0); n)\n\
-         let p = { Protocol.name = \"fx\"; init = guarded; pp_message = ignore }"));
-  check_rules "pretty-printer fields are exempt from R8" [ "R5" ]
+         let p = { Protocol.name = \"fx\"; init = guarded; add_message = (fun _ _ -> ()) }"));
+  check_rules "message-renderer fields are exempt from R8" [ "R5" ]
     (typed_diags ~path:"lib/protocols/fx.ml"
        (protocol_prelude
-      ^ "let show n = print_int n\n\
-         let p = { Protocol.name = \"fx\"; init = (fun n -> n); pp_message = show }"))
+      ^ "let show b n = print_int n; Buffer.add_char b 'x'\n\
+         let p = { Protocol.name = \"fx\"; init = (fun n -> n); add_message = show }"));
+  (* A state serializer may fill a buffer it allocated itself, through
+     a closure over it; handing that buffer to another function is R8's
+     finding (below), because the callee mutates its parameter. *)
+  check_rules "closure over a local buffer is pure" []
+    (typed_diags ~path:"lib/protocols/fx.ml"
+       (protocol_prelude
+      ^ "let render n =\n\
+        \  let b = Buffer.create 8 in\n\
+        \  let int i = Buffer.add_string b (string_of_int i) in\n\
+        \  int n; int n;\n\
+        \  String.length (Buffer.contents b)\n\
+         let p = { Protocol.name = \"fx\"; init = render; add_message = (fun _ _ -> ()) }"))
 
 (* ------------------------------------------------------------------ *)
 (* R9: stream role linearity.                                          *)
