@@ -270,8 +270,12 @@ type verdict = {
   delta_pct : float;  (** positive = slower / more allocation *)
 }
 
+(* A zero baseline has no relative scale: anything above it is an
+   unbounded regression, so a row that allocated nothing cannot start
+   allocating unnoticed. *)
 let pct_delta ~baseline ~current =
-  if Float.abs baseline < 1e-9 then 0.0
+  if Float.abs baseline < 1e-9 then
+    if current > baseline then Float.infinity else 0.0
   else (current -. baseline) /. baseline *. 100.0
 
 (* Compare [current] against [baseline].  [gate_wall]/[gate_words]

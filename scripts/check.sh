@@ -229,6 +229,15 @@ echo "check: bench exit-code matrix + --quick regression smoke"
 expect 2 ./scripts/bench.sh --no-such-flag
 expect 2 ./scripts/bench.sh --quick --baseline /nonexistent/BASELINE.json
 expect 2 ./scripts/bench.sh --quick --scaling
+# A row whose baseline allocates nothing must still fail the words
+# fence once it allocates (rbc-fanout-n7 allocates on every run).
+zero_baseline=$(mktemp)
+cat > "$zero_baseline" <<'EOF'
+{"schema": "agreement-bench/1", "mode": "full",
+ "tests": {"agreement/E3/rbc-fanout-n7": {"minor-allocated-words": 0.0}}}
+EOF
+expect 1 _build/default/bench/main.exe --quick --only E3 --against "$zero_baseline"
+rm -f "$zero_baseline"
 bench_out=$(mktemp)
 if ./scripts/bench.sh --quick --out "$bench_out"; then
   echo "check: quick bench within threshold of bench/BASELINE.json"
