@@ -229,7 +229,7 @@ let bench_rbc_quorum_scan ~n ~t ~preload ~mk =
   let state =
     ref
       (Protocols.Reliable_broadcast.create ~quorums:Protocols.Reliable_broadcast.quorums ~n
-         ~t ~self:0 ~equal:Bool.equal ())
+         ~t ~self:0 ~code:Bool.to_int ())
   in
   for src = 2 to preload + 1 do
     let next, _, _ = Protocols.Reliable_broadcast.receive !state ~src (mk ()) in

@@ -7,43 +7,10 @@ type message =
 
 type phase = Report_wait | Propose_wait
 
-(* Proposal tally: at most one proposal per sender; counts per bit plus
-   a total, so quorum checks never re-scan the map (lint R13). *)
-type ptally = {
-  proposals : bool option Int_map.t;
-  p_true : int;
-  p_false : int;
-  p_count : int;  (* |proposals|, including '?' entries *)
-}
-
-let ptally_empty =
-  { proposals = Int_map.empty; p_true = 0; p_false = 0; p_count = 0 }
-
-let ptally_add t ~src value =
-  if Int_map.mem src t.proposals then t
-  else
-    {
-      proposals = Int_map.add src value t.proposals;
-      p_true = (t.p_true + match value with Some true -> 1 | _ -> 0);
-      p_false = (t.p_false + match value with Some false -> 1 | _ -> 0);
-      p_count = t.p_count + 1;
-    }
-
-let ptally_count t = t.p_count
-
-let proposal_char = function None -> '?' | Some true -> '1' | Some false -> '0'
-
-(* [src:proposal] per entry, ','-separated in ascending [src]. *)
-let ptally_fingerprint t =
-  let b = Buffer.create 32 in
-  Int_map.iter
-    (fun src v ->
-      if Buffer.length b > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int src);
-      Buffer.add_char b ':';
-      Buffer.add_char b (proposal_char v))
-    t.proposals;
-  Buffer.contents b
+(* Tally codes, for reports and proposals alike: 0 and 1 are the bits,
+   2 is the proposal [None] ('?'). *)
+let proposal_code = function Some bit -> Bool.to_int bit | None -> 2
+let code_char code = "01?".[code]
 
 (* The declared thresholds, evaluated once per [init]. *)
 type thresholds = { decide_at : int; wait_quorum : int }
@@ -74,7 +41,7 @@ type state = {
   phase : phase;
   x : bool;
   reports : Tally.t Round_map.t;
-  proposals : ptally Round_map.t;
+  proposals : Tally.t Round_map.t;
   outbox_rev : message Dsim.Step.send list;  (* pending sends, newest first *)
 }
 
@@ -82,7 +49,7 @@ let reports_for state round =
   Option.value ~default:Tally.empty (Round_map.find_opt round state.reports)
 
 let proposals_for state round =
-  Option.value ~default:ptally_empty (Round_map.find_opt round state.proposals)
+  Option.value ~default:Tally.empty (Round_map.find_opt round state.proposals)
 
 let wait_quorum state = state.thresholds.wait_quorum
 
@@ -92,8 +59,8 @@ let finish_report_phase state =
   let tally = reports_for state state.round in
   let half = state.n / 2 in
   let proposal =
-    if Tally.count_value tally true > half then Some true
-    else if Tally.count_value tally false > half then Some false
+    if Tally.count_value tally 1 > half then Some true
+    else if Tally.count_value tally 0 > half then Some false
     else None
   in
   let state = { state with phase = Propose_wait } in
@@ -108,22 +75,24 @@ let finish_report_phase state =
    agreeing proposals, adopt on one, flip a coin on none. *)
 let finish_propose_phase state rng =
   let tally = proposals_for state state.round in
+  let p_true = Tally.count_value tally 1 in
+  let p_false = Tally.count_value tally 0 in
   let decide_at = state.thresholds.decide_at in
   let output =
     match state.output with
     | Some _ as existing -> existing
     | None ->
-        if tally.p_true >= decide_at then Some true
-        else if tally.p_false >= decide_at then Some false
+        if p_true >= decide_at then Some true
+        else if p_false >= decide_at then Some false
         else None
   in
   let x =
     (* At most one value can be proposed by correct processors (two
        strict majorities of reports would intersect), but Byzantine
        corruption can make both appear; prefer the better-supported. *)
-    if tally.p_true = 0 && tally.p_false = 0 then Prng.Stream.bool rng
-    else if tally.p_true > tally.p_false then true
-    else if tally.p_false > tally.p_true then false
+    if p_true = 0 && p_false = 0 then Prng.Stream.bool rng
+    else if p_true > p_false then true
+    else if p_false > p_true then false
     else state.x
   in
   let next_round = state.round + 1 in
@@ -151,7 +120,7 @@ let rec advance state rng =
         advance (finish_report_phase state) rng
       else state
   | Propose_wait ->
-      if ptally_count (proposals_for state state.round) >= quorum then
+      if Tally.count (proposals_for state state.round) >= quorum then
         advance (finish_propose_phase state rng) rng
       else state
 
@@ -188,12 +157,12 @@ let on_deliver state ~src message rng =
   | Report { round; value } ->
       if round < state.round then state
       else
-        let tally = Tally.add (reports_for state round) ~src value in
+        let tally = Tally.add (reports_for state round) ~src (Bool.to_int value) in
         advance { state with reports = Round_map.add round tally state.reports } rng
   | Propose { round; value } ->
       if round < state.round then state
       else
-        let tally = ptally_add (proposals_for state round) ~src value in
+        let tally = Tally.add (proposals_for state round) ~src (proposal_code value) in
         advance { state with proposals = Round_map.add round tally state.proposals } rng
 
 (* Ben-Or has no re-join procedure: a reset processor restarts from its
@@ -213,7 +182,8 @@ let observe state =
     ~phase:(match state.phase with Report_wait -> 0 | Propose_wait -> 1)
 
 (* [bo:id:round:phase:x:output:input:resets:R{<reports>}:P{<proposals>}:<outbox>],
-   each tally map as [round[<tally>];...] in ascending rounds. *)
+   each tally map as [round[src:code,...];...] in ascending rounds and
+   sources. *)
 let state_core state =
   let b = Buffer.create 128 in
   let int i = Buffer.add_string b (string_of_int i) in
@@ -222,14 +192,21 @@ let state_core state =
   let bit v = if v then '1' else '0' in
   (* A separator goes before every round but the first: the one written
      while the buffer still ends at the map's start mark. *)
-  let rounds fingerprint map =
+  let rounds map =
     let start = Buffer.length b in
     Round_map.iter
       (fun r tally ->
         if Buffer.length b > start then Buffer.add_char b ';';
         int r;
         Buffer.add_char b '[';
-        Buffer.add_string b (fingerprint tally);
+        let votes_start = Buffer.length b in
+        Tally.iter
+          (fun src code ->
+            if Buffer.length b > votes_start then Buffer.add_char b ',';
+            int src;
+            Buffer.add_char b ':';
+            Buffer.add_char b (code_char code))
+          tally;
         Buffer.add_char b ']')
       map
   in
@@ -242,9 +219,9 @@ let state_core state =
   field_char (bit state.input);
   field_int state.resets;
   Buffer.add_string b ":R{";
-  rounds Tally.fingerprint state.reports;
+  rounds state.reports;
   Buffer.add_string b "}:P{";
-  rounds ptally_fingerprint state.proposals;
+  rounds state.proposals;
   Buffer.add_char b '}';
   field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
   Buffer.contents b
@@ -261,7 +238,7 @@ let add_message b message =
   in
   match message with
   | Report { round; value } -> add 'R' round (if value then '1' else '0')
-  | Propose { round; value } -> add 'P' round (proposal_char value)
+  | Propose { round; value } -> add 'P' round (code_char (proposal_code value))
 
 let protocol ?(name = "ben-or") ?(quorums = quorums) () =
   {

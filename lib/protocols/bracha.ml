@@ -7,24 +7,11 @@ let tag_of ~round ~phase = (round * 4) + phase
 let round_of_tag tag = tag / 4
 let phase_of_tag tag = tag mod 4
 
-(* Incremental per-tag quorum counters: one bump when a vote is
-   admitted, O(1) reads at every justification/threshold check.  These
-   mirror [admitted] exactly; the per-delivery re-scans of the admitted
-   maps they replaced were the cost linter's R13 findings. *)
-type tally = { val_t : int; val_f : int; dec_t : int; dec_f : int }
-
-let tally_empty = { val_t = 0; val_f = 0; dec_t = 0; dec_f = 0 }
-
-let tally_add tally = function
-  | Val true -> { tally with val_t = tally.val_t + 1 }
-  | Val false -> { tally with val_f = tally.val_f + 1 }
-  | Dec true -> { tally with dec_t = tally.dec_t + 1 }
-  | Dec false -> { tally with dec_f = tally.dec_f + 1 }
-
-let tally_with_bit tally bit =
-  if bit then tally.val_t + tally.dec_t else tally.val_f + tally.dec_f
-
-let tally_total tally = tally.val_t + tally.val_f + tally.dec_t + tally.dec_f
+(* Tally codes: [Val false], [Val true], [Dec false], [Dec true] are
+   0 to 3. *)
+let val_code bit = Bool.to_int bit
+let dec_code bit = 2 + Bool.to_int bit
+let vote_code = function Val bit -> val_code bit | Dec bit -> dec_code bit
 
 let quorums =
   {
@@ -67,28 +54,23 @@ type state = {
   x : bool;
   rbc : vote Reliable_broadcast.t;
   validated : bool;
-  admitted : vote Int_map.t Int_map.t;  (* tag -> origin -> vote *)
-  tallies : tally Int_map.t;  (* tag -> admitted-vote counts *)
+  admitted : Tally.t Int_map.t;  (* tag -> admitted votes, by origin *)
   quarantine : (int * int * vote) list;  (* (tag, origin, vote), unjustified *)
   outbox_rev : message Dsim.Step.send list;  (* pending sends, newest first *)
 }
 
 let bit_of_vote = function Val b | Dec b -> b
 
-let vote_equal a b =
-  match (a, b) with
-  | Val x, Val y | Dec x, Dec y -> Bool.equal x y
-  | Val _, Dec _ | Dec _, Val _ -> false
-
 let quorum state = state.thresholds.quorum
 
 let admitted_for state tag =
-  Option.value ~default:Int_map.empty (Int_map.find_opt tag state.admitted)
+  Option.value ~default:Tally.empty (Int_map.find_opt tag state.admitted)
 
-let tally_for state tag =
-  Option.value ~default:tally_empty (Int_map.find_opt tag state.tallies)
+(* Admitted votes for [bit], whether plain or decision candidates. *)
+let count_with_bit tally bit =
+  Tally.count_value tally (val_code bit) + Tally.count_value tally (dec_code bit)
 
-let admitted_count_with_bit state tag bit = tally_with_bit (tally_for state tag) bit
+let admitted_count_with_bit state tag bit = count_with_bit (admitted_for state tag) bit
 
 (* Bracha's validation filter, monotone form: can this vote have been
    produced by a correct processor, given the prior-phase votes this
@@ -112,17 +94,11 @@ let justified state ~tag ~vote =
       | Val _ -> true)
   | _ -> false
 
+(* RBC accepts at most one payload per (origin, tag), and the tally
+   keeps the first vote per origin regardless. *)
 let admit state ~tag ~origin ~vote =
-  let per_tag = admitted_for state tag in
-  (* RBC accepts at most one payload per (origin, tag), so re-admission
-     cannot happen; the guard keeps the tallies exact regardless. *)
-  if Int_map.mem origin per_tag then state
-  else
-    {
-      state with
-      admitted = Int_map.add tag (Int_map.add origin vote per_tag) state.admitted;
-      tallies = Int_map.add tag (tally_add (tally_for state tag) vote) state.tallies;
-    }
+  let tally = Tally.add (admitted_for state tag) ~src:origin (vote_code vote) in
+  { state with admitted = Int_map.add tag tally state.admitted }
 
 (* Route a fresh RBC acceptance through the filter, then re-examine the
    quarantine until no more votes become justified (justification is
@@ -164,21 +140,20 @@ let rbc_broadcast state payload =
      (* lint: allow R12 *) *)
   { state with rbc; outbox_rev = List.rev_append sends state.outbox_rev }
 
-(* Process a completed phase quorum.  [tally] is the admitted-vote
-   count for the current (round, phase) tag — the incremental mirror of
-   what used to be recomputed here by filtering the admitted list. *)
+(* Process a completed phase quorum.  [tally] holds the admitted votes
+   for the current (round, phase) tag. *)
 let finish_phase state tally rng =
   match state.phase with
   | 1 ->
-      let ones = tally_with_bit tally true in
-      let zeros = tally_with_bit tally false in
+      let ones = count_with_bit tally true in
+      let zeros = count_with_bit tally false in
       let x = if ones > zeros then true else false in
       let state = { state with x; phase = 2 } in
       rbc_broadcast state (Val x)
   | 2 ->
       let half = state.n / 2 in
-      let ones = tally_with_bit tally true in
-      let zeros = tally_with_bit tally false in
+      let ones = count_with_bit tally true in
+      let zeros = count_with_bit tally false in
       let payload =
         if ones > half then Dec true
         else if zeros > half then Dec false
@@ -187,8 +162,8 @@ let finish_phase state tally rng =
       let state = { state with phase = 3 } in
       rbc_broadcast state payload
   | 3 ->
-      let dec_true = tally.dec_t in
-      let dec_false = tally.dec_f in
+      let dec_true = Tally.count_value tally (dec_code true) in
+      let dec_false = Tally.count_value tally (dec_code false) in
       let decide_at = state.thresholds.decide_at in
       let adopt_at = state.thresholds.adopt_at in
       let output =
@@ -210,8 +185,8 @@ let finish_phase state tally rng =
 
 let rec advance state rng =
   let tag = tag_of ~round:state.round ~phase:state.phase in
-  let tally = tally_for state tag in
-  if tally_total tally >= quorum state then advance (finish_phase state tally rng) rng
+  let tally = admitted_for state tag in
+  if Tally.count tally >= quorum state then advance (finish_phase state tally rng) rng
   else state
 
 let init_with ~thresholds ~validated ~rbc ~n ~t ~id ~input () =
@@ -230,7 +205,6 @@ let init_with ~thresholds ~validated ~rbc ~n ~t ~id ~input () =
       rbc;
       validated;
       admitted = Int_map.empty;
-      tallies = Int_map.empty;
       quarantine = [];
       outbox_rev = [];
     }
@@ -279,11 +253,8 @@ let observe state =
   Dsim.Obs.make ~id:state.id ~round:state.round ~estimate:(Some state.x)
     ~output:state.output ~input:state.input ~resets:state.resets ~phase:state.phase
 
-let vote_fingerprint = function
-  | Val true -> "V1"
-  | Val false -> "V0"
-  | Dec true -> "D1"
-  | Dec false -> "D0"
+let code_fingerprint = function 0 -> "V0" | 1 -> "V1" | 2 -> "D0" | _ -> "D1"
+let vote_fingerprint vote = code_fingerprint (vote_code vote)
 
 (* [br:id:round:phase:x:output:input:resets:<rbc>:A{<admitted>}:Q<quarantined>:<outbox>],
    where <admitted> is [tag{<origin><vote>,...};...] in ascending keys. *)
@@ -313,11 +284,11 @@ let state_core state =
       int tag;
       Buffer.add_char b '{';
       let votes_start = Buffer.length b in
-      Int_map.iter
-        (fun origin vote ->
+      Tally.iter
+        (fun origin code ->
           if Buffer.length b > votes_start then Buffer.add_char b ',';
           int origin;
-          Buffer.add_string b (vote_fingerprint vote))
+          Buffer.add_string b (code_fingerprint code))
         votes;
       Buffer.add_char b '}')
     state.admitted;
@@ -344,7 +315,7 @@ let protocol ?(validated = false) ?name ?(quorums = quorums) () =
     init =
       (fun ~n ~t ~id ~input ->
         let rbc =
-          Reliable_broadcast.create ~quorums ~n ~t ~self:id ~equal:vote_equal ()
+          Reliable_broadcast.create ~quorums ~n ~t ~self:id ~code:vote_code ()
         in
         init_with ~thresholds:(evaluate quorums ~n ~t) ~validated ~rbc ~n ~t
           ~id ~input ());

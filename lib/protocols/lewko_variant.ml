@@ -28,7 +28,7 @@ let tally_for state round =
    vote queued (step 4 + step 1). *)
 let process_round ~coin state round rng =
   let tally = tally_for state round in
-  let votes_for v = Tally.count_value tally v in
+  let votes_for v = Tally.count_value tally (Bool.to_int v) in
   let { Thresholds.t2; t3; _ } = state.thresholds in
   let output =
     match state.output with
@@ -111,7 +111,7 @@ let on_deliver ~coin state ~src (message : message) rng =
   in
   if not relevant then state
   else
-    let tally = Tally.add (tally_for state message.round) ~src message.value in
+    let tally = Tally.add (tally_for state message.round) ~src (Bool.to_int message.value) in
     let state = { state with tallies = Round_map.add message.round tally state.tallies } in
     advance ~coin state rng
 
@@ -137,7 +137,7 @@ let observe state =
     ~phase:(match state.mode with Normal -> 0 | Recovering -> 1)
 
 (* [lv:id:mode:output:round:x:input:resets:<tallies>:<outbox>], the
-   tallies as [round[<tally>];...] in ascending rounds. *)
+   tallies as [round[src:bit,...];...] in ascending rounds and sources. *)
 let state_core state =
   let b = Buffer.create 96 in
   let int i = Buffer.add_string b (string_of_int i) in
@@ -161,7 +161,14 @@ let state_core state =
       if Buffer.length b > start then Buffer.add_char b ';';
       int r;
       Buffer.add_char b '[';
-      Buffer.add_string b (Tally.fingerprint tally);
+      let votes_start = Buffer.length b in
+      Tally.iter
+        (fun src code ->
+          if Buffer.length b > votes_start then Buffer.add_char b ',';
+          int src;
+          Buffer.add_char b ':';
+          int code)
+        tally;
       Buffer.add_char b ']')
     state.tallies;
   field_int (Dsim.Step.send_count ~n:state.n state.outbox);

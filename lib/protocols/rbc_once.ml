@@ -31,7 +31,7 @@ let init_with ~quorums ~origin ~n ~t ~id ~input () =
       output = None;
       resets = 0;
       rbc =
-        Reliable_broadcast.create ~quorums ~n ~t ~self:id ~equal:Bool.equal ();
+        Reliable_broadcast.create ~quorums ~n ~t ~self:id ~code:Bool.to_int ();
       outbox_rev = [];
     }
 

@@ -1,4 +1,3 @@
-module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
 module Key = struct
@@ -18,18 +17,16 @@ type 'p msg =
   | Ready of { origin : int; tag : int; payload : 'p }
 
 type 'p inst = {
-  echoes : 'p Int_map.t;  (* per echoing sender *)
-  readies : 'p Int_map.t;
-  echo_tally : ('p * int) list;  (* per distinct payload; sums to |echoes| *)
-  ready_tally : ('p * int) list;
+  echoes : Tally.t;  (* one payload code per echoing sender *)
+  readies : Tally.t;
   echo_sent : bool;
   ready_sent : bool;
   accepted : 'p option;
 }
 
 let inst_empty =
-  { echoes = Int_map.empty; readies = Int_map.empty; echo_tally = [];
-    ready_tally = []; echo_sent = false; ready_sent = false; accepted = None }
+  { echoes = Tally.empty; readies = Tally.empty; echo_sent = false;
+    ready_sent = false; accepted = None }
 
 let quorums =
   {
@@ -57,15 +54,15 @@ type 'p t = {
   n : int;
   fault_bound : int;
   self : int;
-  equal : 'p -> 'p -> bool;  (* payload equality; never polymorphic [=] *)
+  code : 'p -> int;  (* matching payloads share a tally code *)
   thresholds : thresholds;
   instances : 'p inst Key_map.t;
   started : Int_set.t;  (* tags this processor already originated *)
 }
 
-let create ~quorums ~n ~t ~self ~equal () =
+let create ~quorums ~n ~t ~self ~code () =
   let value = Quorums.value quorums ~n ~t in
-  { n; fault_bound = t; self; equal;
+  { n; fault_bound = t; self; code;
     thresholds =
       { rbc_echo_quorum = value "rbc_echo_quorum";
         rbc_ready_resend = value "rbc_ready_resend";
@@ -91,38 +88,16 @@ let broadcast t ~tag payload =
     let t = { t with started = Int_set.add tag t.started } in
     (t, to_all t (Initial { tag; payload }))
 
-(* Incremental per-payload tallies mirroring the sender maps: bumped on
-   every deduplicated insert, read at decision time.  Reads cost the
-   number of distinct payloads seen, which is 1 for a correct origin
-   and bounded by the equivocation the adversary actually performs —
-   the per-delivery re-scan of the whole sender map (lint R13) is
-   gone. *)
-(* The list length is the number of distinct payloads, 1 for a correct
-   origin; the recursion summary's O(n) is the equivocation bound, not
-   a per-delivery cost (see above). *)
-(* lint: allow R15 *)
-let rec bump equal payload = function
-  | [] -> [ (payload, 1) ]
-  | (p, k) :: rest ->
-      if equal p payload then (p, k + 1) :: rest
-      else (p, k) :: bump equal payload rest
-
-(* lint: allow R15 — same distinct-payload bound as [bump]. *)
-let rec tally_count equal payload = function
-  | [] -> 0
-  | (p, k) :: rest -> if equal p payload then k else tally_count equal payload rest
-
-(* Evaluate an instance's thresholds after new evidence arrived; returns
-   the updated instance, messages to send, and the acceptance if new. *)
-let evaluate t key inst payload =
+(* Evaluate an instance's thresholds after new evidence for [payload]
+   (tally code [code]) arrived; returns the updated instance, messages
+   to send, and the acceptance if new. *)
+let evaluate t key inst payload code =
   let origin, tag = key in
   let sends = ref [] in
   let inst =
     if (not inst.ready_sent)
-       && (tally_count t.equal payload inst.echo_tally
-           >= t.thresholds.rbc_echo_quorum
-          || tally_count t.equal payload inst.ready_tally
-             >= t.thresholds.rbc_ready_resend)
+       && (Tally.count_value inst.echoes code >= t.thresholds.rbc_echo_quorum
+          || Tally.count_value inst.readies code >= t.thresholds.rbc_ready_resend)
     then begin
       sends := to_all t (Ready { origin; tag; payload });
       { inst with ready_sent = true }
@@ -131,8 +106,7 @@ let evaluate t key inst payload =
   in
   let accepted_now =
     if Option.is_none inst.accepted
-       && tally_count t.equal payload inst.ready_tally
-          >= t.thresholds.rbc_accept_quorum
+       && Tally.count_value inst.readies code >= t.thresholds.rbc_accept_quorum
     then Some payload
     else None
   in
@@ -155,46 +129,25 @@ let receive t ~src message =
   | Echo { origin; tag; payload } ->
       let key = (origin, tag) in
       let inst = instance t key in
-      if Int_map.mem src inst.echoes then (t, [], [])
+      if Tally.mem inst.echoes src then (t, [], [])
       else
-        let inst =
-          { inst with
-            echoes = Int_map.add src payload inst.echoes;
-            echo_tally = bump t.equal payload inst.echo_tally }
-        in
-        let inst, sends, accepted_now = evaluate t key inst payload in
-        let t = set_instance t key inst in
-        ( t,
+        let code = t.code payload in
+        let inst = { inst with echoes = Tally.add inst.echoes ~src code } in
+        let inst, sends, accepted_now = evaluate t key inst payload code in
+        ( set_instance t key inst,
           sends,
           match accepted_now with None -> [] | Some p -> [ (origin, p) ] )
   | Ready { origin; tag; payload } ->
       let key = (origin, tag) in
       let inst = instance t key in
-      if Int_map.mem src inst.readies then (t, [], [])
+      if Tally.mem inst.readies src then (t, [], [])
       else
-        let inst =
-          { inst with
-            readies = Int_map.add src payload inst.readies;
-            ready_tally = bump t.equal payload inst.ready_tally }
-        in
-        let inst, sends, accepted_now = evaluate t key inst payload in
-        let t = set_instance t key inst in
-        ( t,
+        let code = t.code payload in
+        let inst = { inst with readies = Tally.add inst.readies ~src code } in
+        let inst, sends, accepted_now = evaluate t key inst payload code in
+        ( set_instance t key inst,
           sends,
           match accepted_now with None -> [] | Some p -> [ (origin, p) ] )
-
-let accepted t ~tag =
-  Key_map.fold
-    (fun (origin, key_tag) inst acc ->
-      match inst.accepted with
-      | Some payload when key_tag = tag -> (origin, payload) :: acc
-      | _ -> acc)
-    t.instances []
-  (* Keys are unique per origin at a fixed tag, so ordering by origin
-     alone is a total order here. *)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let accepted_count t ~tag = List.length (accepted t ~tag)
 
 (* [(origin,tag)e<echoes>r<readies>[E][R][A<payload>]] per instance,
    ';'-separated in key order, written into one local buffer (callers
@@ -210,9 +163,9 @@ let fingerprint render t =
       Buffer.add_char b ',';
       int tag;
       Buffer.add_string b ")e";
-      int (Int_map.cardinal inst.echoes);
+      int (Tally.count inst.echoes);
       Buffer.add_char b 'r';
-      int (Int_map.cardinal inst.readies);
+      int (Tally.count inst.readies);
       if inst.echo_sent then Buffer.add_char b 'E';
       if inst.ready_sent then Buffer.add_char b 'R';
       match inst.accepted with

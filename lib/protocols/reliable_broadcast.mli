@@ -38,7 +38,7 @@ val create :
   n:int ->
   t:int ->
   self:int ->
-  equal:('p -> 'p -> bool) ->
+  code:('p -> int) ->
   unit ->
   'p t
 (** [quorums] must declare the three [rbc_*] keys; they are evaluated
@@ -46,12 +46,12 @@ val create :
     checker's mutants pass a weakened declaration and must then yield
     a violating schedule.
 
-    [equal] decides when two payloads match for quorum counting; it
-    must be a structural, deterministic equality (polymorphic [=] is
-    banned in this subtree by lint rule R7). *)
+    [code] maps a payload to its {!Tally} code, in [\[0, 4)]: two
+    payloads match for quorum counting exactly when their codes are
+    equal. *)
 
 val reset_like : 'p t -> 'p t
-(** A fresh state with the same parameters (n, t, self, equality, and
+(** A fresh state with the same parameters (n, t, self, payload code, and
     the evaluated thresholds): what a resetting processor restarts
     with. *)
 
@@ -65,12 +65,6 @@ val receive :
 (** Process an incoming RBC message.  Returns the new state, sends to
     queue, and the list of [(origin, payload)] newly accepted by this
     call (at most one). *)
-
-val accepted : 'p t -> tag:int -> (int * 'p) list
-(** All [(origin, payload)] pairs accepted so far for a tag,
-    ascending origin. *)
-
-val accepted_count : 'p t -> tag:int -> int
 
 val fingerprint : ('p -> string) -> 'p t -> string
 (** Canonical serialization for state digests, each accepted payload

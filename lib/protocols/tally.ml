@@ -1,30 +1,34 @@
 module Int_map = Map.Make (Int)
 
-type t = { votes : bool Int_map.t; zeros : int; ones : int }
+(* [lanes] packs the counts of codes 0, 1 and 2 into three 20-bit
+   fields; code 3's count is [total] minus their sum.  Three fields,
+   because every [add] copies the record: a wider one would cost every
+   delivery of every protocol. *)
+type t = { votes : int Int_map.t; total : int; lanes : int }
 
-let empty = { votes = Int_map.empty; zeros = 0; ones = 0 }
+let lane_bits = 20
+let max_votes = (1 lsl lane_bits) - 1
 
-let add t ~src value =
+let empty = { votes = Int_map.empty; total = 0; lanes = 0 }
+
+let add t ~src code =
+  if code < 0 || code > 3 then invalid_arg "Tally.add: code outside [0, 4)";
   if Int_map.mem src t.votes then t
+  else if t.total >= max_votes then
+    invalid_arg "Tally.add: more than 2^20 - 1 senders"
   else
     {
-      votes = Int_map.add src value t.votes;
-      zeros = (t.zeros + if value then 0 else 1);
-      ones = (t.ones + if value then 1 else 0);
+      votes = Int_map.add src code t.votes;
+      total = t.total + 1;
+      lanes = (if code = 3 then t.lanes else t.lanes + (1 lsl (lane_bits * code)));
     }
 
-let count t = t.zeros + t.ones
-let count_value t value = if value then t.ones else t.zeros
+let mem t src = Int_map.mem src t.votes
+let count t = t.total
+let lane lanes code = (lanes lsr (lane_bits * code)) land max_votes
 
-let srcs t = List.map fst (Int_map.bindings t.votes)
+let count_value t code =
+  if code = 3 then t.total - lane t.lanes 0 - lane t.lanes 1 - lane t.lanes 2
+  else lane t.lanes code
 
-let fingerprint t =
-  let b = Buffer.create 32 in
-  Int_map.iter
-    (fun src v ->
-      if Buffer.length b > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int src);
-      Buffer.add_char b ':';
-      Buffer.add_char b (if v then '1' else '0'))
-    t.votes;
-  Buffer.contents b
+let iter f t = Int_map.iter f t.votes

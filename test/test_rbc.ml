@@ -4,8 +4,10 @@
 
 module Rbc = Protocols.Reliable_broadcast
 
-let create ?(self = 0) () =
-  Rbc.create ~quorums:Rbc.quorums ~n:7 ~t:2 ~self ~equal:String.equal ()
+(* The test payloads are "v" and "w". *)
+let code = function "v" -> 0 | "w" -> 1 | p -> invalid_arg ("payload " ^ p)
+
+let create ?(self = 0) () = Rbc.create ~quorums:Rbc.quorums ~n:7 ~t:2 ~self ~code ()
 
 (* Expand lazy broadcast envelopes into the explicit (destination,
    message) pairs the engine would enqueue (n = 7 throughout). *)
@@ -115,7 +117,6 @@ let test_acceptance_at_2t_plus_1 () =
       Alcotest.(check int) "not yet accepted" 0 (List.length !accepted_total)
   done;
   Alcotest.(check (list (pair int string))) "accepted once" [ (6, "v") ] !accepted_total;
-  Alcotest.(check int) "accepted_count" 1 (Rbc.accepted_count !state ~tag:2);
   (* A 6th ready must not re-accept. *)
   let _, _, accepted =
     Rbc.receive !state ~src:6 (Rbc.Ready { origin = 6; tag = 2; payload = "v" })
@@ -124,22 +125,26 @@ let test_acceptance_at_2t_plus_1 () =
 
 let test_accepted_by_tag () =
   let state = ref (create ()) in
+  let accepted = ref [] in
   let push origin tag =
     for src = 1 to 5 do
-      let s, _, _ =
+      let s, _, now =
         Rbc.receive !state ~src (Rbc.Ready { origin; tag; payload = "v" })
       in
-      state := s
+      state := s;
+      accepted := !accepted @ List.map (fun (o, p) -> (tag, (o, p))) now
     done
   in
   push 1 10;
   push 2 10;
   push 3 11;
-  Alcotest.(check (list (pair int string))) "tag 10 accepts sorted"
-    [ (1, "v"); (2, "v") ]
-    (Rbc.accepted !state ~tag:10);
-  Alcotest.(check int) "tag 11" 1 (Rbc.accepted_count !state ~tag:11);
-  Alcotest.(check int) "tag 12 empty" 0 (Rbc.accepted_count !state ~tag:12)
+  let at tag =
+    List.filter_map (fun (t, acc) -> if t = tag then Some acc else None) !accepted
+  in
+  Alcotest.(check (list (pair int string))) "tag 10 accepts" [ (1, "v"); (2, "v") ]
+    (at 10);
+  Alcotest.(check int) "tag 11" 1 (List.length (at 11));
+  Alcotest.(check int) "tag 12 empty" 0 (List.length (at 12))
 
 let test_equivocation_safety () =
   (* An origin sends "v" to some and "w" to others (via corrupted
@@ -176,7 +181,7 @@ let simulate_equivocation ?(split = 3) ~seed () =
   let n = 7 and t = 2 in
   let states =
     Array.init n (fun self ->
-        Rbc.create ~quorums:Rbc.quorums ~n ~t ~self ~equal:String.equal ())
+        Rbc.create ~quorums:Rbc.quorums ~n ~t ~self ~code ())
   in
   let rng = Prng.Stream.root seed in
   (* The corrupt origin (processor 6) sends Initial("v") to the first
