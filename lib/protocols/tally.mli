@@ -10,8 +10,9 @@
     its own values onto codes (a bit; a proposal [Some false],
     [Some true] or [None]; a Bracha [Val]/[Dec] vote).
 
-    Tallies are persistent values.  A tally holds at most [2^20 - 1]
-    votes: the per-code counts share one word. *)
+    Tallies are persistent values.  Senders are non-negative; a tally
+    holds at most [2^20 - 1] votes, because the per-code counts share
+    one word. *)
 
 type t
 
@@ -20,8 +21,9 @@ val empty : t
 val add : t -> src:int -> int -> t
 (** [add t ~src code] records [src]'s vote; a second vote from the
     same sender returns [t] itself.
-    @raise Invalid_argument if [code] is outside [\[0, 4)], or if
-    [src] is new and [t] already holds [2^20 - 1] votes. *)
+    @raise Invalid_argument if [code] is outside [\[0, 4)], if [src]
+    is negative, or if [src] is new and [t] already holds [2^20 - 1]
+    votes. *)
 
 val mem : t -> int -> bool
 (** Whether the sender's vote is recorded. *)

@@ -39,6 +39,8 @@ let test_bounds () =
     (fun () -> ignore (Tally.add Tally.empty ~src:0 4));
   Alcotest.check_raises "code -1" (Invalid_argument "Tally.add: code outside [0, 4)")
     (fun () -> ignore (Tally.add Tally.empty ~src:0 (-1)));
+  Alcotest.check_raises "src -1" (Invalid_argument "Tally.add: negative sender")
+    (fun () -> ignore (Tally.add Tally.empty ~src:(-1) 0));
   (* Fill one code's count field to its limit, then one sender more. *)
   let full = ref Tally.empty in
   for src = 1 to (1 lsl 20) - 1 do
