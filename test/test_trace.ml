@@ -125,6 +125,42 @@ let test_json_event_shapes () =
       (Dsim.Trace.Window_closed { index = 9 }, {|{"type":"window_closed","index":9}|});
     ]
 
+(* The recorded event stream of three executions, pinned by the MD5 of
+   its JSON Lines export.  [lewko-reset-audit-n12] and the E0 audit read
+   these events, so a kernel change must leave every one of them (and
+   their order) unchanged.  The Ben-Or run drops messages; the Lewko run
+   resets every window. *)
+let events_md5 config =
+  Digest.to_hex (Digest.string (Dsim.Trace_export.to_jsonl (Dsim.Engine.trace config)))
+
+let recorded_windows ~protocol ~n ~t ~strategy =
+  let config =
+    Dsim.Engine.init ~protocol ~n ~fault_bound:t
+      ~inputs:(Agreement.Ensemble.split_inputs ~n 1) ~seed:1 ~record_events:true ()
+  in
+  ignore (Dsim.Runner.run_windows config ~strategy ~max_windows:20_000 ~stop:`All_decided);
+  events_md5 config
+
+let test_events_pinned () =
+  Alcotest.(check string) "lewko reset storm n=12" "2f5e24ff52d3872c2428fac923685847"
+    (recorded_windows ~protocol:(Protocols.Lewko_variant.protocol ()) ~n:12 ~t:1
+       ~strategy:(Adversary.Reset_storm.with_silence ~seed:1 ()));
+  Alcotest.(check string) "bracha benign windows n=7" "9622afe4196aa423c4164a58ffa1e62c"
+    (recorded_windows ~protocol:(Protocols.Bracha.protocol ()) ~n:7 ~t:2
+       ~strategy:(Adversary.Benign.windowed ()));
+  let config =
+    Dsim.Engine.init ~protocol:(Protocols.Ben_or.protocol ()) ~n:9 ~fault_bound:4
+      ~inputs:(Agreement.Ensemble.split_inputs ~n:9 1) ~seed:1 ~record_events:true ()
+  in
+  let outcome =
+    Dsim.Runner.run_steps config ~strategy:(Adversary.Split_vote.stepwise ())
+      ~max_steps:6_000_000 ~stop:`First_decision
+  in
+  Alcotest.(check bool) "ben-or run drops messages" true
+    (Dsim.Trace.dropped (Dsim.Engine.trace config) > 0);
+  Alcotest.(check bool) "ben-or run decides" true (outcome.Dsim.Runner.decided <> []);
+  Alcotest.(check string) "ben-or stepwise n=9" "16983a1cc210bcde8a9d57cfcd35d065" (events_md5 config)
+
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -136,4 +172,5 @@ let suite =
     Alcotest.test_case "copy independent" `Quick test_copy_independent;
     Alcotest.test_case "obs printer" `Quick test_obs_printer;
     Alcotest.test_case "random-fair never drops" `Quick test_random_fair_never_drops;
+    Alcotest.test_case "recorded events pinned" `Quick test_events_pinned;
   ]
