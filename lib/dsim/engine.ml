@@ -167,15 +167,8 @@ let config_fingerprint b t =
 let note_decision t p before_output =
   match (before_output, output t p) with
   | None, Some value ->
-      Trace.record t.trace
-        (Trace.Decided
-           {
-             pid = p;
-             value;
-             step = t.step_index;
-             window = t.window_index;
-             chain_depth = t.receive_depths.(p);
-           })
+      Trace.record_decided t.trace ~pid:p ~value ~step:t.step_index
+        ~window:t.window_index ~chain_depth:t.receive_depths.(p)
   | _, _ -> ()
 
 (* Enqueue one send value: O(1) regardless of fan-out.  A [Unicast]
@@ -191,7 +184,7 @@ let enqueue_send t p depth send =
       t.next_msg_id <- id + 1;
       Mailbox.add_unicast t.mailbox ~id ~src:p ~dst ~payload ~depth
         ~sent_at_step:t.step_index ~sent_in_window:t.window_index;
-      Trace.record t.trace (Trace.Sent { src = p; dst; msg_id = id; depth })
+      Trace.record_sent t.trace ~src:p ~dst ~msg_id:id ~depth
   | Step.Broadcast payload ->
       let first = t.next_msg_id in
       t.next_msg_id <- first + t.n;
@@ -219,7 +212,7 @@ let deliver_taken t (envelope : _ Envelope.t) =
   let id = envelope.Envelope.id in
   let dst = envelope.Envelope.dst in
   if t.crashed.(dst) then
-    Trace.record t.trace (Trace.Dropped { msg_id = id })
+    Trace.record_dropped t.trace ~msg_id:id
   else begin
     let before = output t dst in
     t.states.(dst) <-
@@ -230,14 +223,8 @@ let deliver_taken t (envelope : _ Envelope.t) =
       t.recent_deliveries.(dst) <-
         (envelope.Envelope.src, envelope.Envelope.payload)
         :: t.recent_deliveries.(dst);
-    Trace.record t.trace
-      (Trace.Delivered
-         {
-           src = envelope.Envelope.src;
-           dst;
-           msg_id = id;
-           depth = envelope.Envelope.depth;
-         });
+    Trace.record_delivered t.trace ~src:envelope.Envelope.src ~dst ~msg_id:id
+      ~depth:envelope.Envelope.depth;
     note_decision t dst before
   end
 
@@ -257,13 +244,13 @@ let do_reset t p =
     t.states.(p) <- t.protocol.Protocol.on_reset t.states.(p);
     t.reset_counts.(p) <- t.reset_counts.(p) + 1;
     if t.track_deliveries then t.recent_deliveries.(p) <- [];
-    Trace.record t.trace (Trace.Reset_done { pid = p })
+    Trace.record_reset t.trace ~pid:p
   end
 
 let do_crash t p =
   if not t.crashed.(p) then begin
     t.crashed.(p) <- true;
-    Trace.record t.trace (Trace.Crashed { pid = p })
+    Trace.record_crash t.trace ~pid:p
   end
 
 let apply t step =
@@ -274,7 +261,7 @@ let apply t step =
   | Step.Drop id -> (
       match Mailbox.take t.mailbox id with
       | None -> invalid_arg (Printf.sprintf "Engine: drop of unknown message #%d" id)
-      | Some _ -> Trace.record t.trace (Trace.Dropped { msg_id = id }))
+      | Some _ -> Trace.record_dropped t.trace ~msg_id:id)
   | Step.Reset p -> do_reset t p
   | Step.Crash p -> do_crash t p
   | Step.Corrupt (id, payload) ->
@@ -310,7 +297,7 @@ let apply_window t ?tamper window =
   (* Phase 3: at most t resetting steps. *)
   List.iter (fun p -> apply t (Step.Reset p)) (Window.resets window);
   t.window_index <- t.window_index + 1;
-  Trace.record t.trace (Trace.Window_closed { index = t.window_index })
+  Trace.record_window_closed t.trace ~index:t.window_index
 
 let deliver_all_pending t ~dst =
   Mailbox.drain_for t.mailbox ~dst ~from:min_int ~til:max_int

@@ -40,17 +40,37 @@ let copy t = { t with sent = t.sent }
    path of plain sweeps never touches the event list. *)
 let note_event t event = t.events_rev <- event :: t.events_rev
 
-let record t event =
-  (match event with
-  | Sent _ -> t.sent <- t.sent + 1
-  | Delivered _ -> t.delivered <- t.delivered + 1
-  | Dropped _ -> t.dropped <- t.dropped + 1
-  | Reset_done _ -> t.resets <- t.resets + 1
-  | Crashed _ -> t.crashes <- t.crashes + 1
-  | Window_closed _ -> t.windows_closed <- t.windows_closed + 1
-  | Decided { pid; value; step; window; chain_depth } ->
-      t.decisions_rev <- (pid, value, step, window, chain_depth) :: t.decisions_rev);
-  if t.record_events then note_event t event
+(* One entry point per event kind: each bumps its counter and builds
+   the event value only when the trace keeps events, so an unrecorded
+   delivery allocates nothing here. *)
+let record_sent t ~src ~dst ~msg_id ~depth =
+  t.sent <- t.sent + 1;
+  if t.record_events then note_event t (Sent { src; dst; msg_id; depth })
+
+let record_delivered t ~src ~dst ~msg_id ~depth =
+  t.delivered <- t.delivered + 1;
+  if t.record_events then note_event t (Delivered { src; dst; msg_id; depth })
+
+let record_dropped t ~msg_id =
+  t.dropped <- t.dropped + 1;
+  if t.record_events then note_event t (Dropped { msg_id })
+
+let record_reset t ~pid =
+  t.resets <- t.resets + 1;
+  if t.record_events then note_event t (Reset_done { pid })
+
+let record_crash t ~pid =
+  t.crashes <- t.crashes + 1;
+  if t.record_events then note_event t (Crashed { pid })
+
+let record_window_closed t ~index =
+  t.windows_closed <- t.windows_closed + 1;
+  if t.record_events then note_event t (Window_closed { index })
+
+(* Decisions are rare (at most one per processor) and always kept. *)
+let record_decided t ~pid ~value ~step ~window ~chain_depth =
+  t.decisions_rev <- (pid, value, step, window, chain_depth) :: t.decisions_rev;
+  if t.record_events then note_event t (Decided { pid; value; step; window; chain_depth })
 
 (* Bulk accounting for a lazily-expanded broadcast: the engine reserves
    ids [first .. first + count - 1] (id = first + dst) in one step, so

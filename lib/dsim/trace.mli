@@ -23,7 +23,22 @@ val create : record_events:bool -> unit -> t
 val copy : t -> t
 (** Independent counters and recorded events. *)
 
-val record : t -> event -> unit
+(** {2 Recording}
+
+    One entry point per event kind.  Each takes the event's fields,
+    bumps its counter and builds the {!event} value only when
+    [record_events] is set, so a trace that keeps no events allocates
+    nothing per call (decisions excepted: they are always kept). *)
+
+val record_sent : t -> src:int -> dst:int -> msg_id:int -> depth:int -> unit
+val record_delivered : t -> src:int -> dst:int -> msg_id:int -> depth:int -> unit
+val record_dropped : t -> msg_id:int -> unit
+val record_reset : t -> pid:int -> unit
+val record_crash : t -> pid:int -> unit
+val record_window_closed : t -> index:int -> unit
+
+val record_decided :
+  t -> pid:int -> value:bool -> step:int -> window:int -> chain_depth:int -> unit
 
 val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> unit
 (** Account for a lazily-expanded broadcast occupying ids

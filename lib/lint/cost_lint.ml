@@ -97,10 +97,17 @@ let default_config =
         ("Bitset.cardinal", Costs.Linear);
         ("Bitset.cardinal_below", Costs.Linear);
         ("Bitset.popcount_word", Costs.Const);
-        (* Trace: the broadcast recorder bumps the sent counter once;
-           the per-destination Sent events only materialize when event
-           recording is on (diagnostic runs, never the hot bench
-           path). *)
+        (* Trace: each recorder bumps one counter and builds its event
+           only when event recording is on (diagnostic runs, never the
+           hot bench path); the broadcast recorder bumps the sent
+           counter once for all its destinations. *)
+        ("Trace.record_sent", Costs.Const);
+        ("Trace.record_delivered", Costs.Const);
+        ("Trace.record_dropped", Costs.Const);
+        ("Trace.record_reset", Costs.Const);
+        ("Trace.record_crash", Costs.Const);
+        ("Trace.record_window_closed", Costs.Const);
+        ("Trace.record_decided", Costs.Const);
         ("Trace.record_broadcast", Costs.Const);
       ];
     exempt_modules = Effects.default_exempt_modules;

@@ -2,12 +2,12 @@
 
 let test_counters () =
   let t = Dsim.Trace.create ~record_events:false () in
-  Dsim.Trace.record t (Dsim.Trace.Sent { src = 0; dst = 1; msg_id = 0; depth = 1 });
-  Dsim.Trace.record t (Dsim.Trace.Delivered { src = 0; dst = 1; msg_id = 0; depth = 1 });
-  Dsim.Trace.record t (Dsim.Trace.Dropped { msg_id = 9 });
-  Dsim.Trace.record t (Dsim.Trace.Reset_done { pid = 2 });
-  Dsim.Trace.record t (Dsim.Trace.Crashed { pid = 3 });
-  Dsim.Trace.record t (Dsim.Trace.Window_closed { index = 1 });
+  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+  Dsim.Trace.record_delivered t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+  Dsim.Trace.record_dropped t ~msg_id:9;
+  Dsim.Trace.record_reset t ~pid:2;
+  Dsim.Trace.record_crash t ~pid:3;
+  Dsim.Trace.record_window_closed t ~index:1;
   Alcotest.(check int) "sent" 1 (Dsim.Trace.sent t);
   Alcotest.(check int) "delivered" 1 (Dsim.Trace.delivered t);
   Alcotest.(check int) "dropped" 1 (Dsim.Trace.dropped t);
@@ -19,8 +19,8 @@ let test_counters () =
 
 let test_event_recording () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record t (Dsim.Trace.Sent { src = 0; dst = 1; msg_id = 0; depth = 1 });
-  Dsim.Trace.record t (Dsim.Trace.Dropped { msg_id = 0 });
+  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+  Dsim.Trace.record_dropped t ~msg_id:0;
   let events = Dsim.Trace.events t in
   Alcotest.(check int) "two events" 2 (List.length events);
   (* Chronological order. *)
@@ -30,10 +30,8 @@ let test_event_recording () =
 
 let test_decisions_always_recorded () =
   let t = Dsim.Trace.create ~record_events:false () in
-  Dsim.Trace.record t
-    (Dsim.Trace.Decided { pid = 4; value = true; step = 10; window = 2; chain_depth = 3 });
-  Dsim.Trace.record t
-    (Dsim.Trace.Decided { pid = 5; value = true; step = 12; window = 2; chain_depth = 3 });
+  Dsim.Trace.record_decided t ~pid:4 ~value:true ~step:10 ~window:2 ~chain_depth:3;
+  Dsim.Trace.record_decided t ~pid:5 ~value:true ~step:12 ~window:2 ~chain_depth:3;
   Alcotest.(check int) "both decisions kept" 2 (List.length (Dsim.Trace.decisions t));
   match Dsim.Trace.first_decision t with
   | Some (pid, value, step, window, chain) ->
@@ -46,9 +44,9 @@ let test_decisions_always_recorded () =
 
 let test_copy_independent () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record t (Dsim.Trace.Dropped { msg_id = 1 });
+  Dsim.Trace.record_dropped t ~msg_id:1;
   let c = Dsim.Trace.copy t in
-  Dsim.Trace.record c (Dsim.Trace.Dropped { msg_id = 2 });
+  Dsim.Trace.record_dropped c ~msg_id:2;
   Alcotest.(check int) "original unaffected" 1 (Dsim.Trace.dropped t);
   Alcotest.(check int) "copy advanced" 2 (Dsim.Trace.dropped c)
 
@@ -62,7 +60,7 @@ let test_obs_printer () =
 
 let test_json_write_file () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record t (Dsim.Trace.Reset_done { pid = 0 });
+  Dsim.Trace.record_reset t ~pid:0;
   let path = Filename.temp_file "trace" ".jsonl" in
   Dsim.Trace_export.write_file ~path t;
   let ic = open_in path in
@@ -90,9 +88,8 @@ let test_random_fair_never_drops () =
 
 let test_json_export () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record t (Dsim.Trace.Sent { src = 0; dst = 1; msg_id = 2; depth = 3 });
-  Dsim.Trace.record t
-    (Dsim.Trace.Decided { pid = 1; value = true; step = 4; window = 1; chain_depth = 2 });
+  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:2 ~depth:3;
+  Dsim.Trace.record_decided t ~pid:1 ~value:true ~step:4 ~window:1 ~chain_depth:2;
   let jsonl = Dsim.Trace_export.to_jsonl t in
   let lines = String.split_on_char '\n' jsonl |> List.filter (fun l -> l <> "") in
   Alcotest.(check int) "summary + 2 events" 3 (List.length lines);
