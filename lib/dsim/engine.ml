@@ -205,39 +205,43 @@ let do_send t p =
     List.iter (fun send -> enqueue_send t p depth send) sends
   end
 
-(* Deliver an envelope already removed from the mailbox: the tail of
-   [do_deliver], shared with the [Mailbox.drain_for] walks that remove
-   envelopes as they visit them. *)
-let deliver_taken t (envelope : _ Envelope.t) =
-  let id = envelope.Envelope.id in
-  let dst = envelope.Envelope.dst in
-  if t.crashed.(dst) then
-    Trace.record_dropped t.trace ~msg_id:id
+(* Deliver one envelope the mailbox has just removed, given its fields.
+   This is the visitor of both removal paths — {!Mailbox.take_with} for
+   a [Step.Deliver], {!Mailbox.drain_for} for the window walks — and it
+   gets the engine as the walk's context, so no closure is built per
+   delivery. *)
+let deliver_fields t ~id ~src ~dst ~depth payload =
+  if t.crashed.(dst) then Trace.record_dropped t.trace ~msg_id:id
   else begin
     let before = output t dst in
-    t.states.(dst) <-
-      t.protocol.Protocol.on_deliver t.states.(dst) ~src:envelope.Envelope.src
-        envelope.Envelope.payload t.rngs.(dst);
-    t.receive_depths.(dst) <- max t.receive_depths.(dst) envelope.Envelope.depth;
+    t.states.(dst) <- t.protocol.Protocol.on_deliver t.states.(dst) ~src payload t.rngs.(dst);
+    t.receive_depths.(dst) <- Int.max t.receive_depths.(dst) depth;
     if t.track_deliveries then
-      t.recent_deliveries.(dst) <-
-        (envelope.Envelope.src, envelope.Envelope.payload)
-        :: t.recent_deliveries.(dst);
-    Trace.record_delivered t.trace ~src:envelope.Envelope.src ~dst ~msg_id:id
-      ~depth:envelope.Envelope.depth;
+      t.recent_deliveries.(dst) <- (src, payload) :: t.recent_deliveries.(dst);
+    Trace.record_delivered t.trace ~src ~dst ~msg_id:id ~depth;
     note_decision t dst before
   end
 
+let drop_fields t ~id ~src:_ ~dst:_ ~depth:_ _ = Trace.record_dropped t.trace ~msg_id:id
+
 let do_deliver t id =
-  match Mailbox.take t.mailbox id with
-  | None -> invalid_arg (Printf.sprintf "Engine: deliver of unknown message #%d" id)
-  | Some envelope -> deliver_taken t envelope
+  if not (Mailbox.take_with t.mailbox id t deliver_fields) then
+    invalid_arg (Printf.sprintf "Engine: deliver of unknown message #%d" id)
+
+let do_drop t id =
+  if not (Mailbox.take_with t.mailbox id t drop_fields) then
+    invalid_arg (Printf.sprintf "Engine: drop of unknown message #%d" id)
 
 (* A delivery step for an envelope a drain walk has just removed: the
    [Step.Deliver] branch of [apply] without the re-probe. *)
-let deliver_step t envelope =
+let deliver_step t ~id ~src ~dst ~depth payload =
   t.step_index <- t.step_index + 1;
-  deliver_taken t envelope
+  deliver_fields t ~id ~src ~dst ~depth payload
+
+(* The [Step.Drop] branch of [apply], without building the step. *)
+let drop_step t id =
+  t.step_index <- t.step_index + 1;
+  do_drop t id
 
 let do_reset t p =
   if not t.crashed.(p) then begin
@@ -258,10 +262,7 @@ let apply t step =
   match step with
   | Step.Send p -> do_send t p
   | Step.Deliver id -> do_deliver t id
-  | Step.Drop id -> (
-      match Mailbox.take t.mailbox id with
-      | None -> invalid_arg (Printf.sprintf "Engine: drop of unknown message #%d" id)
-      | Some _ -> Trace.record_dropped t.trace ~msg_id:id)
+  | Step.Drop id -> do_drop t id
   | Step.Reset p -> do_reset t p
   | Step.Crash p -> do_crash t p
   | Step.Corrupt (id, payload) ->
@@ -282,18 +283,15 @@ let apply_window t ?tamper window =
      in ascending (sender, id) order — "some fixed order".  One
      [Mailbox.drain_for] walk per processor visits its queue merged with
      the broadcast table and removes each delivered envelope as it goes. *)
-  let deliver = deliver_step t in
+  let allow = Window.allows window in
   for dst = 0 to t.n - 1 do
-    Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to
-      ~allow:(fun src -> Window.allows window ~dst ~src)
-      deliver
+    Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to ~allow t deliver_step
   done;
   (* Undelivered fresh messages can never legally be delivered by a
      later window, so clear them out: one ascending merge walk over the
      window's own id range (near-free after full-delivery windows,
      where nothing fresh is left pending). *)
-  Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to (fun id ->
-      apply t (Step.Drop id));
+  Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to (drop_step t);
   (* Phase 3: at most t resetting steps. *)
   List.iter (fun p -> apply t (Step.Reset p)) (Window.resets window);
   t.window_index <- t.window_index + 1;
@@ -301,5 +299,5 @@ let apply_window t ?tamper window =
 
 let deliver_all_pending t ~dst =
   Mailbox.drain_for t.mailbox ~dst ~from:min_int ~til:max_int
-    ~allow:(fun _ -> true)
-    (deliver_step t)
+    ~allow:(fun ~dst:_ ~src:_ -> true)
+    t deliver_step

@@ -44,6 +44,8 @@ type 'm bc = {
   mutable bc_remaining : int;  (* = cardinal of bc_pending *)
 }
 
+type ('a, 'm) visitor = 'a -> id:int -> src:int -> dst:int -> depth:int -> 'm -> unit
+
 type 'm t = {
   (* arena: parallel arrays indexed by [id - base] *)
   mutable payloads : 'm option array;  (* [None] = empty slot *)
@@ -141,13 +143,17 @@ let copy t =
 let slot_occupied t rel =
   t.ucount > 0 && rel >= t.lo && rel < t.hi && Option.is_some t.payloads.(rel)
 
-(* Internal: only called on occupied slots. *)
+(* Internal: [slot_payload] and [env_of_slot] are only called on
+   occupied slots. *)
+let slot_payload t rel =
+  match t.payloads.(rel) with Some p -> p | None -> assert false
+
 let env_of_slot t rel =
   {
     Envelope.id = t.base + rel;
     src = t.srcs.(rel);
     dst = t.dsts.(rel);
-    payload = (match t.payloads.(rel) with Some p -> p | None -> assert false);
+    payload = slot_payload t rel;
     depth = t.depths.(rel);
     sent_at_step = t.steps.(rel);
     sent_in_window = t.wins.(rel);
@@ -319,14 +325,22 @@ let bc_index_for t id =
   done;
   !lo - 1
 
-let bc_mem t id =
+(* Index of the live broadcast entry holding [id] as a still-pending
+   destination, or -1. *)
+let bc_slot t id =
   let k = bc_index_for t id in
-  k >= 0
-  && (match t.bcs.(k) with
-     | Some bc ->
-         id - bc.bc_first < bc.bc_count
-         && Bitset.mem bc.bc_pending (id - bc.bc_first)
-     | None -> false)
+  if k < 0 then -1
+  else
+    match t.bcs.(k) with
+    | Some bc
+      when id - bc.bc_first < bc.bc_count
+           && Bitset.mem bc.bc_pending (id - bc.bc_first) ->
+        k
+    | Some _ | None -> -1
+
+(* Internal: only called on indices [bc_slot] returned. *)
+let bc_entry t k = match t.bcs.(k) with Some bc -> bc | None -> assert false
+
 
 let env_of_bc bc id =
   {
@@ -370,7 +384,7 @@ let bc_compact t =
 
 (* {2 Public surface} *)
 
-let mem t id = slot_occupied t (id - t.base) || bc_mem t id
+let mem t id = slot_occupied t (id - t.base) || bc_slot t id >= 0
 
 let add_unicast t ~id ~src ~dst ~payload ~depth ~sent_at_step ~sent_in_window =
   if mem t id then invalid_arg "Mailbox.add: duplicate message id";
@@ -410,39 +424,38 @@ let add_broadcast t ~first ~count ~src ~payload ~depth ~sent_at_step
   t.bc_pending_total <- t.bc_pending_total + count;
   t.bc_hi <- first + count
 
-let take t id =
+(* The one removal primitive: read the fields, remove, then hand the
+   fields to [f] — no envelope record, no option. *)
+let take_with t id ctx f =
   let rel = id - t.base in
   if slot_occupied t rel then begin
-    let env = env_of_slot t rel in
+    let src = t.srcs.(rel) and dst = t.dsts.(rel) and depth = t.depths.(rel) in
+    let payload = slot_payload t rel in
     arena_remove t rel;
-    Some env
+    f ctx ~id ~src ~dst ~depth payload;
+    true
   end
   else
-    let k = bc_index_for t id in
-    if k < 0 then None
-    else
-      match t.bcs.(k) with
-      | Some bc
-        when id - bc.bc_first < bc.bc_count
-             && Bitset.mem bc.bc_pending (id - bc.bc_first) ->
-          let env = env_of_bc bc id in
-          bc_remove t k bc id;
-          Some env
-      | Some _ | None -> None
+    let k = bc_slot t id in
+    k >= 0
+    &&
+    let bc = bc_entry t k in
+    bc_remove t k bc id;
+    f ctx ~id ~src:bc.bc_src ~dst:(id - bc.bc_first) ~depth:bc.bc_depth bc.bc_payload;
+    true
 
 let find t id =
   let rel = id - t.base in
   if slot_occupied t rel then Some (env_of_slot t rel)
   else
-    let k = bc_index_for t id in
-    if k < 0 then None
-    else
-      match t.bcs.(k) with
-      | Some bc
-        when id - bc.bc_first < bc.bc_count
-             && Bitset.mem bc.bc_pending (id - bc.bc_first) ->
-          Some (env_of_bc bc id)
-      | Some _ | None -> None
+    let k = bc_slot t id in
+    if k < 0 then None else Some (env_of_bc (bc_entry t k) id)
+
+let take t id =
+  let found = find t id in
+  if Option.is_some found then
+    ignore (take_with t id () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ()));
+  found
 
 (* Corrupting a broadcast destination splits it out: the destination
    leaves the shared broadcast entry and becomes an ordinary arena
@@ -455,18 +468,14 @@ let replace_payload t id payload =
     true
   end
   else
-    let k = bc_index_for t id in
-    if k < 0 then false
-    else
-      match t.bcs.(k) with
-      | Some bc
-        when id - bc.bc_first < bc.bc_count
-             && Bitset.mem bc.bc_pending (id - bc.bc_first) ->
-          bc_remove t k bc id;
-          arena_insert t ~id ~src:bc.bc_src ~dst:(id - bc.bc_first) ~payload
-            ~depth:bc.bc_depth ~step:bc.bc_step ~window:bc.bc_window;
-          true
-      | Some _ | None -> false
+    let k = bc_slot t id in
+    k >= 0
+    &&
+    let bc = bc_entry t k in
+    bc_remove t k bc id;
+    arena_insert t ~id ~src:bc.bc_src ~dst:(id - bc.bc_first) ~payload
+      ~depth:bc.bc_depth ~step:bc.bc_step ~window:bc.bc_window;
+    true
 
 let size t = t.ucount + t.bc_pending_total
 let is_empty t = size t = 0
@@ -529,115 +538,78 @@ let pending_ids t =
   iter t (fun e -> acc := e.Envelope.id :: !acc);
   List.rev !acc
 
-(* Two-pointer merge of dst's arena queue (ascending by construction)
+(* The per-destination walk behind [iter_for] and [drain_for]: a
+   two-pointer merge of dst's arena queue (ascending by construction)
    with the live broadcast entries (ascending [bc_first], at most one
-   contribution — id [bc_first + dst] — each).  Cursors advance before
-   the callback runs, so taking (or corrupt-splitting) the visited
-   envelope is safe. *)
-let iter_for t ~dst f =
-  if dst < 0 then
-    iter t (fun e -> if e.Envelope.dst = dst then f e)
-  else begin
-    let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
-    let k = ref 0 in
-    let bc_candidate () =
-      let res = ref (-1) and scanning = ref true in
-      while !scanning do
-        if !k >= t.bc_len then scanning := false
-        else
-          match t.bcs.(!k) with
-          | Some bc when dst < bc.bc_count && Bitset.mem bc.bc_pending dst ->
-              res := !k;
-              scanning := false
-          | Some _ | None -> incr k
-      done;
-      !res
-    in
-    let running = ref true in
-    while !running do
-      let kb = bc_candidate () in
-      let uid = !ucur in
-      if uid < 0 && kb < 0 then running := false
-      else begin
-        let bc =
-          if kb < 0 then None
-          else match t.bcs.(kb) with Some _ as s -> s | None -> assert false
-        in
-        let bid = match bc with None -> max_int | Some b -> b.bc_first + dst in
-        if uid >= 0 && uid < bid then begin
-          let rel = uid - t.base in
-          ucur := t.nexts.(rel);
-          f (env_of_slot t rel)
-        end
-        else
-          match bc with
-          | Some b ->
-              incr k;
-              f (env_of_bc b bid)
-          | None -> assert false
-      end
-    done
-  end
-
-let pending_for t ~dst =
-  let acc = ref [] in
-  iter_for t ~dst (fun e -> acc := e :: !acc);
-  List.rev !acc
-
-(* [iter_for] combined with removal: visit dst's pending envelopes
-   ascending, and for each one with id in [from, til) whose source
-   passes [allow], remove it from the store {e before} the callback
-   runs.  One merge walk instead of a walk plus a per-envelope [take]
-   re-probe — every engine window delivers through this. *)
-let drain_for t ~dst ~from ~til ~allow f =
-  if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
+   contribution — id [bc_first + dst] — each).  Every envelope with id
+   in [from, til) whose source passes [allow] is handed to [f] by its
+   fields, after its removal when [remove] is set.  Cursors advance
+   before [f] runs, so [f] may take (or corrupt-split) the visited
+   envelope.  The cursors are local refs no closure captures, so the
+   walk allocates nothing. *)
+let walk_for t ~dst ~from ~til ~allow ~remove ctx f =
   let ucur = ref (if dst < Array.length t.heads then t.heads.(dst) else -1) in
-  let k = ref 0 in
-  let bc_candidate () =
-    let res = ref (-1) and scanning = ref true in
-    while !scanning do
-      if !k >= t.bc_len then scanning := false
-      else
-        match t.bcs.(!k) with
-        | Some bc when dst < bc.bc_count && Bitset.mem bc.bc_pending dst ->
-            res := !k;
-            scanning := false
-        | Some _ | None -> incr k
-    done;
-    !res
-  in
-  let running = ref true in
+  let k = ref 0 and running = ref true in
   while !running do
-    let kb = bc_candidate () in
+    while
+      !k < t.bc_len
+      &&
+      match t.bcs.(!k) with
+      | Some bc -> not (dst < bc.bc_count && Bitset.mem bc.bc_pending dst)
+      | None -> true
+    do
+      incr k
+    done;
+    let bid = if !k < t.bc_len then t.bc_firsts.(!k) + dst else max_int in
     let uid = !ucur in
-    if uid < 0 && kb < 0 then running := false
-    else begin
-      let bc =
-        if kb < 0 then None
-        else match t.bcs.(kb) with Some _ as s -> s | None -> assert false
-      in
-      let bid = match bc with None -> max_int | Some b -> b.bc_first + dst in
-      if uid >= 0 && uid < bid then begin
-        let rel = uid - t.base in
-        ucur := t.nexts.(rel);
-        if uid >= from && uid < til && allow t.srcs.(rel) then begin
-          let env = env_of_slot t rel in
-          arena_remove t rel;
-          f env
-        end
+    if uid >= 0 && uid < bid then begin
+      let rel = uid - t.base in
+      ucur := t.nexts.(rel);
+      let src = t.srcs.(rel) in
+      if uid >= from && uid < til && allow ~dst ~src then begin
+        let depth = t.depths.(rel) and payload = slot_payload t rel in
+        if remove then arena_remove t rel;
+        f ctx ~id:uid ~src ~dst ~depth payload
       end
-      else
-        match bc with
-        | Some b ->
-            incr k;
-            if bid >= from && bid < til && allow b.bc_src then begin
-              let env = env_of_bc b bid in
-              bc_remove t kb b bid;
-              f env
-            end
-        | None -> assert false
     end
+    else if bid < max_int then begin
+      let kb = !k in
+      incr k;
+      let bc = bc_entry t kb in
+      if bid >= from && bid < til && allow ~dst ~src:bc.bc_src then begin
+        if remove then bc_remove t kb bc bid;
+        f ctx ~id:bid ~src:bc.bc_src ~dst ~depth:bc.bc_depth bc.bc_payload
+      end
+    end
+    else running := false
   done
+
+let allow_all ~dst:_ ~src:_ = true
+
+(* Envelopes with a negative dst sit in no queue (the engine never
+   makes one), so [iter_for] finds them by scanning the arena. *)
+let iter_for t ~dst ctx f =
+  if dst >= 0 then
+    walk_for t ~dst ~from:min_int ~til:max_int ~allow:allow_all ~remove:false ctx f
+  else
+    for rel = t.lo to t.hi - 1 do
+      if Option.is_some t.payloads.(rel) && t.dsts.(rel) = dst then
+        f ctx ~id:(t.base + rel) ~src:t.srcs.(rel) ~dst ~depth:t.depths.(rel)
+          (slot_payload t rel)
+    done
+
+(* Envelopes in arrival order are what adversaries inspect, so this
+   view keeps the full record; it re-probes each visited id. *)
+let pending_for t ~dst =
+  let ids = ref [] in
+  iter_for t ~dst ids (fun ids ~id ~src:_ ~dst:_ ~depth:_ _ -> ids := id :: !ids);
+  List.rev_map
+    (fun id -> match find t id with Some e -> e | None -> assert false)
+    !ids
+
+let drain_for t ~dst ~from ~til ~allow ctx f =
+  if dst < 0 then invalid_arg "Mailbox.drain_for: negative dst";
+  walk_for t ~dst ~from ~til ~allow ~remove:true ctx f
 
 (* Ascending walk over the pending ids in [from, til), merging the
    arena occupancy scan with the broadcast pending bits.  The callback

@@ -50,8 +50,22 @@ val add_broadcast :
     Destinations become visible to [take]/[find]/[mem]/[iter_for]
     exactly as if [count] envelopes had been added individually. *)
 
+type ('a, 'm) visitor = 'a -> id:int -> src:int -> dst:int -> depth:int -> 'm -> unit
+(** A callback handed an envelope's fields rather than an {!Envelope.t},
+    with the caller's state ['a] passed in explicitly: a top-level
+    visitor needs no closure, so visiting or removing an envelope
+    allocates nothing. *)
+
+val take_with : 'm t -> int -> 'a -> ('a, 'm) visitor -> bool
+(** [take_with t id ctx f] removes the pending envelope [id] and then
+    calls [f ctx] on its fields; [false], and no call, when no message
+    with this id is pending.  The engine's [Deliver] and [Drop] steps
+    remove through this.  O(1) for a unicast, a binary search over the
+    live broadcast entries for a broadcast destination. *)
+
 val take : 'm t -> int -> 'm Envelope.t option
-(** Remove and return the envelope with the given id. *)
+(** Remove and return the envelope with the given id: {!find}, then
+    {!take_with}. *)
 
 val find : 'm t -> int -> 'm Envelope.t option
 
@@ -79,28 +93,31 @@ val pending : 'm t -> 'm Envelope.t list
 val pending_for : 'm t -> dst:int -> 'm Envelope.t list
 val pending_ids : 'm t -> int list
 
-val iter_for : 'm t -> dst:int -> ('m Envelope.t -> unit) -> unit
-(** Visit the pending envelopes addressed to [dst] in ascending-id
-    order (arena queue merged with the broadcast table's contributions
-    for [dst]).  The callback may {!take} (or {!mem}, {!find},
+val iter_for : 'm t -> dst:int -> 'a -> ('a, 'm) visitor -> unit
+(** [iter_for t ~dst ctx f] visits the pending envelopes addressed to
+    [dst] in ascending-id order (arena queue merged with the broadcast
+    table's contributions for [dst]), handing [f ctx] each one's
+    fields.  The callback may {!take} (or {!mem}, {!find},
     {!replace_payload}) the envelope it is visiting, but must not add
-    to this mailbox while the iteration runs. *)
+    to this mailbox while the iteration runs.  Allocates nothing. *)
 
 val drain_for :
   'm t ->
   dst:int ->
   from:int ->
   til:int ->
-  allow:(int -> bool) ->
-  ('m Envelope.t -> unit) ->
+  allow:(dst:int -> src:int -> bool) ->
+  'a ->
+  ('a, 'm) visitor ->
   unit
 (** {!iter_for} combined with removal: visit the pending envelopes
     addressed to [dst] in ascending-id order, and for each with id in
-    [\[from, til)] whose source passes [allow], remove it from the
-    store and then invoke the callback.  Envelopes outside the range or
-    not allowed stay pending and are skipped.  One merge walk instead
-    of an iteration plus per-envelope {!take} re-probes — every engine
-    window delivers through this.  The callback must not add to this
+    [\[from, til)] whose source passes [allow ~dst ~src], remove it
+    from the store and then hand its fields to the callback.
+    Envelopes outside the range or not allowed stay pending and are
+    skipped.  One merge walk instead of an iteration plus per-envelope
+    {!take} re-probes — every engine window delivers through this.  No
+    envelope record is built.  The callback must not add to this
     mailbox.  Raises [Invalid_argument] on a negative [dst]. *)
 
 val iter_ids_in_range : 'm t -> from:int -> til:int -> (int -> unit) -> unit

@@ -41,7 +41,7 @@ let default_config =
       [
         "Engine.apply_window"; "Engine.deliver_all_pending";
         "Mailbox.add_unicast"; "Mailbox.add_broadcast";
-        "Mailbox.take"; "Mailbox.find"; "Mailbox.mem";
+        "Mailbox.take_with"; "Mailbox.find"; "Mailbox.mem";
         "Mailbox.replace_payload"; "Mailbox.iter_for";
         "Mailbox.iter_ids_in_range"; "Mailbox.drain_for";
         "Window.make"; "Window.uniform"; "Window.hybrid"; "Window.allows";
@@ -62,7 +62,10 @@ let default_config =
            to the n deliveries/drops the broadcast funds, so per
            resulting envelope it is O(1) amortized. *)
         ("Mailbox.add_broadcast", Costs.Const);
-        ("Mailbox.take", Costs.Log);
+        (* take_with is the removal primitive behind the engine's
+           Deliver and Drop steps: an O(1) arena unlink, or the same
+           binary search as find plus an O(1) pending-bit clear. *)
+        ("Mailbox.take_with", Costs.Log);
         ("Mailbox.find", Costs.Log);
         ("Mailbox.mem", Costs.Log);
         ("Mailbox.replace_payload", Costs.Log);
@@ -73,7 +76,8 @@ let default_config =
         ("Mailbox.iter_ids_in_range", Costs.Const);
         (* drain_for is the window delivery walk: iter_for's merge walk
            with removal, each visited envelope an engine event, removal
-           O(1) per envelope (unlink + pending-bit clear). *)
+           O(1) per envelope (unlink + pending-bit clear).  Both walks
+           hand their visitor the fields, never an envelope record. *)
         ("Mailbox.drain_for", Costs.Const);
         ("Mailbox.enqueue", Costs.Const);
         ("Mailbox.ensure_slot", Costs.Const);

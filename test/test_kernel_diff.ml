@@ -69,10 +69,16 @@ let add_envelope m (e : _ Dsim.Envelope.t) =
 (* Every observable accessor, on both sides.  Views filtered by source
    or by predicate are derived from [pending], so its equality covers
    them. *)
+(* The fields the field-passing walks hand their visitors. *)
+let fields (e : _ Dsim.Envelope.t) = (e.id, e.src, e.dst, e.depth, e.payload)
+
+let collect_fields acc ~id ~src ~dst ~depth payload =
+  acc := (id, src, dst, depth, payload) :: !acc
+
 let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   let iter_for_collect dst =
     let acc = ref [] in
-    Dsim.Mailbox.iter_for m ~dst (fun e -> acc := e :: !acc);
+    Dsim.Mailbox.iter_for m ~dst acc collect_fields;
     List.rev !acc
   in
   Dsim.Mailbox.size m = Ref_mailbox.size r
@@ -82,7 +88,7 @@ let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   && List.for_all
        (fun dst ->
          Dsim.Mailbox.pending_for m ~dst = Ref_mailbox.pending_for r ~dst
-         && iter_for_collect dst = Ref_mailbox.pending_for r ~dst)
+         && iter_for_collect dst = List.map fields (Ref_mailbox.pending_for r ~dst))
        [ -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 (* The window delivery walk against its specification: the envelopes
@@ -94,19 +100,18 @@ let drain_agrees rng m r ~id_bound =
   let from = Prng.Stream.int_below rng id_bound in
   let til = from + Prng.Stream.int_below rng 24 in
   let mask = Array.init 8 (fun _ -> Prng.Stream.bool rng) in
-  let allow src = mask.(src) in
+  let allow ~dst:_ ~src = mask.(src) in
   let drained = ref [] in
-  Dsim.Mailbox.drain_for m ~dst ~from ~til ~allow (fun e ->
-      drained := e :: !drained);
+  Dsim.Mailbox.drain_for m ~dst ~from ~til ~allow drained collect_fields;
   let expected =
     List.filter
       (fun e ->
         e.Dsim.Envelope.id >= from && e.Dsim.Envelope.id < til
-        && allow e.Dsim.Envelope.src)
+        && mask.(e.Dsim.Envelope.src))
       (Ref_mailbox.pending_for r ~dst)
   in
   List.iter (fun e -> ignore (Ref_mailbox.take r e.Dsim.Envelope.id)) expected;
-  List.rev !drained = expected && mailbox_obs_equal m r
+  List.rev !drained = List.map fields expected && mailbox_obs_equal m r
 
 let prop_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"mailbox matches Int_map reference"
@@ -277,9 +282,9 @@ let test_iter_for_take_during_iteration () =
     (fun id -> add_envelope m (envelope ~id ~src:(id mod 3) ~dst:(id mod 2) ~payload:id))
     [ 9; 3; 0; 4; 7; 12; 1 ];
   let visited = ref [] in
-  Dsim.Mailbox.iter_for m ~dst:1 (fun e ->
-      visited := e.Dsim.Envelope.id :: !visited;
-      match Dsim.Mailbox.take m e.Dsim.Envelope.id with
+  Dsim.Mailbox.iter_for m ~dst:1 () (fun () ~id ~src:_ ~dst:_ ~depth:_ _ ->
+      visited := id :: !visited;
+      match Dsim.Mailbox.take m id with
       | Some _ -> ()
       | None -> Alcotest.fail "visited envelope vanished");
   Alcotest.(check (list int)) "all dst-1 envelopes, ascending" [ 1; 3; 7; 9 ]

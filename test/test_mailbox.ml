@@ -44,15 +44,17 @@ let test_drain_for () =
   List.iter (fun id -> add ~src:(id mod 3) ~dst:(id mod 2) mb id) [ 9; 3; 0; 4; 7; 12; 1 ];
   let drained = ref [] in
   Dsim.Mailbox.drain_for mb ~dst:1 ~from:2 ~til:10
-    ~allow:(fun src -> src <> 1)
-    (fun e -> drained := e.Dsim.Envelope.id :: !drained);
+    ~allow:(fun ~dst:_ ~src -> src <> 1)
+    drained
+    (fun drained ~id ~src:_ ~dst:_ ~depth:_ _ -> drained := id :: !drained);
   Alcotest.(check (list int)) "drained ascending" [ 3; 9 ] (List.rev !drained);
   Alcotest.(check (list int)) "rest pending" [ 0; 1; 4; 7; 12 ]
     (Dsim.Mailbox.pending_ids mb);
   Alcotest.check_raises "negative dst"
     (Invalid_argument "Mailbox.drain_for: negative dst") (fun () ->
       Dsim.Mailbox.drain_for mb ~dst:(-1) ~from:0 ~til:max_int
-        ~allow:(fun _ -> true) ignore)
+        ~allow:(fun ~dst:_ ~src:_ -> true)
+        () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ()))
 
 let test_replace_payload () =
   let mb = Dsim.Mailbox.create () in
