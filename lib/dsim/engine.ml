@@ -115,15 +115,30 @@ let decided_values t =
   in
   collect (t.n - 1) []
 
-let all_decided t =
-  let alive_undecided p = (not t.crashed.(p)) && Option.is_none (output t p) in
-  not (Array.exists alive_undecided (Array.init t.n (fun i -> i)))
+(* The stop checks (run after every step or window) and the conflict
+   check (run on every model-checker child) scan the outputs in place:
+   no list, no array, no closure.  A scan rather than a decided count,
+   because [Protocol.t] does not promise that outputs are write-once. *)
+let rec all_decided_from t p =
+  p >= t.n || ((t.crashed.(p) || Option.is_some (output t p)) && all_decided_from t (p + 1))
 
-let some_decided t = not (List.is_empty (decided_values t))
+let all_decided t = all_decided_from t 0
 
-let decision_conflict t =
-  let values = List.map snd (decided_values t) in
-  List.mem true values && List.mem false values
+let rec some_decided_from t p =
+  p < t.n && (Option.is_some (output t p) || some_decided_from t (p + 1))
+
+let some_decided t = some_decided_from t 0
+
+let rec conflict_from t p ~zero ~one =
+  (zero && one)
+  || p < t.n
+     &&
+     match output t p with
+     | Some true -> conflict_from t (p + 1) ~zero ~one:true
+     | Some false -> conflict_from t (p + 1) ~zero:true ~one
+     | None -> conflict_from t (p + 1) ~zero ~one
+
+let decision_conflict t = conflict_from t 0 ~zero:false ~one:false
 
 let state_cores t = Array.map t.protocol.Protocol.state_core t.states
 

@@ -317,6 +317,86 @@ let test_decision_recorded () =
       Alcotest.(check bool) "value" false value
   | None -> Alcotest.fail "decision not traced"
 
+(* The stop and conflict checks against their definitions over
+   [decided_values]: crashed processors never block [all_decided]. *)
+let test_stop_checks () =
+  let config = make () in
+  let decide p =
+    let mailbox = Dsim.Engine.mailbox config in
+    Dsim.Engine.apply config (Dsim.Step.Send p);
+    match Dsim.Mailbox.pending_for mailbox ~dst:p with
+    | e :: _ ->
+        Dsim.Engine.apply config (Dsim.Step.Corrupt (e.Dsim.Envelope.id, "decide"));
+        Dsim.Engine.apply config (Dsim.Step.Deliver e.Dsim.Envelope.id)
+    | [] -> Alcotest.fail "expected a pending message"
+  in
+  let check label ~some ~all ~conflict =
+    Alcotest.(check bool) (label ^ ": some") some (Dsim.Engine.some_decided config);
+    Alcotest.(check bool) (label ^ ": all") all (Dsim.Engine.all_decided config);
+    Alcotest.(check bool) (label ^ ": conflict") conflict
+      (Dsim.Engine.decision_conflict config);
+    Alcotest.(check bool) (label ^ ": some = decided_values <> []") some
+      (Dsim.Engine.decided_values config <> [])
+  in
+  check "initial" ~some:false ~all:false ~conflict:false;
+  decide 1;
+  check "p1 decided 0" ~some:true ~all:false ~conflict:false;
+  Dsim.Engine.apply config (Dsim.Step.Crash 2);
+  check "p2 crashed" ~some:true ~all:false ~conflict:false;
+  decide 0;
+  check "p0 decided 1" ~some:true ~all:true ~conflict:true
+
+(* A protocol that does as little as a protocol can: its state never
+   changes and it broadcasts one preallocated message every window, so
+   whatever a window allocates is the engine's. *)
+let idle_sends = ((), [ Dsim.Step.Broadcast "m" ])
+
+let idle : (unit, string) Dsim.Protocol.t =
+  {
+    toy with
+    Dsim.Protocol.name = "idle";
+    init = (fun ~n:_ ~t:_ ~id:_ ~input:_ -> ());
+    outgoing = (fun () -> idle_sends);
+    on_deliver = (fun s ~src:_ _ _ -> s);
+    on_reset = Fun.id;
+    output = (fun () -> None);
+    observe =
+      (fun () ->
+        Dsim.Obs.make ~id:0 ~round:1 ~estimate:None ~output:None ~input:false ~resets:0
+          ~phase:0);
+    state_core = (fun () -> "");
+  }
+
+(* Full-delivery windows at n = 32 deliver n^2 = 1024 messages each.
+   Delivery itself allocates nothing when no events are recorded, so
+   what remains is per send (the shared broadcast entry) and per window
+   (the receive-set predicate, the drop sweep's callback), well under
+   one word per delivery. *)
+let test_window_allocation () =
+  let n = 32 in
+  let config =
+    Dsim.Engine.init ~protocol:idle ~n ~fault_bound:0 ~inputs:(Array.make n false) ~seed:1
+      ()
+  in
+  let window = Dsim.Window.uniform ~n () in
+  (* Warm-up: grow the mailbox's broadcast table to its working size. *)
+  for _ = 1 to 4 do
+    Dsim.Engine.apply_window config window
+  done;
+  let windows = 50 in
+  let delivered_before = Dsim.Trace.delivered (Dsim.Engine.trace config) in
+  let before = Gc.minor_words () in
+  for _ = 1 to windows do
+    Dsim.Engine.apply_window config window
+  done;
+  let words = Gc.minor_words () -. before in
+  let delivered = Dsim.Trace.delivered (Dsim.Engine.trace config) - delivered_before in
+  Alcotest.(check int) "every message delivered" (windows * n * n) delivered;
+  let per_delivery = words /. float_of_int delivered in
+  if per_delivery >= 1.0 then
+    Alcotest.failf "apply_window allocated %.2f minor words per delivery (limit 1)"
+      per_delivery
+
 let test_recent_deliveries_lifecycle () =
   let config = make () in
   (* Flush every initial outbox, then turn p2's message to p1 into a
@@ -375,5 +455,7 @@ let suite =
     Alcotest.test_case "apply window" `Quick test_apply_window;
     Alcotest.test_case "window delivery order" `Quick test_window_delivery_order;
     Alcotest.test_case "decision recorded" `Quick test_decision_recorded;
+    Alcotest.test_case "stop checks" `Quick test_stop_checks;
+    Alcotest.test_case "window allocation" `Quick test_window_allocation;
     Alcotest.test_case "recent deliveries lifecycle" `Quick test_recent_deliveries_lifecycle;
   ]
