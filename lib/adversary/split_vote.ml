@@ -32,48 +32,87 @@ let windowed_with_resets () =
 (* Free-running balancing.  Each cycle: sends for all live processors,
    then for each destination deliver the pending messages from all but
    up to [t] senders, excluding senders whose message carries the
-   over-represented bit among that destination's pending messages. *)
+   over-represented bit among that destination's pending messages.
+
+   A cycle is planned into a reusable int buffer, one code per step
+   ([3 * arg + kind], kind 0 send, 1 deliver, 2 drop), and each call
+   materializes the next step.  Planning a destination is one
+   [Mailbox.iter_for] walk that records every pending id with its bit
+   ([3 * id + b], b 0 none, 1 zero, 2 one) and counts the bits, then one
+   pass over the recorded codes that turns them into deliveries and
+   drops. *)
+type 'm cycle = {
+  mutable bit_of : 'm -> bool option;
+  mutable codes : int array;
+  mutable len : int;
+  mutable next : int;
+  mutable zeros : int;
+  mutable ones : int;
+}
+
+let push c code =
+  if c.len = Array.length c.codes then begin
+    let bigger = Array.make (max 64 (2 * c.len)) 0 in
+    Array.blit c.codes 0 bigger 0 c.len;
+    c.codes <- bigger
+  end;
+  c.codes.(c.len) <- code;
+  c.len <- c.len + 1
+
+let census c ~id ~src:_ ~dst:_ ~depth:_ payload =
+  match c.bit_of payload with
+  | None -> push c (3 * id)
+  | Some false ->
+      c.zeros <- c.zeros + 1;
+      push c ((3 * id) + 1)
+  | Some true ->
+      c.ones <- c.ones + 1;
+      push c ((3 * id) + 2)
+
+(* Walk ascending ids; drop up to [budget] majority-bit messages. *)
+let plan_deliveries c mailbox ~t ~dst =
+  let first = c.len in
+  c.zeros <- 0;
+  c.ones <- 0;
+  Dsim.Mailbox.iter_for mailbox ~dst c census;
+  let majority = if c.ones >= c.zeros then 2 else 1 in
+  let budget = min t (abs (c.ones - c.zeros)) in
+  let skipped = ref 0 in
+  for i = first to c.len - 1 do
+    let code = c.codes.(i) in
+    let id = code / 3 in
+    if code mod 3 = majority && !skipped < budget then begin
+      incr skipped;
+      c.codes.(i) <- (3 * id) + 2
+    end
+    else c.codes.(i) <- (3 * id) + 1
+  done
+
+let plan c config =
+  let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
+  let mailbox = Dsim.Engine.mailbox config in
+  c.bit_of <- (Dsim.Engine.protocol config).Dsim.Protocol.message_bit;
+  c.len <- 0;
+  c.next <- 0;
+  for p = 0 to n - 1 do
+    if not (Dsim.Engine.crashed config p) then push c (3 * p)
+  done;
+  for dst = 0 to n - 1 do
+    if not (Dsim.Engine.crashed config dst) then plan_deliveries c mailbox ~t ~dst
+  done
+
 let stepwise () =
-  let queue = Queue.create () in
-  let plan config =
-    let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
-    let protocol = Dsim.Engine.protocol config in
-    let live p = not (Dsim.Engine.crashed config p) in
-    let sends =
-      List.filter_map
-        (fun p -> if live p then Some (Dsim.Step.Send p) else None)
-        (List.init n (fun i -> i))
-    in
-    let mailbox = Dsim.Engine.mailbox config in
-    let deliveries_for dst =
-      let pending = Dsim.Mailbox.pending_for mailbox ~dst in
-      let bit_of e = protocol.Dsim.Protocol.message_bit e.Dsim.Envelope.payload in
-      let bit_is e v =
-        match bit_of e with Some b -> Bool.equal b v | None -> false
-      in
-      let ones = List.length (List.filter (fun e -> bit_is e true) pending) in
-      let zeros = List.length (List.filter (fun e -> bit_is e false) pending) in
-      let majority_bit = if ones >= zeros then true else false in
-      let excess = abs (ones - zeros) in
-      let budget = min t excess in
-      (* Walk ascending ids; skip up to [budget] majority-bit messages. *)
-      let skipped = ref 0 in
-      List.filter_map
-        (fun e ->
-          if bit_is e majority_bit && !skipped < budget then begin
-            incr skipped;
-            Some (Dsim.Step.Drop e.Dsim.Envelope.id)
-          end
-          else Some (Dsim.Step.Deliver e.Dsim.Envelope.id))
-        pending
-    in
-    let delivers =
-      List.concat_map
-        (fun dst -> if live dst then deliveries_for dst else [])
-        (List.init n (fun i -> i))
-    in
-    sends @ delivers
-  in
+  let c = { bit_of = (fun _ -> None); codes = [||]; len = 0; next = 0; zeros = 0; ones = 0 } in
   fun config ->
-    if Queue.is_empty queue then List.iter (fun s -> Queue.add s queue) (plan config);
-    if Queue.is_empty queue then None else Some (Queue.pop queue)
+    if c.next = c.len then plan c config;
+    if c.next = c.len then None
+    else begin
+      let code = c.codes.(c.next) in
+      c.next <- c.next + 1;
+      let arg = code / 3 in
+      Some
+        (match code mod 3 with
+        | 0 -> Dsim.Step.Send arg
+        | 1 -> Dsim.Step.Deliver arg
+        | _ -> Dsim.Step.Drop arg)
+    end
