@@ -598,13 +598,16 @@ let iter_for t ~dst ctx f =
           (slot_payload t rel)
     done
 
-(* Envelopes in arrival order are what adversaries inspect, so this
-   view keeps the full record; it re-probes each visited id. *)
+(* Adversaries read whole envelopes, so this view builds them: one
+   walk collects dst's ids, then each pending id is materialized. *)
 let pending_for t ~dst =
   let ids = ref [] in
   iter_for t ~dst ids (fun ids ~id ~src:_ ~dst:_ ~depth:_ _ -> ids := id :: !ids);
   List.rev_map
-    (fun id -> match find t id with Some e -> e | None -> assert false)
+    (fun id ->
+      let rel = id - t.base in
+      if slot_occupied t rel then env_of_slot t rel
+      else env_of_bc (bc_entry t (bc_slot t id)) id)
     !ids
 
 let drain_for t ~dst ~from ~til ~allow ctx f =
