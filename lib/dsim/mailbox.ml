@@ -451,12 +451,6 @@ let find t id =
     let k = bc_slot t id in
     if k < 0 then None else Some (env_of_bc (bc_entry t k) id)
 
-let take t id =
-  let found = find t id in
-  if Option.is_some found then
-    ignore (take_with t id () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ()));
-  found
-
 (* Corrupting a broadcast destination splits it out: the destination
    leaves the shared broadcast entry and becomes an ordinary arena
    envelope (same id, new payload), so the other destinations keep the
@@ -598,8 +592,9 @@ let iter_for t ~dst ctx f =
           (slot_payload t rel)
     done
 
-(* Adversaries read whole envelopes, so this view builds them: one
-   walk collects dst's ids, then each pending id is materialized. *)
+(* The envelope view of [iter_for], for callers that want whole
+   records (the tests compare it with a reference store): one walk
+   collects dst's ids, then each pending id is materialized. *)
 let pending_for t ~dst =
   let ids = ref [] in
   iter_for t ~dst ids (fun ids ~id ~src:_ ~dst:_ ~depth:_ _ -> ids := id :: !ids);
@@ -616,7 +611,7 @@ let drain_for t ~dst ~from ~til ~allow ctx f =
 
 (* Ascending walk over the pending ids in [from, til), merging the
    arena occupancy scan with the broadcast pending bits.  The callback
-   may [take] (the engine's drop sweep does) but must not add; after
+   may [take_with] (the engine's drop sweep does) but must not add; after
    full-delivery windows the arena region is empty and the walk is a
    near-free bounds check instead of the old per-id [mem] probes. *)
 let iter_ids_in_range t ~from ~til f =

@@ -47,7 +47,7 @@ val add_broadcast :
     expansion would have produced.  O(count / word-size): the only
     per-destination state is one pending bit.  The id range must be
     fresh (beyond every id ever stored); [Invalid_argument] otherwise.
-    Destinations become visible to [take]/[find]/[mem]/[iter_for]
+    Destinations become visible to [take_with]/[find]/[mem]/[iter_for]
     exactly as if [count] envelopes had been added individually. *)
 
 type ('a, 'm) visitor = 'a -> id:int -> src:int -> dst:int -> depth:int -> 'm -> unit
@@ -62,10 +62,6 @@ val take_with : 'm t -> int -> 'a -> ('a, 'm) visitor -> bool
     with this id is pending.  The engine's [Deliver] and [Drop] steps
     remove through this.  O(1) for a unicast, a binary search over the
     live broadcast entries for a broadcast destination. *)
-
-val take : 'm t -> int -> 'm Envelope.t option
-(** Remove and return the envelope with the given id: {!find}, then
-    {!take_with}. *)
 
 val find : 'm t -> int -> 'm Envelope.t option
 
@@ -97,7 +93,7 @@ val iter_for : 'm t -> dst:int -> 'a -> ('a, 'm) visitor -> unit
 (** [iter_for t ~dst ctx f] visits the pending envelopes addressed to
     [dst] in ascending-id order (arena queue merged with the broadcast
     table's contributions for [dst]), handing [f ctx] each one's
-    fields.  The callback may {!take} (or {!mem}, {!find},
+    fields.  The callback may {!take_with} (or {!mem}, {!find},
     {!replace_payload}) the envelope it is visiting, but must not add
     to this mailbox while the iteration runs.  Allocates nothing. *)
 
@@ -116,13 +112,13 @@ val drain_for :
     from the store and then hand its fields to the callback.
     Envelopes outside the range or not allowed stay pending and are
     skipped.  One merge walk instead of an iteration plus per-envelope
-    {!take} re-probes — every engine window delivers through this.  No
+    {!take_with} re-probes — every engine window delivers through this.  No
     envelope record is built.  The callback must not add to this
     mailbox.  Raises [Invalid_argument] on a negative [dst]. *)
 
 val iter_ids_in_range : 'm t -> from:int -> til:int -> (int -> unit) -> unit
 (** Visit the pending ids in [\[from, til)] ascending.  The callback
-    may {!take} the visited id (the engine's drop sweep does) but must
+    may {!take_with} the visited id (the engine's drop sweep does) but must
     not add to this mailbox.  Cost: the occupied arena span intersected with the
     range plus the live broadcast entries overlapping it — after a
     full-delivery window both are empty and the walk is O(1). *)

@@ -9,11 +9,16 @@ let test_add_take () =
   add mb 1;
   add mb 2;
   Alcotest.(check int) "size" 2 (Dsim.Mailbox.size mb);
-  (match Dsim.Mailbox.take mb 1 with
-  | Some e -> Alcotest.(check string) "payload" "m1" e.Dsim.Envelope.payload
-  | None -> Alcotest.fail "expected envelope 1");
+  let taken = ref [] in
+  let take id =
+    Dsim.Mailbox.take_with mb id taken (fun taken ~id:_ ~src:_ ~dst:_ ~depth:_ payload ->
+        taken := payload :: !taken)
+  in
+  Alcotest.(check bool) "take hits" true (take 1);
+  Alcotest.(check (list string)) "payload" [ "m1" ] !taken;
   Alcotest.(check int) "size after take" 1 (Dsim.Mailbox.size mb);
-  Alcotest.(check bool) "take again is None" true (Dsim.Mailbox.take mb 1 = None)
+  Alcotest.(check bool) "take again misses" false (take 1);
+  Alcotest.(check (list string)) "no second visit" [ "m1" ] !taken
 
 let test_duplicate_id () =
   let mb = Dsim.Mailbox.create () in
@@ -69,7 +74,7 @@ let test_copy_isolation () =
   let mb = Dsim.Mailbox.create () in
   add mb 1;
   let copy = Dsim.Mailbox.copy mb in
-  ignore (Dsim.Mailbox.take copy 1);
+  ignore (Dsim.Mailbox.take_with copy 1 () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ()));
   Alcotest.(check int) "original untouched" 1 (Dsim.Mailbox.size mb);
   Alcotest.(check int) "copy drained" 0 (Dsim.Mailbox.size copy);
   add copy 2;
