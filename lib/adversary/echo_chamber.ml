@@ -45,39 +45,35 @@ let stepwise ?(patience = 8) () =
           let allow = max 0 (n - t - own) in
           `Allow (b, List.filteri (fun i _ -> i < allow) (holders (not b)))
     in
-    let delivers =
-      List.concat_map
-        (fun dst ->
-          if not (live dst) then []
-          else begin
-            let policy = allowed_opposite dst in
-            let dst_round = observations.(dst).Dsim.Obs.round in
-            Dsim.Mailbox.pending_for mailbox ~dst
-            |> List.filter_map (fun e ->
-                   let payload = e.Dsim.Envelope.payload in
-                   let current =
-                     match protocol.Dsim.Protocol.message_round payload with
-                     | Some r -> r >= dst_round
-                     | None -> true
-                   in
-                   let origin =
-                     match protocol.Dsim.Protocol.message_origin payload with
-                     | Some o -> o
-                     | None -> e.Dsim.Envelope.src
-                   in
-                   let defer =
-                     (not flush) && current
-                     &&
-                     match (policy, protocol.Dsim.Protocol.message_bit payload) with
-                     | `All, _ | _, None -> false
-                     | `Allow (b, allowed), Some bit ->
-                         bit <> b && not (List.mem origin allowed)
-                   in
-                   if defer then None else Some (Dsim.Step.Deliver e.Dsim.Envelope.id))
-          end)
-        (List.init n (fun i -> i))
-    in
-    sends @ delivers
+    (* One [iter_for] walk per live destination, ascending ids; the
+       deliveries are collected in reverse. *)
+    let delivers = ref [] in
+    for dst = 0 to n - 1 do
+      if live dst then begin
+        let policy = allowed_opposite dst in
+        let dst_round = observations.(dst).Dsim.Obs.round in
+        Dsim.Mailbox.iter_for mailbox ~dst () (fun () ~id ~src ~dst:_ ~depth:_ payload ->
+            let current =
+              match protocol.Dsim.Protocol.message_round payload with
+              | Some r -> r >= dst_round
+              | None -> true
+            in
+            let origin =
+              match protocol.Dsim.Protocol.message_origin payload with
+              | Some o -> o
+              | None -> src
+            in
+            let defer =
+              (not flush) && current
+              &&
+              match (policy, protocol.Dsim.Protocol.message_bit payload) with
+              | `All, _ | _, None -> false
+              | `Allow (b, allowed), Some bit -> bit <> b && not (List.mem origin allowed)
+            in
+            if not defer then delivers := Dsim.Step.Deliver id :: !delivers)
+      end
+    done;
+    sends @ List.rev !delivers
   in
   fun config ->
     if Queue.is_empty queue then List.iter (fun s -> Queue.add s queue) (plan config);
