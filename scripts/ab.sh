@@ -2,16 +2,21 @@
 # A/B comparison of the end-to-end benchmark: a git revision against
 # the working tree.
 #
-#   scripts/ab.sh REV [--pairs N] [--seconds T] [--seed S]
-#                     [--workload W]... [--dir DIR]
+#   scripts/ab.sh REV [--pairs N] [--seconds T] [--workload W]...
+#                     [--dir DIR]
 #
-# REV is exported with `git archive` into DIR/base (a plain tree, so
-# nothing is registered in this repository's .git), and each side runs
-# its own, unchanged `bench/e2e/run.sh --workload W --seed S --seconds T
-# --trace 0`, which builds that side from its source.  For every
-# workload the two sides alternate N times: pair i uses seed S + i on
-# both sides, and even pairs run REV first, odd pairs the working tree
-# first, so drift on the host falls on both sides alike.
+# Both sides are exported the same way, with `git archive`, into
+# sibling plain trees: REV into DIR/base, the working tree into
+# DIR/change (its tracked files as they are on disk, staged or not, via
+# `git stash create`; a new file counts once it is `git add`ed).  Each
+# side runs its own, unchanged `bench/e2e/run.sh --workload W --seed S
+# --seconds T --trace 0`, which builds that side from its source.  For
+# every workload the two sides alternate N times: pair i (from 0) runs
+# seed S = 101 + i on both sides, and even pairs run REV first, odd
+# pairs the working tree first, so drift on the host falls on both
+# sides alike.
+# The working tree is exported once, at the start, so editing it while
+# the comparison runs changes nothing.
 #
 # Output: per workload and end-to-end metric (as declared in
 # BENCHMARK.json), the median and quartiles (Python's
@@ -19,7 +24,7 @@
 # and in how many pairs the working tree was better, worse or equal.
 # Every run's result line is kept in DIR/runs.jsonl.
 #
-# Defaults: 10 pairs, 15 s per run, seed 101, all workloads, DIR a
+# Defaults: 10 pairs, 15 s per run, all workloads, DIR a
 # fresh directory under ${TMPDIR:-/tmp}.  Five workloads at the
 # defaults take about half an hour.
 #
@@ -30,7 +35,7 @@ cd "$(dirname "$0")/.."
 repo=$(pwd)
 
 usage() {
-  echo "usage: scripts/ab.sh REV [--pairs N] [--seconds T] [--seed S] [--workload W]... [--dir DIR]" >&2
+  echo "usage: scripts/ab.sh REV [--pairs N] [--seconds T] [--workload W]... [--dir DIR]" >&2
   exit 2
 }
 
@@ -39,21 +44,18 @@ rev=$1
 shift
 pairs=10
 seconds=15
-seed=101
 workloads=""
 dir=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
     --seconds) [ $# -ge 2 ] || usage; seconds=$2; shift 2 ;;
-    --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
     --workload) [ $# -ge 2 ] || usage; workloads="$workloads $2"; shift 2 ;;
     --dir) [ $# -ge 2 ] || usage; dir=$2; shift 2 ;;
     *) usage ;;
   esac
 done
 case "$pairs" in '' | *[!0-9]*) usage ;; esac
-case "$seed" in '' | *[!0-9]*) usage ;; esac
 [ "$pairs" -ge 1 ] || usage
 
 if ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
@@ -62,13 +64,23 @@ if ! git rev-parse --verify --quiet "$rev^{commit}" > /dev/null; then
 fi
 [ -n "$dir" ] || dir=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
 mkdir -p "$dir"
+# A commit of the working tree's tracked files; empty when it is clean.
+tree=$(git stash create)
+[ -n "$tree" ] || tree=HEAD
+
+# export COMMIT DEST: a plain tree, nothing registered in .git.
+export_tree() {
+  rm -rf "$2"
+  mkdir -p "$2"
+  if ! git archive "$1" | tar -x -C "$2"; then
+    echo "ab.sh: could not export $1" >&2
+    exit 2
+  fi
+}
 base="$dir/base"
-rm -rf "$base"
-mkdir -p "$base"
-if ! git archive "$rev" | tar -x -C "$base"; then
-  echo "ab.sh: could not export $rev" >&2
-  exit 2
-fi
+change="$dir/change"
+export_tree "$rev" "$base"
+export_tree "$tree" "$change"
 [ -n "$workloads" ] ||
   workloads=$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
     "$repo/BENCHMARK.json")
@@ -81,12 +93,12 @@ status=0
 run_side() {
   side=$1 root=$2 workload=$3 pair=$4
   set +e
-  (cd "$root" && sh bench/e2e/run.sh --workload "$workload" --seed $((seed + pair)) \
+  (cd "$root" && sh bench/e2e/run.sh --workload "$workload" --seed $((101 + pair)) \
      --seconds "$seconds" --trace 0 > "$dir/last.out" 2> "$dir/last.err")
   code=$?
   set -e
   if [ "$code" -eq 1 ]; then
-    echo "ab.sh: $side run of $workload (seed $((seed + pair))) failed an output check" >&2
+    echo "ab.sh: $side run of $workload (seed $((101 + pair))) failed an output check" >&2
     status=1
   elif [ "$code" -ne 0 ]; then
     cat "$dir/last.err" >&2
@@ -103,9 +115,9 @@ for workload in $workloads; do
     echo "ab.sh: $workload pair $((i + 1))/$pairs" >&2
     if [ $((i % 2)) -eq 0 ]; then
       run_side base "$base" "$workload" "$i"
-      run_side change "$repo" "$workload" "$i"
+      run_side change "$change" "$workload" "$i"
     else
-      run_side change "$repo" "$workload" "$i"
+      run_side change "$change" "$workload" "$i"
       run_side base "$base" "$workload" "$i"
     fi
     i=$((i + 1))
