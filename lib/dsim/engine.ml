@@ -207,6 +207,12 @@ let enqueue_send t p depth send =
         ~sent_at_step:t.step_index ~sent_in_window:t.window_index;
       Trace.record_broadcast t.trace ~src:p ~first ~count:t.n ~depth
 
+let rec enqueue_sends t p depth = function
+  | [] -> ()
+  | send :: rest ->
+      enqueue_send t p depth send;
+      enqueue_sends t p depth rest
+
 let do_send t p =
   if not t.crashed.(p) then begin
     let state, sends = t.protocol.Protocol.outgoing t.states.(p) in
@@ -216,8 +222,7 @@ let do_send t p =
        deliveries accumulated so far. *)
     if t.track_deliveries && not (List.is_empty sends) then
       t.recent_deliveries.(p) <- [];
-    let depth = t.receive_depths.(p) + 1 in
-    List.iter (fun send -> enqueue_send t p depth send) sends
+    enqueue_sends t p (t.receive_depths.(p) + 1) sends
   end
 
 (* Deliver one envelope the mailbox has just removed, given its fields.
@@ -288,7 +293,8 @@ let apply_window t ?tamper window =
   let fresh_from = t.next_msg_id in
   (* Phase 1: all processors take sending steps. *)
   for p = 0 to t.n - 1 do
-    apply t (Step.Send p)
+    t.step_index <- t.step_index + 1;
+    do_send t p
   done;
   let fresh_to = t.next_msg_id in
   (* In-transit corruption: the adversary may rewrite this window's
@@ -308,7 +314,11 @@ let apply_window t ?tamper window =
      where nothing fresh is left pending). *)
   Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to (drop_step t);
   (* Phase 3: at most t resetting steps. *)
-  List.iter (fun p -> apply t (Step.Reset p)) (Window.resets window);
+  List.iter
+    (fun p ->
+      t.step_index <- t.step_index + 1;
+      do_reset t p)
+    (Window.resets window);
   t.window_index <- t.window_index + 1;
   Trace.record_window_closed t.trace ~index:t.window_index
 

@@ -17,7 +17,18 @@
       in the same window;
     - {b Quorum}: a processor decides only after messages from at least
       [decision_quorum] distinct senders reached it, and no two
-      processors decide opposite values. *)
+      processors decide opposite values.
+
+    {b Cost.}  Time is O(events).  Memory is O(n{^2} + ids): the message
+    ledger is parallel int arrays indexed by message id (the engine
+    issues ids densely from 0), FIFO keeps an n×n table of the last
+    delivered id per channel, and "heard from" is a bitset per
+    destination plus a distinct-sender count.  On engine-issued ids
+    nothing is allocated per event.  Ids the dense ledger does not
+    cover (negative, huge, or past twice the [Sent] count) and
+    endpoints outside [0, n) go to a small hash table, so nothing is
+    sized by the largest id.  Decisions (at most n per run) stay
+    hashed. *)
 
 type invariant = Fifo | Depth | Provenance | Window | Quorum
 
@@ -47,7 +58,10 @@ val audit :
   ?decision_quorum:int -> ?fifo:bool -> ('s, 'm) Dsim.Engine.t -> violation list
 (** Audit a finished (or in-flight) engine's own trace.  [n] and [t]
     are read off the engine; the window invariants are enforced exactly
-    when the trace contains [Window_closed] events.  [fifo] defaults to
+    when the engine has applied a window ([Dsim.Engine.window_index] >
+    0), which for events recorded from [init] means exactly when the
+    trace contains [Window_closed] events.  The event list is walked
+    once.  [fifo] defaults to
     [true].  Returns [] when the engine was initialised without
     [~record_events:true] and there is nothing to audit beyond
     decision conflicts. *)

@@ -268,6 +268,8 @@ echo "check: --mcheck smoke (exhaustive model checker)"
 # MUST hit this), 2 = usage or infeasible instance.
 mcheck="_build/default/bin/mcheck.exe"
 expect 0 "$mcheck" --protocol bracha -n 3 -t 1 --depth 3
+# --audit runs Trace_lint over every candidate's recorded trace.
+expect 0 "$mcheck" --protocol bracha -n 3 -t 1 --depth 3 --audit
 expect 1 "$mcheck" --protocol ben-or!quorum-1 -n 3 -t 1 --depth 2 --corrupt 1
 expect 1 "$mcheck" --protocol rbc!quorum-t -n 3 -t 1 --depth 3 --corrupt 1
 expect 2 "$mcheck" --protocol no-such-protocol -n 3 -t 1
@@ -321,20 +323,27 @@ echo "check: pinned bracha!quorum-t counterexample replays deterministically"
 
 # Frontier sharding determinism: the explorer's JSON report (which
 # includes the canonical state census and the minimal counterexample)
-# must be byte-identical across -j 1 / -j 2.
+# must be byte-identical across -j 1 / -j 2, with and without the
+# per-candidate trace audit.
 mcheck_dir=$(mktemp -d)
 "$mcheck" --protocol rbc!quorum-t -n 3 -t 1 --depth 3 --corrupt 1 \
-  --jobs 1 --format json > "$mcheck_dir/j1.json" || true
+  --jobs 1 --format json > "$mcheck_dir/rbc-j1.json" || true
 "$mcheck" --protocol rbc!quorum-t -n 3 -t 1 --depth 3 --corrupt 1 \
-  --jobs 2 --format json > "$mcheck_dir/j2.json" || true
-if cmp -s "$mcheck_dir/j1.json" "$mcheck_dir/j2.json"; then
-  echo "check: mcheck -j 1 and -j 2 reports are byte-identical"
-else
-  echo "check: FAIL — mcheck frontier sharding is not deterministic" >&2
-  diff "$mcheck_dir/j1.json" "$mcheck_dir/j2.json" >&2 || true
-  rm -rf "$mcheck_dir"
-  exit 1
-fi
+  --jobs 2 --format json > "$mcheck_dir/rbc-j2.json" || true
+"$mcheck" --protocol bracha -n 3 -t 1 --depth 3 --audit \
+  --jobs 1 --format json > "$mcheck_dir/audit-j1.json" || true
+"$mcheck" --protocol bracha -n 3 -t 1 --depth 3 --audit \
+  --jobs 2 --format json > "$mcheck_dir/audit-j2.json" || true
+for run in rbc audit; do
+  if cmp -s "$mcheck_dir/$run-j1.json" "$mcheck_dir/$run-j2.json"; then
+    echo "check: mcheck -j 1 and -j 2 reports are byte-identical ($run)"
+  else
+    echo "check: FAIL — mcheck frontier sharding is not deterministic ($run)" >&2
+    diff "$mcheck_dir/$run-j1.json" "$mcheck_dir/$run-j2.json" >&2 || true
+    rm -rf "$mcheck_dir"
+    exit 1
+  fi
+done
 rm -rf "$mcheck_dir"
 
 echo "check: differential -j smoke (experiments --quick)"

@@ -551,6 +551,271 @@ let test_ensemble_lint_wiring () =
   Alcotest.(check int) "three audited runs" 3 result.Agreement.Ensemble.runs;
   Alcotest.(check int) "no violations" 0 result.Agreement.Ensemble.lint_violations
 
+(* ------------------------------------------------------------------ *)
+(* The dense-array checker against its hash-table predecessor
+   ([Trace_lint_oracle]): whole violation lists, detail strings and
+   order included, must agree.                                         *)
+
+type recorded = { label : string; rn : int; rt : int; events : Dsim.Trace.event array }
+
+(* The three executions test_trace.ml pins by the MD5 of their events
+   ("recorded events pinned"): Lewko under a reset storm, Bracha under
+   benign windows, Ben-Or under the stepwise split vote (with drops). *)
+let recorded_runs =
+  lazy
+    (let record label engine n t =
+       { label; rn = n; rt = t;
+         events = Array.of_list (Dsim.Trace.events (Dsim.Engine.trace engine)) }
+     in
+     let windows label ~protocol ~n ~t ~strategy =
+       let engine =
+         Dsim.Engine.init ~protocol ~n ~fault_bound:t
+           ~inputs:(Agreement.Ensemble.split_inputs ~n 1) ~seed:1 ~record_events:true ()
+       in
+       ignore (Dsim.Runner.run_windows engine ~strategy ~max_windows:20_000 ~stop:`All_decided);
+       record label engine n t
+     in
+     let benor =
+       Dsim.Engine.init ~protocol:(Protocols.Ben_or.protocol ()) ~n:9 ~fault_bound:4
+         ~inputs:(Agreement.Ensemble.split_inputs ~n:9 1) ~seed:1 ~record_events:true ()
+     in
+     ignore
+       (Dsim.Runner.run_steps benor ~strategy:(Adversary.Split_vote.stepwise ())
+          ~max_steps:6_000_000 ~stop:`First_decision);
+     [| windows "lewko reset storm n=12" ~protocol:(Protocols.Lewko_variant.protocol ())
+          ~n:12 ~t:1 ~strategy:(Adversary.Reset_storm.with_silence ~seed:1 ());
+        windows "bracha benign windows n=7" ~protocol:(Protocols.Bracha.protocol ()) ~n:7
+          ~t:2 ~strategy:(Adversary.Benign.windowed ());
+        record "ben-or stepwise n=9" benor 9 4 |])
+
+let same_violations cfg events =
+  Trace_lint_oracle.check cfg events = Trace_lint.check cfg events
+
+let test_trace_differential_full_runs () =
+  Array.iter
+    (fun r ->
+      let events = Array.to_list r.events in
+      List.iter
+        (fun (fifo, windowed, quorum) ->
+          let cfg = config ~n:r.rn ~t:r.rt ~fifo ~windowed ?quorum () in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s fifo=%b windowed=%b" r.label fifo windowed)
+            true (same_violations cfg events))
+        [ (true, true, Some (r.rn - (2 * r.rt))); (true, false, None);
+          (false, true, Some (r.rn - r.rt)); (false, false, None) ])
+    (Lazy.force recorded_runs)
+
+(* Mutations of a recorded event list, each what no engine produces. *)
+let with_id (e : Dsim.Trace.event) id : Dsim.Trace.event =
+  match e with
+  | Sent r -> Sent { r with msg_id = id }
+  | Delivered r -> Delivered { r with msg_id = id }
+  | Dropped _ -> Dropped { msg_id = id }
+  | e -> e
+
+let id_of : Dsim.Trace.event -> int option = function
+  | Sent { msg_id; _ } | Delivered { msg_id; _ } | Dropped { msg_id } -> Some msg_id
+  | _ -> None
+
+let pick_index rs a keep =
+  let hits = List.filter (fun i -> keep a.(i)) (List.init (Array.length a) Fun.id) in
+  match hits with [] -> None | _ -> Some (QCheck.Gen.oneofl hits rs)
+
+let insert_at a i e =
+  Array.concat [ Array.sub a 0 i; [| e |]; Array.sub a i (Array.length a - i) ]
+
+let is_message e = Option.is_some (id_of e)
+let is_delivered = function Dsim.Trace.Delivered _ -> true | _ -> false
+let is_sent = function Dsim.Trace.Sent _ -> true | _ -> false
+
+(* An id no engine would issue for this trace. *)
+let odd_id rs len =
+  QCheck.Gen.oneofl
+    [ max_int; min_int; -1; -1 - Random.State.int rs 1000; max_int - Random.State.int rs 1000;
+      len + 64 + Random.State.int rs 100; (4 * len) + 1000 + Random.State.int rs 100_000 ]
+    rs
+
+let odd_pid rs n = QCheck.Gen.oneofl [ -1; n; n + 3; min_int; max_int ] rs
+
+let mutate rs ~n a =
+  let len = Array.length a in
+  match Random.State.int rs 11 with
+  | 0 -> (
+      (* Repeat one event later on, its id first retagged everywhere
+         to an odd one half the time. *)
+      match pick_index rs a is_message with
+      | Some i ->
+          let a, name =
+            if Random.State.bool rs then (a, "duplicate")
+            else
+              let old_id = Option.get (id_of a.(i)) and fresh = odd_id rs len in
+              ( Array.map (fun e -> if id_of e = Some old_id then with_id e fresh else e) a,
+                Printf.sprintf "duplicate id %d" fresh )
+          in
+          (name, insert_at a (i + Random.State.int rs (len - i + 1)) a.(i))
+      | None -> ("duplicate (none)", a))
+  | 1 -> (
+      match pick_index rs a is_delivered with
+      | Some i -> (
+          let same_channel j =
+            match (a.(i), a.(j)) with
+            | Delivered x, Delivered y -> x.src = y.src && x.dst = y.dst
+            | _ -> false
+          in
+          let later = List.filter same_channel (List.init (len - i - 1) (fun k -> i + 1 + k)) in
+          match later with
+          | [] -> ("swap (none)", a)
+          | _ ->
+              let j = QCheck.Gen.oneofl later rs in
+              let b = Array.copy a in
+              b.(i) <- a.(j);
+              b.(j) <- a.(i);
+              ("swap channel deliveries", b))
+      | None -> ("swap (none)", a))
+  | 2 ->
+      let at = Random.State.int rs (len + 1) in
+      let resets =
+        Array.init (1 + Random.State.int rs 3) (fun _ ->
+            Dsim.Trace.Reset_done { pid = Random.State.int rs (max n 1) })
+      in
+      ("extra resets", Array.concat [ Array.sub a 0 at; resets; Array.sub a at (len - at) ])
+  | 3 -> (
+      match pick_index rs a (fun e -> is_sent e || is_delivered e) with
+      | Some i ->
+          let d = if Random.State.bool rs then 1 else -1 in
+          let b = Array.copy a in
+          (b.(i) <-
+             match a.(i) with
+             | Sent r -> Sent { r with depth = r.depth + d }
+             | Delivered r -> Delivered { r with depth = r.depth + d }
+             | e -> e);
+          ("wrong depth", b)
+      | None -> ("wrong depth (none)", a))
+  | 4 | 5 -> (
+      (* Retag one id: everywhere it occurs, or in one event only. *)
+      match pick_index rs a is_message with
+      | Some i ->
+          let old_id = Option.get (id_of a.(i)) and fresh = odd_id rs len in
+          if Random.State.bool rs then begin
+            let b = Array.copy a in
+            b.(i) <- with_id a.(i) fresh;
+            (Printf.sprintf "retag one event %d" fresh, b)
+          end
+          else
+            ( Printf.sprintf "retag id %d -> %d" old_id fresh,
+              Array.map (fun e -> if id_of e = Some old_id then with_id e fresh else e) a )
+      | None -> ("retag (none)", a))
+  | 6 -> (
+      (* Move one message's endpoints outside 0..n-1, consistently or not. *)
+      match pick_index rs a (fun e -> is_sent e || is_delivered e) with
+      | Some i ->
+          let id = Option.get (id_of a.(i)) and pid = odd_pid rs n in
+          let on_src = Random.State.bool rs and everywhere = Random.State.bool rs in
+          let move (e : Dsim.Trace.event) : Dsim.Trace.event =
+            match e with
+            | Sent r when on_src -> Sent { r with src = pid }
+            | Sent r -> Sent { r with dst = pid }
+            | Delivered r when on_src -> Delivered { r with src = pid }
+            | Delivered r -> Delivered { r with dst = pid }
+            | e -> e
+          in
+          let b =
+            if everywhere then Array.map (fun e -> if id_of e = Some id then move e else e) a
+            else Array.mapi (fun j e -> if j = i then move e else e) a
+          in
+          (Printf.sprintf "endpoint %d (src=%b everywhere=%b)" pid on_src everywhere, b)
+      | None -> ("endpoint (none)", a))
+  | 7 when len > 0 ->
+      let i = Random.State.int rs len in
+      ("remove event", Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (len - i - 1)))
+  | 8 ->
+      let at = Random.State.int rs (len + 1) in
+      let pid = if Random.State.int rs 4 = 0 then odd_pid rs n else Random.State.int rs (max n 1) in
+      ( "insert decision",
+        insert_at a at
+          (Dsim.Trace.Decided
+             { pid; value = Random.State.bool rs; step = 0; window = 0; chain_depth = 0 }) )
+  | 9 ->
+      let at = Random.State.int rs (len + 1) in
+      ("insert window close", insert_at a at (Dsim.Trace.Window_closed { index = Random.State.int rs 5 }))
+  | _ ->
+      let at = Random.State.int rs (len + 1) in
+      ( "deliver unsent",
+        insert_at a at
+          (if Random.State.bool rs then Dsim.Trace.Dropped { msg_id = odd_id rs len }
+           else
+             Dsim.Trace.Delivered
+               { src = Random.State.int rs (max n 1); dst = Random.State.int rs (max n 1);
+                 msg_id = odd_id rs len; depth = 1 }) )
+
+type differential_case = {
+  describe : string;
+  cfg : Trace_lint.config;
+  case_events : Dsim.Trace.event list;
+}
+
+(* A slice of a recorded run (a prefix, so ids start dense, or a window
+   from the middle), zero to four mutations, and a random config: both
+   fifo settings, windowed or not, n as recorded or one less (so
+   recorded endpoints fall outside 0..n-1). *)
+let differential_case_gen rs =
+  let runs = Lazy.force recorded_runs in
+  let r = runs.(Random.State.int rs (Array.length runs)) in
+  let total = Array.length r.events in
+  let len = min total (1 + Random.State.int rs 2_500) in
+  let from = if Random.State.bool rs then 0 else Random.State.int rs (total - len + 1) in
+  let slice = Array.sub r.events from len in
+  let n = if Random.State.int rs 4 = 0 then r.rn - 1 else r.rn in
+  let rec apply k (names, a) =
+    if k = 0 then (List.rev names, a)
+    else
+      let name, a = mutate rs ~n a in
+      apply (k - 1) (name :: names, a)
+  in
+  let names, events = apply (Random.State.int rs 5) ([], slice) in
+  let quorum = if Random.State.bool rs then Some (Random.State.int rs (n + 1)) else None in
+  let cfg =
+    config ~n ~t:(Random.State.int rs 4) ~fifo:(Random.State.bool rs)
+      ~windowed:(Random.State.bool rs) ?quorum ()
+  in
+  {
+    describe =
+      Printf.sprintf "%s [%d, %d) n=%d t=%d fifo=%b windowed=%b quorum=%s mutations=[%s]"
+        r.label from (from + len) cfg.n cfg.t cfg.fifo cfg.windowed
+        (match quorum with Some q -> string_of_int q | None -> "none")
+        (String.concat "; " names);
+    cfg;
+    case_events = Array.to_list events;
+  }
+
+let qcheck_trace_differential =
+  QCheck.Test.make ~count:400 ~name:"dense-array check agrees with the hash-table oracle"
+    (QCheck.make ~print:(fun c -> c.describe) differential_case_gen)
+    (fun c -> same_violations c.cfg c.case_events)
+
+(* Ids and endpoints no engine issues go to the overflow table: nothing
+   is sized by the largest id. *)
+let test_trace_huge_ids () =
+  let events =
+    [
+      sent ~src:(-1) ~dst:0 ~msg_id:max_int ~depth:1;
+      sent ~src:(-1) ~dst:0 ~msg_id:max_int ~depth:1;
+      delivered ~src:(-1) ~dst:0 ~msg_id:max_int ~depth:1;
+      Dsim.Trace.Dropped { msg_id = max_int };
+    ]
+  in
+  let cfg = config () in
+  let before = Gc.allocated_bytes () in
+  let found = Trace_lint.check cfg events in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check (list string)) "provenance violations"
+    [ "provenance"; "provenance"; "provenance"; "provenance" ]
+    (invariants found);
+  Alcotest.(check bool) "same as the oracle" true (found = Trace_lint_oracle.check cfg events);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates under 1 MB (%.0f bytes)" allocated)
+    true (allocated < 1e6)
+
 let suite =
   [
     Alcotest.test_case "R1 ambient randomness" `Quick test_r1_ambient_randomness;
@@ -581,4 +846,8 @@ let suite =
     Alcotest.test_case "audit: stepwise run" `Quick test_audit_real_stepwise_run;
     Alcotest.test_case "audit: no events" `Quick test_audit_without_events;
     Alcotest.test_case "ensemble wiring" `Quick test_ensemble_lint_wiring;
+    Alcotest.test_case "trace: differential on recorded runs" `Quick
+      test_trace_differential_full_runs;
+    Test_seed.to_alcotest qcheck_trace_differential;
+    Alcotest.test_case "trace: huge and negative ids" `Quick test_trace_huge_ids;
   ]
