@@ -88,6 +88,8 @@ type state = {
   decided : (int, bool) Hashtbl.t;
   mutable window : int;
   mutable resets_this_window : int;
+  (* Messages sent in the current window and not yet consumed. *)
+  mutable open_in_window : int;
 }
 
 let flag st invariant fmt =
@@ -139,6 +141,7 @@ let consume st slot ~msg_id how =
   end
   else begin
     lg.state.(i) <- how;
+    if lg.sent_window.(i) = st.window then st.open_in_window <- st.open_in_window - 1;
     true
   end
 
@@ -155,7 +158,8 @@ let on_sent st ~src ~dst ~msg_id ~depth =
     lg.dst.(i) <- dst;
     lg.depth.(i) <- depth;
     lg.sent_window.(i) <- st.window;
-    lg.state.(i) <- in_flight
+    lg.state.(i) <- in_flight;
+    st.open_in_window <- st.open_in_window + 1
   end;
   if in_range st src then begin
     let expected = st.recv_depth.(src) + 1 in
@@ -179,10 +183,7 @@ let on_delivered st ~src ~dst ~msg_id ~depth =
     if lg.src.(i) <> src || lg.dst.(i) <> dst || lg.depth.(i) <> depth then
       flag st Provenance
         "message #%d delivered as %d->%d depth %d but sent as %d->%d depth %d" msg_id src
-        dst depth lg.src.(i) lg.dst.(i) lg.depth.(i);
-    if st.config.windowed && lg.sent_window.(i) <> st.window then
-      flag st Window "message #%d sent in window %d but delivered in window %d" msg_id
-        lg.sent_window.(i) st.window
+        dst depth lg.src.(i) lg.dst.(i) lg.depth.(i)
   end;
   let src_in = in_range st src and dst_in = in_range st dst in
   (if st.config.fifo then
@@ -258,8 +259,16 @@ let step st (event : Dsim.Trace.event) =
            so the k-th closing event carries index k (1-based). *)
         if index <> st.window + 1 then
           flag st Window "window closed with index %d, expected %d" index (st.window + 1);
+        (* [Engine.apply_window] delivers or drops every message a
+           window sends before closing it.  A later delivery of one it
+           left open is therefore flagged here, once, and not again
+           when it happens. *)
+        if st.open_in_window > 0 then
+          flag st Window "window %d closed with %d of its messages neither delivered nor dropped"
+            st.window st.open_in_window;
         st.window <- st.window + 1;
-        st.resets_this_window <- 0
+        st.resets_this_window <- 0;
+        st.open_in_window <- 0
       end
 
 let rec walk st = function
@@ -288,6 +297,7 @@ let check_sized ~ids config events =
       decided = Hashtbl.create 16;
       window = 0;
       resets_this_window = 0;
+      open_in_window = 0;
     }
   in
   walk st events;

@@ -13,8 +13,10 @@
       [Sent] with the same endpoints and depth, and is consumed at most
       once;
     - {b Window}: in windowed executions (Definition 1), at most [t]
-      resets occur per window and deliveries only carry messages sent
-      in the same window;
+      resets occur per window, and every message a window sends is
+      delivered or dropped before its [Window_closed] (so a delivery
+      only carries a message of its own window; a message left open is
+      flagged at the close, not again when it is consumed later);
     - {b Quorum}: a processor decides only after messages from at least
       [decision_quorum] distinct senders reached it, and no two
       processors decide opposite values.
@@ -23,8 +25,9 @@
     ledger is parallel int arrays indexed by message id (the engine
     issues ids densely from 0), FIFO keeps an n×n table of the last
     delivered id per channel, and "heard from" is a bitset per
-    destination plus a distinct-sender count.  On engine-issued ids
-    nothing is allocated per event.  Ids the dense ledger does not
+    destination plus a distinct-sender count; the window rule keeps
+    one int, the current window's messages still in flight.  On
+    engine-issued ids nothing is allocated per event.  Ids the dense ledger does not
     cover (negative, huge, or past twice the [Sent] count) and
     endpoints outside [0, n) go to a small hash table, so nothing is
     sized by the largest id.  Decisions (at most n per run) stay

@@ -41,7 +41,9 @@ let evaluate quorums ~n ~t =
     quorum = value "quorum";
   }
 
-type state = {
+(* The fields that change only when a payload is admitted or a phase
+   ends.  Most deliveries admit nothing, and copy only [state]. *)
+type core = {
   id : int;
   n : int;
   fault_bound : int;
@@ -52,30 +54,35 @@ type state = {
   round : int;
   phase : int;  (* 1..3: the acceptance quorum currently awaited *)
   x : bool;
-  rbc : vote Reliable_broadcast.t;
   validated : bool;
   admitted : Tally.t Int_map.t;  (* tag -> admitted votes, by origin *)
   quarantine : (int * int * vote) list;  (* (tag, origin, vote), unjustified *)
+}
+
+(* The fields every delivery writes. *)
+type state = {
+  rbc : vote Reliable_broadcast.t;
   outbox_rev : message Dsim.Step.send list;  (* pending sends, newest first *)
+  core : core;
 }
 
 let bit_of_vote = function Val b | Dec b -> b
 
-let quorum state = state.thresholds.quorum
-
-let admitted_for state tag =
-  Option.value ~default:Tally.empty (Int_map.find_opt tag state.admitted)
+let admitted_for core tag =
+  match Int_map.find tag core.admitted with
+  | tally -> tally
+  | exception Not_found -> Tally.empty
 
 (* Admitted votes for [bit], whether plain or decision candidates. *)
 let count_with_bit tally bit =
   Tally.count_value tally (val_code bit) + Tally.count_value tally (dec_code bit)
 
-let admitted_count_with_bit state tag bit = count_with_bit (admitted_for state tag) bit
+let admitted_count_with_bit core tag bit = count_with_bit (admitted_for core tag) bit
 
 (* Bracha's validation filter, monotone form: can this vote have been
    produced by a correct processor, given the prior-phase votes this
    validator has itself admitted so far? *)
-let justified state ~tag ~vote =
+let justified core ~tag ~vote =
   let round = round_of_tag tag and phase = phase_of_tag tag in
   match phase with
   | 1 -> true (* round-r preferences can always come from a coin *)
@@ -83,22 +90,22 @@ let justified state ~tag ~vote =
       (* The sender saw an (n - t)-subset of phase-1 votes with
          majority v: needs at least floor((n-t)/2)+1 such votes. *)
       let v = bit_of_vote vote in
-      let needed = ((state.n - state.fault_bound) / 2) + 1 in
-      admitted_count_with_bit state (tag_of ~round ~phase:1) v >= needed
+      let needed = ((core.n - core.fault_bound) / 2) + 1 in
+      admitted_count_with_bit core (tag_of ~round ~phase:1) v >= needed
   | 3 -> (
       match vote with
       | Dec v ->
           (* The sender saw more than n/2 phase-2 votes for v. *)
-          let needed = (state.n / 2) + 1 in
-          admitted_count_with_bit state (tag_of ~round ~phase:2) v >= needed
+          let needed = (core.n / 2) + 1 in
+          admitted_count_with_bit core (tag_of ~round ~phase:2) v >= needed
       | Val _ -> true)
   | _ -> false
 
 (* RBC accepts at most one payload per (origin, tag), and the tally
    keeps the first vote per origin regardless. *)
-let admit state ~tag ~origin ~vote =
-  let tally = Tally.add (admitted_for state tag) ~src:origin (vote_code vote) in
-  { state with admitted = Int_map.add tag tally state.admitted }
+let admit core ~tag ~origin ~vote =
+  let tally = Tally.add (admitted_for core tag) ~src:origin (vote_code vote) in
+  { core with admitted = Int_map.add tag tally core.admitted }
 
 (* Route a fresh RBC acceptance through the filter, then re-examine the
    quarantine until no more votes become justified (justification is
@@ -107,13 +114,13 @@ let admit state ~tag ~origin ~vote =
    monotone, so each quarantined vote is re-examined at most once per
    admission, amortized O(1) per delivered message. *)
 (* lint: allow R15 *)
-let rec ingest state ~tag ~origin ~vote =
-  if (not state.validated) || justified state ~tag ~vote then
-    let state = admit state ~tag ~origin ~vote in
-    drain_quarantine state
-  else { state with quarantine = (tag, origin, vote) :: state.quarantine }
+let rec ingest core ~tag ~origin ~vote =
+  if (not core.validated) || justified core ~tag ~vote then
+    let core = admit core ~tag ~origin ~vote in
+    drain_quarantine core
+  else { core with quarantine = (tag, origin, vote) :: core.quarantine }
 
-and drain_quarantine state =
+and drain_quarantine core =
   (* The quarantine holds only accepted-but-unjustified votes, i.e.
      fabrications a Byzantine origin pushed through RBC — at most t per
      tag — and justification conditions move as admitted sets grow, so
@@ -121,53 +128,54 @@ and drain_quarantine state =
      keeping counters. *)
   let ready, still =
     (* lint: allow R13 — short unjustified-vote list, not a quorum map *)
-    List.partition (fun (tag, _, vote) -> justified state ~tag ~vote) state.quarantine
+    List.partition (fun (tag, _, vote) -> justified core ~tag ~vote) core.quarantine
   in
   match ready with
-  | [] -> state
+  | [] -> core
   | _ ->
-      let state = { state with quarantine = still } in
+      let core = { core with quarantine = still } in
       (* lint: allow R13 — drains each quarantined vote exactly once *)
       List.fold_left
-        (fun s (tag, origin, vote) -> ingest s ~tag ~origin ~vote)
-        state ready
+        (fun c (tag, origin, vote) -> ingest c ~tag ~origin ~vote)
+        core ready
 
-let rbc_broadcast state payload =
-  let tag = tag_of ~round:state.round ~phase:state.phase in
+(* Broadcast [payload] for [core]'s (round, phase), [core] becoming
+   the new state's. *)
+let rbc_broadcast state core payload =
+  let tag = tag_of ~round:core.round ~phase:core.phase in
   let rbc, sends = Reliable_broadcast.broadcast state.rbc ~tag payload in
   (* Our own broadcast is trivially justified for us.  [sends] is at
      most one [Step.Broadcast] value, so queueing it is O(1).
      (* lint: allow R12 *) *)
-  { state with rbc; outbox_rev = List.rev_append sends state.outbox_rev }
+  { rbc; outbox_rev = List.rev_append sends state.outbox_rev; core }
 
 (* Process a completed phase quorum.  [tally] holds the admitted votes
    for the current (round, phase) tag. *)
 let finish_phase state tally rng =
-  match state.phase with
+  let core = state.core in
+  match core.phase with
   | 1 ->
       let ones = count_with_bit tally true in
       let zeros = count_with_bit tally false in
       let x = if ones > zeros then true else false in
-      let state = { state with x; phase = 2 } in
-      rbc_broadcast state (Val x)
+      rbc_broadcast state { core with x; phase = 2 } (Val x)
   | 2 ->
-      let half = state.n / 2 in
+      let half = core.n / 2 in
       let ones = count_with_bit tally true in
       let zeros = count_with_bit tally false in
       let payload =
         if ones > half then Dec true
         else if zeros > half then Dec false
-        else Val state.x
+        else Val core.x
       in
-      let state = { state with phase = 3 } in
-      rbc_broadcast state payload
+      rbc_broadcast state { core with phase = 3 } payload
   | 3 ->
       let dec_true = Tally.count_value tally (dec_code true) in
       let dec_false = Tally.count_value tally (dec_code false) in
-      let decide_at = state.thresholds.decide_at in
-      let adopt_at = state.thresholds.adopt_at in
+      let decide_at = core.thresholds.decide_at in
+      let adopt_at = core.thresholds.adopt_at in
       let output =
-        match state.output with
+        match core.output with
         | Some _ as existing -> existing
         | None ->
             if dec_true >= decide_at then Some true
@@ -179,18 +187,18 @@ let finish_phase state tally rng =
         else if dec_false >= adopt_at then false
         else Prng.Stream.bool rng
       in
-      let state = { state with output; x; round = state.round + 1; phase = 1 } in
-      rbc_broadcast state (Val x)
+      rbc_broadcast state { core with output; x; round = core.round + 1; phase = 1 } (Val x)
   | _ -> assert false
 
 let rec advance state rng =
-  let tag = tag_of ~round:state.round ~phase:state.phase in
-  let tally = admitted_for state tag in
-  if Tally.count tally >= quorum state then advance (finish_phase state tally rng) rng
+  let core = state.core in
+  let tally = admitted_for core (tag_of ~round:core.round ~phase:core.phase) in
+  if Tally.count tally >= core.thresholds.quorum then
+    advance (finish_phase state tally rng) rng
   else state
 
 let init_with ~thresholds ~validated ~rbc ~n ~t ~id ~input () =
-  let state =
+  let core =
     {
       id;
       n;
@@ -202,14 +210,12 @@ let init_with ~thresholds ~validated ~rbc ~n ~t ~id ~input () =
       round = 1;
       phase = 1;
       x = input;
-      rbc;
       validated;
       admitted = Int_map.empty;
       quarantine = [];
-      outbox_rev = [];
     }
   in
-  rbc_broadcast state (Val input)
+  rbc_broadcast { rbc; outbox_rev = []; core } core (Val input)
 
 (* One reversal per drain of the (short) send list: broadcasts are
    single [Step.Broadcast] values, not n envelopes.
@@ -220,38 +226,48 @@ let on_deliver state ~src message rng =
   let rbc, sends, accepted = Reliable_broadcast.receive state.rbc ~src message in
   (* [sends] is at most one [Step.Broadcast] value: O(1) to queue.
      (* lint: allow R12 *) *)
-  let state = { state with rbc; outbox_rev = List.rev_append sends state.outbox_rev } in
-  let tag =
-    match message with
-    | Reliable_broadcast.Initial { tag; _ }
-    | Reliable_broadcast.Echo { tag; _ }
-    | Reliable_broadcast.Ready { tag; _ } ->
-        tag
-  in
-  let state =
-    (* lint: allow R13 — [accepted] has at most one element per receive *)
-    List.fold_left
-      (fun s (origin, vote) -> ingest s ~tag ~origin ~vote)
-      state accepted
-  in
-  advance state rng
+  let outbox_rev = List.rev_append sends state.outbox_rev in
+  match accepted with
+  | [] when state.core.thresholds.quorum > 0 ->
+      (* Nothing admitted, so no phase quorum can have completed: every
+         state [init], [on_reset] and [on_deliver] return awaits one
+         that its admitted votes do not meet (unless the quorum is 0,
+         which the empty tally meets). *)
+      { rbc; outbox_rev; core = state.core }
+  | _ ->
+      let tag =
+        match message with
+        | Reliable_broadcast.Initial { tag; _ }
+        | Reliable_broadcast.Echo { tag; _ }
+        | Reliable_broadcast.Ready { tag; _ } ->
+            tag
+      in
+      let core =
+        (* lint: allow R13 — [accepted] has at most one element per receive *)
+        List.fold_left
+          (fun c (origin, vote) -> ingest c ~tag ~origin ~vote)
+          state.core accepted
+      in
+      advance { rbc; outbox_rev; core } rng
 
 (* Like Ben-Or, Bracha has no re-join procedure: restart from input.
    The evaluated thresholds carry over, and [reset_like] keeps the RBC
    parameters while clearing its instances. *)
 let on_reset state =
+  let core = state.core in
   let restarted =
-    init_with ~thresholds:state.thresholds ~validated:state.validated
-      ~rbc:(Reliable_broadcast.reset_like state.rbc) ~n:state.n
-      ~t:state.fault_bound ~id:state.id ~input:state.input ()
+    init_with ~thresholds:core.thresholds ~validated:core.validated
+      ~rbc:(Reliable_broadcast.reset_like state.rbc) ~n:core.n
+      ~t:core.fault_bound ~id:core.id ~input:core.input ()
   in
-  { restarted with output = state.output; resets = state.resets + 1 }
+  { restarted with
+    core = { restarted.core with output = core.output; resets = core.resets + 1 } }
 
-let output state = state.output
+let output state = state.core.output
 
-let observe state =
-  Dsim.Obs.make ~id:state.id ~round:state.round ~estimate:(Some state.x)
-    ~output:state.output ~input:state.input ~resets:state.resets ~phase:state.phase
+let observe { core; _ } =
+  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Some core.x)
+    ~output:core.output ~input:core.input ~resets:core.resets ~phase:core.phase
 
 let code_fingerprint = function 0 -> "V0" | 1 -> "V1" | 2 -> "D0" | _ -> "D1"
 let vote_fingerprint vote = code_fingerprint (vote_code vote)
@@ -259,19 +275,20 @@ let vote_fingerprint vote = code_fingerprint (vote_code vote)
 (* [br:id:round:phase:x:output:input:resets:<rbc>:A{<admitted>}:Q<quarantined>:<outbox>],
    where <admitted> is [tag{<origin><vote>,...};...] in ascending keys. *)
 let state_core state =
+  let core = state.core in
   let b = Buffer.create 256 in
   let int i = Buffer.add_string b (string_of_int i) in
   let field_int i = Buffer.add_char b ':'; int i in
   let field_char c = Buffer.add_char b ':'; Buffer.add_char b c in
   let bit v = if v then '1' else '0' in
   Buffer.add_string b "br";
-  field_int state.id;
-  field_int state.round;
-  field_int state.phase;
-  field_char (bit state.x);
-  field_char (match state.output with None -> '_' | Some v -> bit v);
-  field_char (bit state.input);
-  field_int state.resets;
+  field_int core.id;
+  field_int core.round;
+  field_int core.phase;
+  field_char (bit core.x);
+  field_char (match core.output with None -> '_' | Some v -> bit v);
+  field_char (bit core.input);
+  field_int core.resets;
   Buffer.add_char b ':';
   Buffer.add_string b (Reliable_broadcast.fingerprint vote_fingerprint state.rbc);
   Buffer.add_string b ":A{";
@@ -291,10 +308,10 @@ let state_core state =
           Buffer.add_string b (code_fingerprint code))
         votes;
       Buffer.add_char b '}')
-    state.admitted;
+    core.admitted;
   Buffer.add_string b "}:Q";
-  int (List.length state.quarantine);
-  field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
+  int (List.length core.quarantine);
+  field_int (Dsim.Step.send_count ~n:core.n state.outbox_rev);
   Buffer.contents b
 
 let add_message =
@@ -355,4 +372,4 @@ let protocol ?(validated = false) ?name ?(quorums = quorums) () =
     add_message;
   }
 
-let quarantined_count state = List.length state.quarantine
+let quarantined_count state = List.length state.core.quarantine

@@ -1,15 +1,5 @@
+module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
-
-module Key = struct
-  type t = int * int (* origin, tag *)
-
-  let compare (a_origin, a_tag) (b_origin, b_tag) =
-    match Int.compare a_origin b_origin with
-    | 0 -> Int.compare a_tag b_tag
-    | c -> c
-end
-
-module Key_map = Map.Make (Key)
 
 type 'p msg =
   | Initial of { tag : int; payload : 'p }
@@ -50,104 +40,115 @@ type thresholds = {
   rbc_accept_quorum : int;
 }
 
-type 'p t = {
+(* The parameters every state derived from one [create] shares. *)
+type 'p config = {
   n : int;
   fault_bound : int;
   self : int;
   code : 'p -> int;  (* matching payloads share a tally code *)
   thresholds : thresholds;
-  instances : 'p inst Key_map.t;
+}
+
+type 'p t = {
+  config : 'p config;
+  instances : 'p inst Int_map.t;  (* keyed by [key ~origin ~tag] *)
   started : Int_set.t;  (* tags this processor already originated *)
 }
 
 let create ~quorums ~n ~t ~self ~code () =
   let value = Quorums.value quorums ~n ~t in
-  { n; fault_bound = t; self; code;
-    thresholds =
-      { rbc_echo_quorum = value "rbc_echo_quorum";
-        rbc_ready_resend = value "rbc_ready_resend";
-        rbc_accept_quorum = value "rbc_accept_quorum" };
-    instances = Key_map.empty; started = Int_set.empty }
+  { config =
+      { n; fault_bound = t; self; code;
+        thresholds =
+          { rbc_echo_quorum = value "rbc_echo_quorum";
+            rbc_ready_resend = value "rbc_ready_resend";
+            rbc_accept_quorum = value "rbc_accept_quorum" } };
+    instances = Int_map.empty; started = Int_set.empty }
 
 (* A fresh state sharing this one's parameters, evaluated thresholds
    included. *)
-let reset_like t = { t with instances = Key_map.empty; started = Int_set.empty }
+let reset_like t = { t with instances = Int_map.empty; started = Int_set.empty }
+
+(* An instance's map key: origin in the high bits, tag in the low 32.
+   On [in_range] keys are distinct per instance and their int order is
+   the (origin, tag) order. *)
+let tag_bits = 32
+let tag_mask = (1 lsl tag_bits) - 1
+let origin_bits = Sys.int_size - 1 - tag_bits
+let in_range ~origin ~tag = origin lsr origin_bits = 0 && tag lsr tag_bits = 0
+let key ~origin ~tag = (origin lsl tag_bits) lor tag
 
 (* A uniform send is a single [Step.Broadcast] value: the engine
    stores it once and expands per-destination envelopes lazily, so
    emission is O(1) regardless of [n]. *)
-let to_all _t message = [ Dsim.Step.Broadcast message ]
+let to_all message = [ Dsim.Step.Broadcast message ]
 
-let instance t key = Option.value ~default:inst_empty (Key_map.find_opt key t.instances)
+let instance t key =
+  match Int_map.find key t.instances with
+  | inst -> inst
+  | exception Not_found -> inst_empty
 
-let set_instance t key inst = { t with instances = Key_map.add key inst t.instances }
+let set_instance t key inst = { t with instances = Int_map.add key inst t.instances }
 
 let broadcast t ~tag payload =
   if Int_set.mem tag t.started then (t, [])
   else
     let t = { t with started = Int_set.add tag t.started } in
-    (t, to_all t (Initial { tag; payload }))
+    (t, to_all (Initial { tag; payload }))
 
 (* Evaluate an instance's thresholds after new evidence for [payload]
-   (tally code [code]) arrived; returns the updated instance, messages
-   to send, and the acceptance if new. *)
-let evaluate t key inst payload code =
-  let origin, tag = key in
-  let sends = ref [] in
-  let inst =
-    if (not inst.ready_sent)
-       && (Tally.count_value inst.echoes code >= t.thresholds.rbc_echo_quorum
-          || Tally.count_value inst.readies code >= t.thresholds.rbc_ready_resend)
-    then begin
-      sends := to_all t (Ready { origin; tag; payload });
-      { inst with ready_sent = true }
-    end
-    else inst
+   (tally code [code]) arrived, and store it: returns the new state,
+   the [Ready] to send if one is due, and the acceptance if new. *)
+let evaluate t key ~origin ~tag inst payload code =
+  let thresholds = t.config.thresholds in
+  let ready_now =
+    (not inst.ready_sent)
+    && (Tally.count_value inst.echoes code >= thresholds.rbc_echo_quorum
+       || Tally.count_value inst.readies code >= thresholds.rbc_ready_resend)
   in
-  let accepted_now =
-    if Option.is_none inst.accepted
-       && Tally.count_value inst.readies code >= t.thresholds.rbc_accept_quorum
-    then Some payload
-    else None
-  in
-  let inst =
-    match accepted_now with None -> inst | Some p -> { inst with accepted = Some p }
-  in
-  (inst, !sends, accepted_now)
+  let inst = if ready_now then { inst with ready_sent = true } else inst in
+  let sends = if ready_now then to_all (Ready { origin; tag; payload }) else [] in
+  if Option.is_none inst.accepted
+     && Tally.count_value inst.readies code >= thresholds.rbc_accept_quorum
+  then (set_instance t key { inst with accepted = Some payload }, sends, [ (origin, payload) ])
+  else (set_instance t key inst, sends, [])
 
 let receive t ~src message =
   match message with
   | Initial { tag; payload } ->
       (* Only the claimed origin's own channel is trusted for Initial:
          the sender *is* the origin (dedicated channels). *)
-      let key = (src, tag) in
-      let inst = instance t key in
-      if inst.echo_sent then (set_instance t key inst, [], [])
+      if not (in_range ~origin:src ~tag) then (t, [], [])
       else
-        let inst = { inst with echo_sent = true } in
-        (set_instance t key inst, to_all t (Echo { origin = src; tag; payload }), [])
+        let key = key ~origin:src ~tag in
+        let inst = instance t key in
+        if inst.echo_sent then (t, [], [])
+        else
+          ( set_instance t key { inst with echo_sent = true },
+            to_all (Echo { origin = src; tag; payload }),
+            [] )
   | Echo { origin; tag; payload } ->
-      let key = (origin, tag) in
-      let inst = instance t key in
-      if Tally.mem inst.echoes src then (t, [], [])
+      if not (in_range ~origin ~tag) then (t, [], [])
       else
-        let code = t.code payload in
-        let inst = { inst with echoes = Tally.add inst.echoes ~src code } in
-        let inst, sends, accepted_now = evaluate t key inst payload code in
-        ( set_instance t key inst,
-          sends,
-          match accepted_now with None -> [] | Some p -> [ (origin, p) ] )
+        let key = key ~origin ~tag in
+        let inst = instance t key in
+        if Tally.mem inst.echoes src then (t, [], [])
+        else
+          let code = t.config.code payload in
+          evaluate t key ~origin ~tag
+            { inst with echoes = Tally.add inst.echoes ~src code }
+            payload code
   | Ready { origin; tag; payload } ->
-      let key = (origin, tag) in
-      let inst = instance t key in
-      if Tally.mem inst.readies src then (t, [], [])
+      if not (in_range ~origin ~tag) then (t, [], [])
       else
-        let code = t.code payload in
-        let inst = { inst with readies = Tally.add inst.readies ~src code } in
-        let inst, sends, accepted_now = evaluate t key inst payload code in
-        ( set_instance t key inst,
-          sends,
-          match accepted_now with None -> [] | Some p -> [ (origin, p) ] )
+        let key = key ~origin ~tag in
+        let inst = instance t key in
+        if Tally.mem inst.readies src then (t, [], [])
+        else
+          let code = t.config.code payload in
+          evaluate t key ~origin ~tag
+            { inst with readies = Tally.add inst.readies ~src code }
+            payload code
 
 (* [(origin,tag)e<echoes>r<readies>[E][R][A<payload>]] per instance,
    ';'-separated in key order, written into one local buffer (callers
@@ -155,13 +156,13 @@ let receive t ~src message =
 let fingerprint render t =
   let b = Buffer.create 64 in
   let int i = Buffer.add_string b (string_of_int i) in
-  Key_map.iter
-    (fun (origin, tag) inst ->
+  Int_map.iter
+    (fun key inst ->
       if Buffer.length b > 0 then Buffer.add_char b ';';
       Buffer.add_char b '(';
-      int origin;
+      int (key lsr tag_bits);
       Buffer.add_char b ',';
-      int tag;
+      int (key land tag_mask);
       Buffer.add_string b ")e";
       int (Tally.count inst.echoes);
       Buffer.add_char b 'r';

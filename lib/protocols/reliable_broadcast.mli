@@ -16,7 +16,27 @@
     adversary is noted to lack.
 
     The module is a value-level component meant to be embedded in a
-    protocol state; all operations are pure. *)
+    protocol state; all operations are pure.
+
+    {b Instance keys.}  An instance is keyed by one int, [origin] in the
+    high bits and [tag] in the low 32, so only [0 <= origin < 2^30] and
+    [0 <= tag < 2^32] name an instance.  On that range keys are distinct
+    and their int order is the [(origin, tag)] order, which
+    {!fingerprint} walks.  A message outside it — an [Echo] or [Ready]
+    naming such an origin or tag, or an [Initial] with such a tag — is
+    ignored: {!receive} returns the state unchanged, with no sends and
+    no acceptance, and raises nothing.  No engine or adversary here
+    produces one (origins are processor ids, and [rewrite_bit] only
+    rewrites payloads).
+
+    {b Cost.}  A {!receive} is O(log I + log n) for I live instances:
+    one lookup and one path copy of the instance map, and one
+    {!Tally.add}.  The parameters fixed at {!create} (n, t, self,
+    payload code, evaluated thresholds) sit in one record every derived
+    state shares, so a receive that changes state copies a 4-word state
+    record and the 6-word instance record; the lookup allocates nothing.
+    Duplicates and out-of-range messages allocate only the result
+    triple. *)
 
 type 'p t
 (** One processor's bookkeeping across all instances it has seen. *)

@@ -50,7 +50,7 @@ fresh_seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "check: QCHECK_SEED=$fresh_seed"
 qcheck_out=$(mktemp)
 if (cd _build/default/test && QCHECK_SEED=$fresh_seed ./test_main.exe test \
-      'window|kernel-diff|properties|lint|symexpr|quorum-lint|par-sweep|mcheck') \
+      'window|kernel-diff|properties|lint|symexpr|quorum-lint|par-sweep|mcheck|rbc') \
      > "$qcheck_out" 2>&1; then
   echo "check: qcheck properties hold under QCHECK_SEED=$fresh_seed"
   rm -f "$qcheck_out"
@@ -252,6 +252,8 @@ echo "check: n-sweep scaling gate (allocation fence only)"
 # The lazy-broadcast rewrite's headline claim — uniform sends allocate
 # O(1) at emission — is pinned by the scaling group's minor-words
 # baseline; a fan-out regression shows up here as an allocation jump.
+# The same fence holds the RBC receive (rbc-echo-admit-*, logarithmic
+# in n) and Bracha's first window (bracha-window-*) to their classes.
 bench_out=$(mktemp)
 if ./scripts/bench.sh --scaling --out "$bench_out"; then
   echo "check: scaling group within allocation fence of bench/BASELINE.json"

@@ -229,6 +229,29 @@ let test_crash_tolerance () =
   Alcotest.(check int) "5 live deciders" 5 (List.length outcome.Dsim.Runner.decided);
   Alcotest.(check bool) "no conflict" false outcome.Dsim.Runner.conflict
 
+(* A delivery that accepts nothing copies the RBC state's three fields,
+   Bracha's hot record and one instance, and path-copies one int-keyed
+   map.  At n = 16 under benign windows a whole run to decision read
+   91.5 minor words per delivery with a tuple-keyed instance map and
+   flat records, 61.5 after; the limit sits between the two. *)
+let test_delivery_allocation () =
+  let n = 16 in
+  let config =
+    Dsim.Engine.init ~protocol ~n ~fault_bound:((n - 1) / 3)
+      ~inputs:(Agreement.Ensemble.split_inputs ~n 1) ~seed:1 ()
+  in
+  let before = Gc.minor_words () in
+  let outcome =
+    Dsim.Runner.run_windows config ~strategy:(Adversary.Benign.windowed ())
+      ~max_windows:1_000 ~stop:`All_decided
+  in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all decide" n (List.length outcome.Dsim.Runner.decided);
+  let delivered = Dsim.Trace.delivered (Dsim.Engine.trace config) in
+  let per_delivery = words /. float_of_int delivered in
+  if per_delivery >= 75.0 then
+    Alcotest.failf "Bracha allocated %.2f minor words per delivery (limit 75)" per_delivery
+
 let suite =
   [
     Alcotest.test_case "tag arithmetic" `Quick test_tag_arithmetic;
@@ -247,4 +270,5 @@ let suite =
     Alcotest.test_case "validation restores liveness under flip" `Quick
       test_validation_restores_liveness_under_flip;
     Alcotest.test_case "crash tolerance" `Quick test_crash_tolerance;
+    Alcotest.test_case "delivery allocation" `Quick test_delivery_allocation;
   ]

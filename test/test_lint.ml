@@ -461,6 +461,45 @@ let test_trace_window_indices () =
             delivered ~src:0 ~dst:1 ~msg_id:1 ~depth:1;
           ]))
 
+(* Every message a window sends is delivered or dropped before the
+   window closes: one left open is flagged at the close, whether or not
+   it is consumed later, and only in windowed audits. *)
+let test_trace_window_consumption () =
+  let cfg = config ~n:3 ~t:1 ~windowed:true () in
+  let left_open =
+    [
+      sent ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+      sent ~src:0 ~dst:2 ~msg_id:1 ~depth:1;
+      delivered ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+      Dsim.Trace.Window_closed { index = 1 };
+    ]
+  in
+  Alcotest.(check (list string)) "open message flagged at the close" [ "window" ]
+    (invariants (Trace_lint.check cfg left_open));
+  Alcotest.(check (list string)) "not flagged without windows" []
+    (invariants (Trace_lint.check (config ~n:3 ~t:1 ()) left_open));
+  let consumed =
+    [
+      sent ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+      sent ~src:0 ~dst:2 ~msg_id:1 ~depth:1;
+      delivered ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+      Dsim.Trace.Dropped { msg_id = 1 };
+      Dsim.Trace.Window_closed { index = 1 };
+      sent ~src:1 ~dst:0 ~msg_id:2 ~depth:2;
+      Dsim.Trace.Dropped { msg_id = 2 };
+      Dsim.Trace.Window_closed { index = 2 };
+    ]
+  in
+  Alcotest.(check (list string)) "consumed windows accepted" []
+    (invariants (Trace_lint.check cfg consumed));
+  (* Only the closing window's own messages count: the one left open in
+     window 0 is not charged to window 1 again. *)
+  let carried = left_open @ [ Dsim.Trace.Window_closed { index = 2 } ] in
+  Alcotest.(check (list string)) "flagged once" [ "window" ]
+    (invariants (Trace_lint.check cfg carried));
+  Alcotest.(check bool) "same as the oracle" true
+    (Trace_lint_oracle.check cfg carried = Trace_lint.check cfg carried)
+
 let test_trace_quorum () =
   let cfg = config ~n:3 ~t:1 ~quorum:2 () in
   let premature =
@@ -841,6 +880,7 @@ let suite =
     Alcotest.test_case "trace: provenance" `Quick test_trace_provenance;
     Alcotest.test_case "trace: window discipline" `Quick test_trace_window_discipline;
     Alcotest.test_case "trace: window indices" `Quick test_trace_window_indices;
+    Alcotest.test_case "trace: window consumption" `Quick test_trace_window_consumption;
     Alcotest.test_case "trace: quorum" `Quick test_trace_quorum;
     Alcotest.test_case "audit: windowed run" `Quick test_audit_real_windowed_run;
     Alcotest.test_case "audit: stepwise run" `Quick test_audit_real_stepwise_run;

@@ -247,6 +247,142 @@ let test_fingerprint_changes () =
   Alcotest.(check bool) "fingerprint reflects state" true
     (Rbc.fingerprint (fun s -> s) a <> Rbc.fingerprint (fun s -> s) b)
 
+(* --- instance keys ---
+
+   Instances are keyed by one packed int, so only origins in
+   [\[0, 2^30)] and tags in [\[0, 2^32)] name an instance: anything
+   else is ignored, with no state change, sends or acceptance. *)
+
+let ignored state label message =
+  let next, sends, accepted = Rbc.receive state ~src:1 message in
+  Alcotest.(check string) (label ^ ": state unchanged")
+    (Rbc.fingerprint Fun.id state) (Rbc.fingerprint Fun.id next);
+  Alcotest.(check int) (label ^ ": no sends") 0 (List.length sends);
+  Alcotest.(check (list (pair int string))) (label ^ ": no acceptance") [] accepted
+
+let test_out_of_range_keys_ignored () =
+  let state, _, _ =
+    Rbc.receive (create ()) ~src:2 (Rbc.Echo { origin = 3; tag = 4; payload = "v" })
+  in
+  List.iter
+    (fun (label, origin, tag) ->
+      ignored state (label ^ " echo") (Rbc.Echo { origin; tag; payload = "v" });
+      ignored state (label ^ " ready") (Rbc.Ready { origin; tag; payload = "v" }))
+    [
+      ("negative origin", -1, 4);
+      ("origin 2^30", 1 lsl 30, 4);
+      ("min_int origin", min_int, 4);
+      ("negative tag", 3, -1);
+      ("tag 2^32", 3, 1 lsl 32);
+      ("max_int tag", 3, max_int);
+    ];
+  ignored state "initial tag 2^32" (Rbc.Initial { tag = 1 lsl 32; payload = "v" });
+  (* A full accept quorum outside the range still accepts nothing. *)
+  let state = ref state in
+  for src = 1 to 5 do
+    let next, _, accepted =
+      Rbc.receive !state ~src (Rbc.Ready { origin = 3; tag = -4; payload = "v" })
+    in
+    Alcotest.(check (list (pair int string))) "no acceptance at tag -4" [] accepted;
+    state := next
+  done
+
+(* The largest keys in range stay distinct and in (origin, tag) order. *)
+let test_key_range_edges () =
+  let top_tag = (1 lsl 32) - 1 and top_origin = (1 lsl 30) - 1 in
+  let state =
+    List.fold_left
+      (fun s (origin, tag) ->
+        let s, _, _ = Rbc.receive s ~src:1 (Rbc.Echo { origin; tag; payload = "v" }) in
+        s)
+      (create ())
+      [ (top_origin, 0); (1, 0); (0, top_tag); (top_origin, top_tag) ]
+  in
+  Alcotest.(check string) "instances in (origin, tag) order"
+    (Printf.sprintf "(0,%d)e1r0;(1,0)e1r0;(%d,0)e1r0;(%d,%d)e1r0" top_tag top_origin
+       top_origin top_tag)
+    (Rbc.fingerprint Fun.id state)
+
+(* --- differential against the tuple-keyed predecessor ([Rbc_oracle]) --- *)
+
+type rbc_op =
+  | Receive of int * int Rbc.msg  (* src, message *)
+  | Broadcast of int * int  (* tag, payload *)
+
+type rbc_case = { rn : int; rself : int; ops : rbc_op list }
+
+let show_op = function
+  | Receive (src, Rbc.Initial { tag; payload }) -> Printf.sprintf "%d:init[%d]%d" src tag payload
+  | Receive (src, Rbc.Echo { origin; tag; payload }) ->
+      Printf.sprintf "%d:echo[%d@%d]%d" src tag origin payload
+  | Receive (src, Rbc.Ready { origin; tag; payload }) ->
+      Printf.sprintf "%d:ready[%d@%d]%d" src tag origin payload
+  | Broadcast (tag, payload) -> Printf.sprintf "bcast[%d]%d" tag payload
+
+(* Bursts of one message from many senders, over a pool of three keys
+   and payloads mostly of one code, so echo, ready and accept quorums
+   are reached at every n. *)
+let rbc_case_gen rs =
+  let int k = Random.State.int rs k in
+  let n = [| 4; 7; 64 |].(int 3) in
+  let origin () =
+    match int 6 with 0 -> (1 lsl 30) - 1 | 1 -> n + int 1000 | _ -> int n
+  in
+  let tag () =
+    match int 6 with
+    | 0 -> (1 lsl 32) - 1
+    | 1 -> Random.State.bits rs
+    | _ -> [| 0; 1; 5 |].(int 3)
+  in
+  let keys = Array.init 3 (fun _ -> (origin (), tag ())) in
+  let payload () = if int 4 = 0 then int 4 else 0 in
+  let burst () =
+    let origin, tag = keys.(int 3) and payload = payload () in
+    if int 10 = 0 then [ Broadcast (tag, payload) ]
+    else
+      let message =
+        match int 3 with
+        | 0 -> Rbc.Initial { tag; payload }
+        | 1 -> Rbc.Echo { origin; tag; payload }
+        | _ -> Rbc.Ready { origin; tag; payload }
+      in
+      List.init (1 + int n) (fun _ -> Receive (int n, message))
+  in
+  { rn = n; rself = int n; ops = List.concat (List.init (1 + int 12) (fun _ -> burst ())) }
+
+let show_case c =
+  Printf.sprintf "n=%d self=%d ops=[%s]" c.rn c.rself (String.concat "; " (List.map show_op c.ops))
+
+let same_as_oracle c =
+  let t = (c.rn - 1) / 3 and code p = p land 3 in
+  let fingerprint = Rbc.fingerprint string_of_int
+  and oracle_fingerprint = Rbc_oracle.fingerprint string_of_int in
+  let rec go state oracle = function
+    | [] -> true
+    | op :: rest ->
+        let (state, sends, accepted), (oracle, oracle_sends, oracle_accepted) =
+          match op with
+          | Receive (src, message) ->
+              (Rbc.receive state ~src message, Rbc_oracle.receive oracle ~src message)
+          | Broadcast (tag, payload) ->
+              let state, sends = Rbc.broadcast state ~tag payload
+              and oracle, oracle_sends = Rbc_oracle.broadcast oracle ~tag payload in
+              ((state, sends, []), (oracle, oracle_sends, []))
+        in
+        String.equal (fingerprint state) (oracle_fingerprint oracle)
+        && sends = oracle_sends && accepted = oracle_accepted
+        && go state oracle rest
+  in
+  go
+    (Rbc.create ~quorums:Rbc.quorums ~n:c.rn ~t ~self:c.rself ~code ())
+    (Rbc_oracle.create ~quorums:Rbc.quorums ~n:c.rn ~t ~self:c.rself ~code ())
+    c.ops
+
+let qcheck_rbc_differential =
+  QCheck.Test.make ~count:200 ~name:"int-keyed receive agrees with the tuple-keyed oracle"
+    (QCheck.make ~print:show_case rbc_case_gen)
+    same_as_oracle
+
 let suite =
   [
     Alcotest.test_case "broadcast sends initial" `Quick test_broadcast_sends_initial;
@@ -263,4 +399,7 @@ let suite =
     Alcotest.test_case "equivocation agreement + totality" `Quick
       test_equivocation_agreement_property;
     Alcotest.test_case "fingerprint changes" `Quick test_fingerprint_changes;
+    Alcotest.test_case "out-of-range keys ignored" `Quick test_out_of_range_keys_ignored;
+    Alcotest.test_case "key range edges" `Quick test_key_range_edges;
+    Test_seed.to_alcotest qcheck_rbc_differential;
   ]
