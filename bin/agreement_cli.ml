@@ -15,7 +15,30 @@
    the run or sweep finished, 2 = usage error (including any malformed
    argument) or infeasible parameters. *)
 
-type protocol_choice = Lewko | Lewko_det | Ben_or | Bracha | Bracha_validated
+module Registry = Adversary.Registry
+
+(* The protocols -p accepts; [windowed] picks the discipline, and with
+   it the adversary list -a is looked up in. *)
+type protocol = {
+  name : string;
+  aliases : string list;
+  windowed : bool;
+  packed : Mcheck.Model.packed;
+}
+
+let protocols =
+  let entry ?(aliases = []) name ~windowed p =
+    { name; aliases; windowed; packed = Mcheck.Model.Packed p }
+  in
+  let open Protocols in
+  [
+    entry "lewko" ~aliases:[ "variant" ] ~windowed:true (Lewko_variant.protocol ());
+    entry "lewko-det" ~aliases:[ "deterministic" ] ~windowed:true
+      (Lewko_variant.protocol ~coin:(fun _ -> false) ());
+    entry "ben-or" ~aliases:[ "benor" ] ~windowed:false (Ben_or.protocol ());
+    entry "bracha" ~windowed:false (Bracha.protocol ());
+    entry "bracha-validated" ~windowed:false (Bracha.protocol ~validated:true ());
+  ]
 
 let parse_inputs ~n = function
   | "zeros" -> Array.make n false
@@ -28,34 +51,26 @@ let parse_inputs ~n = function
         invalid_arg
           (Printf.sprintf "inputs must be zeros|ones|split or a %d-char bitstring" n)
 
-let windowed_adversary name seed : ('s, 'm) Adversary.Strategy.windowed =
-  match name with
-  | "benign" -> Adversary.Benign.windowed ()
-  | "silence" -> Adversary.Silence.last_t
-  | "balancing" -> Adversary.Split_vote.windowed ()
-  | "balance+reset" -> Adversary.Split_vote.windowed_with_resets ()
-  | "split-brain" -> Adversary.Split_brain.windowed ()
-  | "reset-rotating" -> Adversary.Reset_storm.rotating ()
-  | "reset-random" -> Adversary.Reset_storm.random ~seed ()
-  | "reset-targeted" -> Adversary.Reset_storm.target_undecided ()
-  | "lookahead" -> Adversary.Lookahead.windowed ~samples:8 ~horizon:4 ~seed ()
-  | other -> invalid_arg ("unknown windowed adversary: " ^ other)
+(* -a accepts a name of either discipline; one of the wrong discipline
+   for the protocol is reported here, with the names that would fit. *)
+let wrong_discipline protocol adversary =
+  let runs, other, names =
+    if protocol.windowed then ("windowed", "stepwise", Registry.Windowed.names)
+    else ("stepwise", "windowed", Registry.Stepwise.names)
+  in
+  invalid_arg
+    (Printf.sprintf "%s is a %s adversary, but %s runs %s; %s adversaries: %s" adversary
+       other protocol.name runs runs (String.concat ", " names))
 
-let stepwise_adversary name seed : ('s, 'm) Adversary.Strategy.stepwise =
-  match name with
-  | "benign" -> Adversary.Benign.lockstep ()
-  | "random" -> Adversary.Benign.random_fair ~seed ~drop_probability:0.3 ()
-  | "balancing" -> Adversary.Split_vote.stepwise ()
-  | "echo-chamber" -> Adversary.Echo_chamber.stepwise ()
-  | "crash-start" -> Adversary.Crash.at_start ~crash:[ 0 ]
-  | "crash-late" -> Adversary.Crash.before_decision ()
-  | "byz-flip" -> Adversary.Byzantine.lockstep ~corrupt:[ 0 ] ~flavour:Adversary.Byzantine.Flip ()
-  | "byz-equivocate" ->
-      Adversary.Byzantine.lockstep ~corrupt:[ 0 ] ~flavour:Adversary.Byzantine.Equivocate ()
-  | other -> invalid_arg ("unknown stepwise adversary: " ^ other)
+let windowed_entry protocol adversary =
+  match Registry.Windowed.find adversary with
+  | Some entry -> entry
+  | None -> wrong_discipline protocol adversary
 
-let print_outcome name outcome =
-  Format.printf "@[<v>protocol: %s@,%a@]@." name Dsim.Runner.pp_outcome outcome
+let stepwise_entry protocol adversary =
+  match Registry.Stepwise.find adversary with
+  | Some entry -> entry
+  | None -> wrong_discipline protocol adversary
 
 let print_trace config =
   List.iter
@@ -68,137 +83,94 @@ let export_trace config = function
       Dsim.Trace_export.write_file ~path (Dsim.Engine.trace config);
       Format.printf "trace written to %s@." path
 
-let run_windowed protocol ~n ~t ~inputs ~seed ~adversary ~max_windows ~trace ~json =
-  let record_events = trace || json <> None in
-  let config =
-    Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed ~record_events ()
-  in
-  let outcome =
-    Dsim.Runner.run_windows config
-      ~strategy:(windowed_adversary adversary seed)
-      ~max_windows ~stop:`All_decided
-  in
-  if trace then print_trace config;
-  export_trace config json;
-  print_outcome protocol.Dsim.Protocol.name outcome
-
-let run_stepwise protocol ~n ~t ~inputs ~seed ~adversary ~max_steps ~trace ~json =
-  let record_events = trace || json <> None in
-  let config =
-    Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed ~record_events ()
-  in
-  let outcome =
-    Dsim.Runner.run_steps config
-      ~strategy:(stepwise_adversary adversary seed)
-      ~max_steps ~stop:`All_decided
-  in
-  if trace then print_trace config;
-  export_trace config json;
-  print_outcome protocol.Dsim.Protocol.name outcome
-
-let sweep_spec ~n ~t ~inputs_spec ~budget =
-  {
-    Agreement.Ensemble.n;
-    t;
-    inputs = (fun _seed -> parse_inputs ~n inputs_spec);
-    max_windows = budget;
-    max_steps = budget * 1000;
-    stop = `All_decided;
-  }
-
-let sweep_windowed protocol ~jobs ~adversary ~spec ~seeds =
-  let result =
-    Agreement.Ensemble.run_windowed ~jobs ~protocol
-      ~strategy:(windowed_adversary adversary)
-      ~spec ~seeds ()
-  in
-  Format.printf "@[<v>protocol: %s@,%a@]@." protocol.Dsim.Protocol.name
-    Agreement.Ensemble.pp_result result
-
-let sweep_stepwise protocol ~jobs ~adversary ~spec ~seeds =
-  let result =
-    Agreement.Ensemble.run_stepwise ~jobs ~protocol
-      ~strategy:(stepwise_adversary adversary)
-      ~spec ~seeds ()
-  in
-  Format.printf "@[<v>protocol: %s@,%a@]@." protocol.Dsim.Protocol.name
-    Agreement.Ensemble.pp_result result
-
-let run_sweep protocol_name ~jobs ~adversary ~n ~t ~inputs_spec ~seed ~count
-    ~budget =
-  let spec = sweep_spec ~n ~t ~inputs_spec ~budget in
-  let seeds = List.init count (fun i -> seed + i) in
-  match protocol_name with
-  | Lewko ->
-      sweep_windowed (Protocols.Lewko_variant.protocol ()) ~jobs ~adversary ~spec
-        ~seeds
-  | Lewko_det ->
-      sweep_windowed
-        (Protocols.Lewko_variant.protocol ~coin:(fun _ -> false) ())
-        ~jobs ~adversary ~spec ~seeds
-  | Ben_or ->
-      sweep_stepwise (Protocols.Ben_or.protocol ()) ~jobs ~adversary ~spec ~seeds
-  | Bracha ->
-      sweep_stepwise (Protocols.Bracha.protocol ()) ~jobs ~adversary ~spec ~seeds
-  | Bracha_validated ->
-      sweep_stepwise
-        (Protocols.Bracha.protocol ~validated:true ())
-        ~jobs ~adversary ~spec ~seeds
-
-let run_single protocol_name adversary n t inputs_spec seed budget trace json =
+let run_single protocol adversary ~n ~t ~inputs_spec ~seed ~budget ~trace ~json =
+  let (Mcheck.Model.Packed p) = protocol.packed in
   let inputs = parse_inputs ~n inputs_spec in
-  match protocol_name with
-  | Lewko ->
-      run_windowed (Protocols.Lewko_variant.protocol ()) ~n ~t ~inputs ~seed ~adversary
-        ~max_windows:budget ~trace ~json
-  | Lewko_det ->
-      run_windowed
-        (Protocols.Lewko_variant.protocol ~coin:(fun _ -> false) ())
-        ~n ~t ~inputs ~seed ~adversary ~max_windows:budget ~trace ~json
-  | Ben_or ->
-      run_stepwise (Protocols.Ben_or.protocol ()) ~n ~t ~inputs ~seed ~adversary
-        ~max_steps:(budget * 1000) ~trace ~json
-  | Bracha ->
-      run_stepwise (Protocols.Bracha.protocol ()) ~n ~t ~inputs ~seed ~adversary
-        ~max_steps:(budget * 1000) ~trace ~json
-  | Bracha_validated ->
-      run_stepwise
-        (Protocols.Bracha.protocol ~validated:true ())
-        ~n ~t ~inputs ~seed ~adversary ~max_steps:(budget * 1000) ~trace ~json
+  let record_events = trace || json <> None in
+  let config = Dsim.Engine.init ~protocol:p ~n ~fault_bound:t ~inputs ~seed ~record_events () in
+  let outcome =
+    if protocol.windowed then
+      Dsim.Runner.run_windows config
+        ~strategy:((windowed_entry protocol adversary).make ~seed)
+        ~max_windows:budget ~stop:`All_decided
+    else
+      Dsim.Runner.run_steps config
+        ~strategy:((stepwise_entry protocol adversary).make ~seed)
+        ~max_steps:(budget * 1000) ~stop:`All_decided
+  in
+  if trace then print_trace config;
+  export_trace config json;
+  Format.printf "@[<v>protocol: %s@,%a@]@." p.name Dsim.Runner.pp_outcome outcome
+
+let run_sweep protocol adversary ~jobs ~n ~t ~inputs_spec ~seed ~count ~budget =
+  let (Mcheck.Model.Packed p) = protocol.packed in
+  let spec =
+    {
+      Agreement.Ensemble.n;
+      t;
+      inputs = (fun _seed -> parse_inputs ~n inputs_spec);
+      max_windows = budget;
+      max_steps = budget * 1000;
+      stop = `All_decided;
+    }
+  in
+  let seeds = List.init count (fun i -> seed + i) in
+  let result =
+    if protocol.windowed then
+      let entry = windowed_entry protocol adversary in
+      Agreement.Ensemble.run_windowed ~jobs ~protocol:p
+        ~strategy:(fun seed -> entry.make ~seed)
+        ~spec ~seeds ()
+    else
+      let entry = stepwise_entry protocol adversary in
+      Agreement.Ensemble.run_stepwise ~jobs ~protocol:p
+        ~strategy:(fun seed -> entry.make ~seed)
+        ~spec ~seeds ()
+  in
+  Format.printf "@[<v>protocol: %s@,%a@]@." p.name Agreement.Ensemble.pp_result result
 
 open Cmdliner
 
-let protocol =
-  let parse = function
-    | "lewko" | "variant" -> Ok Lewko
-    | "lewko-det" | "deterministic" -> Ok Lewko_det
-    | "ben-or" | "benor" -> Ok Ben_or
-    | "bracha" -> Ok Bracha
-    | "bracha-validated" -> Ok Bracha_validated
-    | other -> Error (`Msg ("unknown protocol: " ^ other))
+(* A conv accepting exactly the names [find] knows (no prefix
+   matching); a miss lists the [expected] ones. *)
+let one_of ~what ~find ~print ~expected =
+  let parse s =
+    match find s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s: %s (%s)" what s expected))
   in
-  let print ppf = function
-    | Lewko -> Format.pp_print_string ppf "lewko"
-    | Lewko_det -> Format.pp_print_string ppf "lewko-det"
-    | Ben_or -> Format.pp_print_string ppf "ben-or"
-    | Bracha -> Format.pp_print_string ppf "bracha"
-    | Bracha_validated -> Format.pp_print_string ppf "bracha-validated"
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
+let protocol =
+  let find s =
+    List.find_opt (fun p -> String.equal p.name s || List.mem s p.aliases) protocols
+  in
+  let windowed, stepwise = List.partition (fun p -> p.windowed) protocols in
+  let names ps = String.concat ", " (List.map (fun p -> p.name) ps) in
+  let expected =
+    Printf.sprintf "%s (windowed); %s (stepwise)" (names windowed) (names stepwise)
   in
   Arg.(
     value
-    & opt (conv (parse, print)) Lewko
-    & info [ "protocol"; "p" ] ~docv:"NAME"
-        ~doc:
-          "Protocol: lewko or lewko-det (windowed); ben-or, bracha or \
-           bracha-validated (stepwise).")
+    & opt (one_of ~what:"protocol" ~find ~print:(fun p -> p.name) ~expected) (List.hd protocols)
+    & info [ "protocol"; "p" ] ~docv:"NAME" ~doc:("Protocol: " ^ expected ^ "."))
 
 let adversary =
+  let find s =
+    if Option.is_some (Registry.Windowed.find s) || Option.is_some (Registry.Stepwise.find s)
+    then Some s
+    else None
+  in
+  let expected =
+    Printf.sprintf "windowed: %s; stepwise: %s"
+      (String.concat ", " Registry.Windowed.names)
+      (String.concat ", " Registry.Stepwise.names)
+  in
   Arg.(
-    value & opt string "benign"
+    value
+    & opt (one_of ~what:"adversary" ~find ~print:Fun.id ~expected) "benign"
     & info [ "adversary"; "a" ] ~docv:"NAME"
-        ~doc:
-          "Windowed: benign|silence|balancing|balance+reset|split-brain|reset-rotating|reset-random|reset-targeted|lookahead. \
-           Stepwise: benign|random|balancing|echo-chamber|crash-start|crash-late|byz-flip|byz-equivocate.")
+        ~doc:(String.capitalize_ascii expected ^ "."))
 
 let n_arg = Arg.(value & opt int 13 & info [ "n" ] ~doc:"Number of processors.")
 let t_arg = Arg.(value & opt int 2 & info [ "t" ] ~doc:"Fault bound.")
@@ -260,14 +232,12 @@ let check_counts ~budget ~sweep ~jobs =
    infeasible (n, t) surface as [Invalid_argument] from [check_counts],
    the lookups, the protocols and [Engine.init]; all of them are usage
    errors. *)
-let run protocol_name adversary n t inputs_spec seed budget trace json sweep
-    jobs =
+let run protocol adversary n t inputs_spec seed budget trace json sweep jobs =
   match
     check_counts ~budget ~sweep ~jobs;
     if sweep > 0 then
-      run_sweep protocol_name ~jobs ~adversary ~n ~t ~inputs_spec ~seed
-        ~count:sweep ~budget
-    else run_single protocol_name adversary n t inputs_spec seed budget trace json
+      run_sweep protocol adversary ~jobs ~n ~t ~inputs_spec ~seed ~count:sweep ~budget
+    else run_single protocol adversary ~n ~t ~inputs_spec ~seed ~budget ~trace ~json
   with
   | () -> 0
   | exception Invalid_argument msg ->

@@ -1,4 +1,4 @@
-(* All four strategies go through [Strategy.cached_uniform]: a fixed
+(* All five strategies go through [Strategy.cached_uniform]: a fixed
    (or slowly rotating) silenced set repeats for long stretches, and
    handing the engine the same window each time saves rebuilding it. *)
 
@@ -22,3 +22,12 @@ let last_t config =
   let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
   let silenced = List.init t (fun i -> n - t + i) in
   Some (Strategy.cached_uniform ~n ~silenced ())
+
+let random ~seed =
+  let rng = Prng.Stream.root seed in
+  fun config ->
+    let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
+    let silenced = Prng.Stream.sample_without_replacement rng t n in
+    (* Fresh samples miss the memo, but repeated draws of the same set
+       (small binom(n, t)) reuse the window object. *)
+    Some (Strategy.cached_uniform ~n ~silenced ())

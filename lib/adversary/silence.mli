@@ -25,3 +25,8 @@ val last_t : ('s, 'm) Strategy.windowed
     delivery order and threshold-triggered protocols this schedule is
     observationally identical to the benign one (the first [T1]
     messages coincide) — a useful control. *)
+
+val random : seed:int -> ('s, 'm) Strategy.windowed
+(** Silence [t] senders drawn uniformly at random each window.  Random
+    silencing is not adversarial enough for the exponential slowdown:
+    E10's control against the balancing adversary. *)

@@ -5,174 +5,190 @@ let seeds_list count = List.init count (fun i -> i + 1)
 let fault_bound_for n = max 1 (Protocols.Thresholds.max_fault_bound ~n)
 
 (* ------------------------------------------------------------------ *)
+(* Ensemble tables: E0, E1, E3, E7, E10 and E14 are each a title, a    *)
+(* column list and cells, one seed sweep per cell and one row per      *)
+(* sweep, run by [ensemble_table].                                     *)
+
+type column =
+  | Label of string  (** the cell's next label *)
+  | N
+  | T
+  | Runs
+  | Agreement
+  | Validity
+  | Termination
+  | Mean_windows
+  | Mean_resets
+  | Resets_per_t
+  | Mean_steps
+  | Mean_chain
+  | Violations
+  | Clean
+  | Renamed of string * column  (** the column under another header *)
+
+let header = function
+  | Label h | Renamed (h, _) -> h
+  | N -> "n"
+  | T -> "t"
+  | Runs -> "runs"
+  | Agreement -> "agreement"
+  | Validity -> "validity"
+  | Termination -> "termination"
+  | Mean_windows -> "mean windows"
+  | Mean_resets -> "mean resets"
+  | Resets_per_t -> "resets / t"
+  | Mean_steps -> "mean steps"
+  | Mean_chain -> "mean chain length"
+  | Violations -> "violations"
+  | Clean -> "clean"
+
+type cell = {
+  labels : Stats.Table.cell list;  (** one per [Label] column, in order *)
+  spec : Ensemble.spec;
+  run : jobs:int -> Ensemble.result;
+}
+
+type ensemble_table = { title : string; columns : column list; cells : cell list }
+
+(* Split inputs: every ensemble table's sweeps start from them. *)
+let split_spec ?(max_windows = 0) ?(max_steps = 0) ?(stop = `All_decided) ~n ~t () =
+  { Ensemble.n; t; inputs = Ensemble.split_inputs ~n; max_windows; max_steps; stop }
+
+let windowed_cell ?lint ?lint_quorum ~protocol ~adversary ~runs ~labels spec =
+  let entry = Option.get (Adversary.Registry.Windowed.find adversary) in
+  let strategy seed = entry.make ~seed in
+  let run ~jobs =
+    Ensemble.run_windowed ~jobs ?lint ?lint_quorum ~protocol ~strategy ~spec
+      ~seeds:(seeds_list runs) ()
+  in
+  { labels; spec; run }
+
+let stepwise_cell ?lint ?lint_fifo ?lint_quorum ~protocol ~adversary ~runs ~labels spec =
+  let entry = Option.get (Adversary.Registry.Stepwise.find adversary) in
+  let strategy seed = entry.make ~seed in
+  let run ~jobs =
+    Ensemble.run_stepwise ~jobs ?lint ?lint_fifo ?lint_quorum ~protocol ~strategy ~spec
+      ~seeds:(seeds_list runs) ()
+  in
+  { labels; spec; run }
+
+let rec column_value spec (r : Ensemble.result) labels column :
+    Stats.Table.cell list * Stats.Table.cell =
+  let mean s = Stats.Table.F (Stats.Summary.mean s) in
+  match column with
+  | Label _ -> (List.tl labels, List.hd labels)
+  | Renamed (_, column) -> column_value spec r labels column
+  | N -> (labels, I spec.Ensemble.n)
+  | T -> (labels, I spec.t)
+  | Runs -> (labels, I r.runs)
+  | Agreement -> (labels, Pct (Ensemble.agreement_rate r))
+  | Validity -> (labels, Pct (Ensemble.validity_rate r))
+  | Termination -> (labels, Pct (Ensemble.termination_rate r))
+  | Mean_windows -> (labels, mean r.windows)
+  | Mean_resets -> (labels, mean r.total_resets)
+  | Resets_per_t ->
+      (labels, F (Stats.Summary.mean r.total_resets /. float_of_int spec.t))
+  | Mean_steps -> (labels, mean r.steps)
+  | Mean_chain -> (labels, mean r.chain_depth)
+  | Violations -> (labels, I r.lint_violations)
+  | Clean -> (labels, B (r.lint_violations = 0))
+
+let ensemble_table make ~jobs ~scale =
+  let { title; columns; cells } = make scale in
+  let table = Stats.Table.create ~title ~columns:(List.map header columns) in
+  List.iter
+    (fun { labels; spec; run } ->
+      let result = run ~jobs in
+      Stats.Table.add_row table
+        (snd (List.fold_left_map (column_value spec result) labels columns)))
+    cells;
+  table
+
+(* ------------------------------------------------------------------ *)
 (* E0: runtime trace lint — every audited execution must satisfy the   *)
 (* engine's structural invariants (FIFO channels, causal depths,       *)
 (* provenance, window discipline, decision quorums).                   *)
 
-let e0_trace_lint ?(jobs = 1) ~scale () =
-  let seed_count, max_windows, max_steps =
+let e0_trace_lint scale =
+  let runs, max_windows, max_steps =
     match scale with
     | `Full -> (20, 2_000, 400_000)
     | `Quick -> (5, 500, 120_000)
-  in
-  let table =
-    Stats.Table.create
-      ~title:"E0: runtime trace lint — invariant violations across audited executions"
-      ~columns:
-        [ "protocol"; "discipline"; "adversary"; "n"; "t"; "quorum"; "fifo";
-          "runs"; "violations"; "clean" ]
-  in
-  let row ~protocol_name ~discipline ~adversary ~n ~t ~quorum ~fifo result =
-    Stats.Table.add_row table
-      [
-        S protocol_name; S discipline; S adversary; I n; I t; I quorum; B fifo;
-        I result.Ensemble.runs; I result.Ensemble.lint_violations;
-        B (result.Ensemble.lint_violations = 0);
-      ]
   in
   (* Windowed variant runs: FIFO holds (windows deliver ascending ids);
      a deciding processor has census >= T1 = n - 2t distinct senders. *)
   let n = 13 in
   let t = fault_bound_for n in
   let quorum = n - (2 * t) in
-  let spec =
-    {
-      Ensemble.n;
-      t;
-      inputs = Ensemble.split_inputs ~n;
-      max_windows;
-      max_steps = 0;
-      stop = `All_decided;
-    }
+  let windowed adversary =
+    windowed_cell ~lint:true ~lint_quorum:quorum
+      ~protocol:(Protocols.Lewko_variant.protocol ())
+      ~adversary ~runs
+      ~labels:[ S "lewko-variant"; S "windowed"; S adversary; I quorum; B true ]
+      (split_spec ~n ~t ~max_windows ())
   in
-  List.iter
-    (fun (name, strategy) ->
-      let result =
-        Ensemble.run_windowed ~jobs ~lint:true ~lint_quorum:quorum
-          ~protocol:(Protocols.Lewko_variant.protocol ())
-          ~strategy ~spec ~seeds:(seeds_list seed_count) ()
-      in
-      row ~protocol_name:"lewko-variant" ~discipline:"windowed" ~adversary:name
-        ~n ~t ~quorum ~fifo:true result)
-    [
-      ("benign", fun _seed -> Adversary.Benign.windowed ());
-      ("balancing", fun _seed -> Adversary.Split_vote.windowed ());
-      ("reset-targeted", fun _seed -> Adversary.Reset_storm.target_undecided ());
-    ];
   (* Stepwise baselines: Ben-Or needs n - t reports per round, Bracha
      decides at 2t + 1 readies.  The echo chamber defers messages, so
      its channels legitimately reorder: FIFO is waived for that row. *)
-  let stepwise protocol_name protocol ~n ~t ~quorum ~fifo (name, strategy) =
-    let spec =
-      {
-        Ensemble.n;
-        t;
-        inputs = Ensemble.split_inputs ~n;
-        max_windows = 0;
-        max_steps;
-        stop = `First_decision;
-      }
-    in
-    let result =
-      Ensemble.run_stepwise ~jobs ~lint:true ~lint_fifo:fifo ~lint_quorum:quorum
-        ~protocol ~strategy ~spec ~seeds:(seeds_list seed_count) ()
-    in
-    row ~protocol_name ~discipline:"stepwise" ~adversary:name ~n ~t ~quorum
-      ~fifo result
+  let stepwise protocol ~n ~t ~quorum ~fifo adversary =
+    stepwise_cell ~lint:true ~lint_fifo:fifo ~lint_quorum:quorum ~protocol ~adversary
+      ~runs
+      ~labels:
+        [ S protocol.Dsim.Protocol.name; S "stepwise"; S adversary; I quorum; B fifo ]
+      (split_spec ~n ~t ~max_steps ~stop:`First_decision ())
   in
-  stepwise "ben-or" (Protocols.Ben_or.protocol ()) ~n:7 ~t:3 ~quorum:4
-    ~fifo:true
-    ("balancing", fun _seed -> Adversary.Split_vote.stepwise ());
-  stepwise "ben-or" (Protocols.Ben_or.protocol ()) ~n:7 ~t:3 ~quorum:4
-    ~fifo:true
-    ("crash-late", fun _seed -> Adversary.Crash.before_decision ());
-  stepwise "bracha" (Protocols.Bracha.protocol ()) ~n:7 ~t:2 ~quorum:5
-    ~fifo:true
-    ("balancing", fun _seed -> Adversary.Split_vote.stepwise ());
-  stepwise "bracha" (Protocols.Bracha.protocol ()) ~n:7 ~t:2 ~quorum:5
-    ~fifo:false
-    ("echo-chamber", fun _seed -> Adversary.Echo_chamber.stepwise ());
-  table
+  {
+    title = "E0: runtime trace lint — invariant violations across audited executions";
+    columns =
+      [ Label "protocol"; Label "discipline"; Label "adversary"; N; T; Label "quorum";
+        Label "fifo"; Runs; Violations; Clean ];
+    cells =
+      List.map windowed [ "benign"; "balancing"; "reset-targeted" ]
+      @ [
+          stepwise (Protocols.Ben_or.protocol ()) ~n:7 ~t:3 ~quorum:4 ~fifo:true
+            "balancing";
+          stepwise (Protocols.Ben_or.protocol ()) ~n:7 ~t:3 ~quorum:4 ~fifo:true
+            "crash-late";
+          stepwise (Protocols.Bracha.protocol ()) ~n:7 ~t:2 ~quorum:5 ~fifo:true
+            "balancing";
+          stepwise (Protocols.Bracha.protocol ()) ~n:7 ~t:2 ~quorum:5 ~fifo:false
+            "echo-chamber";
+        ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 4 correctness/termination matrix.                       *)
 
-let e1_adversaries :
-    (string * (int -> ('s, 'm) Adversary.Strategy.windowed)) list =
-  [
-    ("benign", fun _seed -> Adversary.Benign.windowed ());
-    ("silence-first-t", fun _seed -> Adversary.Silence.first_t);
-    ("silence-last-t", fun _seed -> Adversary.Silence.last_t);
-    ( "silence-rotating",
-      fun _seed config ->
-        Adversary.Silence.rotating ~period:3
-          ~count:(Dsim.Engine.fault_bound config)
-          config );
-    ("reset-rotating", fun _seed -> Adversary.Reset_storm.rotating ());
-    ("reset-random", fun seed -> Adversary.Reset_storm.random ~seed ());
-    ("reset-targeted", fun _seed -> Adversary.Reset_storm.target_undecided ());
-    ("balancing", fun _seed -> Adversary.Split_vote.windowed ());
-    ("balance+reset", fun _seed -> Adversary.Split_vote.windowed_with_resets ());
-    ("reset+silence", fun seed -> Adversary.Reset_storm.with_silence ~seed ());
-    ("split-brain", fun _seed -> Adversary.Split_brain.windowed ());
-  ]
-
-let e1_theorem4_matrix ?(jobs = 1) ~scale () =
-  let ns, seed_count, max_windows =
+let e1_theorem4_matrix scale =
+  let ns, runs =
     match scale with
-    | `Full -> ([ 12; 18; 24; 30 ], 120, 20_000)
-    | `Quick -> ([ 12; 18 ], 15, 20_000)
+    | `Full -> ([ 12; 18; 24; 30 ], 120)
+    | `Quick -> ([ 12; 18 ], 15)
   in
-  let table =
-    Stats.Table.create ~title:"E1: Theorem 4 — variant algorithm vs strongly adaptive adversaries"
-      ~columns:
-        [ "n"; "t"; "adversary"; "runs"; "agreement"; "validity"; "termination";
-          "mean windows"; "mean resets" ]
+  let row n adversary =
+    windowed_cell ~protocol:(Protocols.Lewko_variant.protocol ()) ~adversary ~runs
+      ~labels:[ S adversary ]
+      (split_spec ~n ~t:(fault_bound_for n) ~max_windows:20_000 ())
   in
-  List.iter
-    (fun n ->
-      let t = fault_bound_for n in
-      let spec =
-        {
-          Ensemble.n;
-          t;
-          inputs = Ensemble.split_inputs ~n;
-          max_windows;
-          max_steps = 0;
-          stop = `All_decided;
-        }
-      in
-      List.iter
-        (fun (name, strategy) ->
-          let result =
-            Ensemble.run_windowed ~jobs ~protocol:(Protocols.Lewko_variant.protocol ())
-              ~strategy ~spec ~seeds:(seeds_list seed_count) ()
-          in
-          Stats.Table.add_row table
-            [
-              I n; I t; S name; I result.Ensemble.runs;
-              Pct (Ensemble.agreement_rate result);
-              Pct (Ensemble.validity_rate result);
-              Pct (Ensemble.termination_rate result);
-              F (Stats.Summary.mean result.Ensemble.windows);
-              F (Stats.Summary.mean result.Ensemble.total_resets);
-            ])
-        e1_adversaries)
-    ns;
-  table
+  {
+    title = "E1: Theorem 4 — variant algorithm vs strongly adaptive adversaries";
+    columns =
+      [ N; T; Label "adversary"; Runs; Agreement; Validity; Termination; Mean_windows;
+        Mean_resets ];
+    cells =
+      List.concat_map
+        (fun n ->
+          List.map (row n)
+            [ "benign"; "silence-first-t"; "silence-last-t"; "silence-rotating";
+              "reset-rotating"; "reset-random"; "reset-targeted"; "balancing";
+              "balance+reset"; "reset+silence"; "split-brain" ])
+        ns;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E2: exponential running time of the variant under balancing.        *)
 
-let e2_spec ~n ~max_windows =
-  {
-    Ensemble.n;
-    t = 1;
-    inputs = Ensemble.split_inputs ~n;
-    max_windows;
-    max_steps = 0;
-    stop = `First_decision;
-  }
+let e2_spec ~n = split_spec ~n ~t:1 ~max_windows:400_000 ~stop:`First_decision ()
 
 (* Analytic per-window escape probability: the balancing adversary
    fails only when the census majority reaches T3 + t. *)
@@ -195,7 +211,7 @@ let e2_exponential_variant ?(jobs = 1) ~scale () =
   let points = ref [] in
   List.iter
     (fun n ->
-      let spec = e2_spec ~n ~max_windows:400_000 in
+      let spec = e2_spec ~n in
       let result =
         Ensemble.run_windowed ~jobs ~protocol:(Protocols.Lewko_variant.protocol ())
           ~strategy:(fun _ -> Adversary.Split_vote.windowed ())
@@ -221,7 +237,7 @@ let e2_exponential_variant ?(jobs = 1) ~scale () =
 
 let e2_survival ?(jobs = 1) ~scale () =
   let n, seed_count = match scale with `Full -> (13, 400) | `Quick -> (9, 60) in
-  let spec = e2_spec ~n ~max_windows:400_000 in
+  let spec = e2_spec ~n in
   let result =
     Ensemble.run_windowed ~jobs ~protocol:(Protocols.Lewko_variant.protocol ())
       ~strategy:(fun _ -> Adversary.Split_vote.windowed ())
@@ -245,57 +261,35 @@ let e2_survival ?(jobs = 1) ~scale () =
 (* ------------------------------------------------------------------ *)
 (* E3: baselines under balancing schedules.                            *)
 
-let e3_baselines ?(jobs = 1) ~scale () =
-  let ben_or_ns, bracha_ns, seed_count =
+let e3_baselines scale =
+  let ben_or_ns, bracha_ns, runs =
     match scale with
     | `Full -> ([ 5; 7; 9; 11 ], [ 4; 7; 10 ], 80)
     | `Quick -> ([ 5; 7 ], [ 4; 7 ], 15)
   in
-  let table =
-    Stats.Table.create ~title:"E3: baselines under adversarial schedules — growth with n"
-      ~columns:
-        [ "protocol"; "model"; "strategy"; "n"; "t"; "runs"; "termination";
-          "mean steps"; "mean chain length" ]
+  let cell protocol model adversary ~n ~t =
+    stepwise_cell ~protocol ~adversary ~runs
+      ~labels:[ S protocol.Dsim.Protocol.name; S model; S adversary ]
+      (split_spec ~n ~t ~max_steps:6_000_000 ~stop:`First_decision ())
   in
-  let cell protocol model strategy_name strategy ~n ~t =
-    let spec =
-      {
-        Ensemble.n;
-        t;
-        inputs = Ensemble.split_inputs ~n;
-        max_windows = 0;
-        max_steps = 6_000_000;
-        stop = `First_decision;
-      }
-    in
-    let result = Ensemble.run_stepwise ~jobs ~protocol ~strategy ~spec ~seeds:(seeds_list seed_count) () in
-    Stats.Table.add_row table
-      [
-        S protocol.Dsim.Protocol.name; S model; S strategy_name; I n; I t;
-        I result.Ensemble.runs;
-        Pct (Ensemble.termination_rate result);
-        F (Stats.Summary.mean result.Ensemble.steps);
-        F (Stats.Summary.mean result.Ensemble.chain_depth);
-      ]
-  in
-  List.iter
-    (fun n ->
-      let t = max 1 ((n - 1) / 2) in
-      cell (Protocols.Ben_or.protocol ()) "crash" "balancing"
-        (fun _ -> Adversary.Split_vote.stepwise ())
-        ~n ~t)
-    ben_or_ns;
-  List.iter
-    (fun n ->
-      let t = max 1 ((n - 1) / 3) in
-      cell (Protocols.Bracha.protocol ()) "byzantine" "balancing"
-        (fun _ -> Adversary.Split_vote.stepwise ())
-        ~n ~t;
-      cell (Protocols.Bracha.protocol ()) "byzantine" "echo-chamber"
-        (fun _ -> Adversary.Echo_chamber.stepwise ())
-        ~n ~t)
-    bracha_ns;
-  table
+  let bracha = Protocols.Bracha.protocol () in
+  {
+    title = "E3: baselines under adversarial schedules — growth with n";
+    columns =
+      [ Label "protocol"; Label "model"; Label "strategy"; N; T; Runs; Termination;
+        Mean_steps; Mean_chain ];
+    cells =
+      List.map
+        (fun n ->
+          cell (Protocols.Ben_or.protocol ()) "crash" "balancing" ~n ~t:(max 1 ((n - 1) / 2)))
+        ben_or_ns
+      @ List.concat_map
+          (fun n ->
+            let t = max 1 ((n - 1) / 3) in
+            [ cell bracha "byzantine" "balancing" ~n ~t;
+              cell bracha "byzantine" "echo-chamber" ~n ~t ])
+          bracha_ns;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E4: Talagrand / Lemma 9 numerics.                                   *)
@@ -498,54 +492,25 @@ let e6_theory_constants ~scale =
 (* ------------------------------------------------------------------ *)
 (* E7: reset resilience.                                               *)
 
-let e7_reset_resilience ?(jobs = 1) ~scale () =
-  let seed_count = match scale with `Full -> 100 | `Quick -> 15 in
-  let table =
-    Stats.Table.create
-      ~title:"E7: cumulative resets absorbed (t per window) while staying correct"
-      ~columns:
-        [ "n"; "t"; "adversary"; "runs"; "agreement"; "termination"; "mean windows";
-          "mean total resets"; "resets / t" ]
+let e7_reset_resilience scale =
+  let runs = match scale with `Full -> 100 | `Quick -> 15 in
+  let row (n, t) adversary =
+    windowed_cell ~protocol:(Protocols.Lewko_variant.protocol ()) ~adversary ~runs
+      ~labels:[ S adversary ]
+      (split_spec ~n ~t ~max_windows:50_000 ())
   in
-  let strategies =
-    [
-      ("reset-rotating", fun _seed -> Adversary.Reset_storm.rotating ());
-      ("reset-random", fun seed -> Adversary.Reset_storm.random ~seed ());
-      ("reset-targeted", fun _seed -> Adversary.Reset_storm.target_undecided ());
-      ("balance+reset", fun _seed -> Adversary.Split_vote.windowed_with_resets ());
-    ]
-  in
-  List.iter
-    (fun (n, t) ->
-      let spec =
-        {
-          Ensemble.n;
-          t;
-          inputs = Ensemble.split_inputs ~n;
-          max_windows = 50_000;
-          max_steps = 0;
-          stop = `All_decided;
-        }
-      in
-      List.iter
-        (fun (name, strategy) ->
-          let result =
-            Ensemble.run_windowed ~jobs ~protocol:(Protocols.Lewko_variant.protocol ())
-              ~strategy ~spec ~seeds:(seeds_list seed_count) ()
-          in
-          let mean_resets = Stats.Summary.mean result.Ensemble.total_resets in
-          Stats.Table.add_row table
-            [
-              I n; I t; S name; I result.Ensemble.runs;
-              Pct (Ensemble.agreement_rate result);
-              Pct (Ensemble.termination_rate result);
-              F (Stats.Summary.mean result.Ensemble.windows);
-              F mean_resets;
-              F (mean_resets /. float_of_int t);
-            ])
-        strategies)
-    [ (13, 2); (19, 3) ];
-  table
+  {
+    title = "E7: cumulative resets absorbed (t per window) while staying correct";
+    columns =
+      [ N; T; Label "adversary"; Runs; Agreement; Termination; Mean_windows;
+        Renamed ("mean total resets", Mean_resets); Resets_per_t ];
+    cells =
+      List.concat_map
+        (fun size ->
+          List.map (row size)
+            [ "reset-rotating"; "reset-random"; "reset-targeted"; "balance+reset" ])
+        [ (13, 2); (19, 3) ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E8: forgetful / fully-communicative class and chain lengths.        *)
@@ -588,20 +553,11 @@ let e8_forgetful_class ?(jobs = 1) ~scale () =
   List.iter
     (fun n ->
       let t = max 1 ((n - 1) / 2) in
-      let spec =
-        {
-          Ensemble.n;
-          t;
-          inputs = Ensemble.split_inputs ~n;
-          max_windows = 0;
-          max_steps = 6_000_000;
-          stop = `First_decision;
-        }
-      in
       let result =
         Ensemble.run_stepwise ~jobs ~protocol:(Protocols.Ben_or.protocol ())
           ~strategy:(fun _ -> Adversary.Split_vote.stepwise ())
-          ~spec ~seeds:(seeds_list chain_seeds) ()
+          ~spec:(split_spec ~n ~t ~max_steps:6_000_000 ~stop:`First_decision ())
+          ~seeds:(seeds_list chain_seeds) ()
       in
       Stats.Table.add_row table
         [
@@ -681,77 +637,53 @@ let e9_committee ~scale =
 (* ------------------------------------------------------------------ *)
 (* E10: ablations — threshold choice and adversary strength.           *)
 
-let e10_ablations ?(jobs = 1) ~scale () =
-  let seed_count = match scale with `Full -> 150 | `Quick -> 20 in
-  let table =
-    Stats.Table.create
-      ~title:"E10: ablations — thresholds (T2 = T1 vs relaxed) and adversary strength"
-      ~columns:
-        [ "ablation"; "n"; "t"; "setting"; "runs"; "agreement"; "termination";
-          "mean windows" ]
-  in
-  let run_cell ~ablation ~n ~t ~setting ~protocol ~strategy =
-    let spec =
-      {
-        Ensemble.n;
-        t;
-        inputs = Ensemble.split_inputs ~n;
-        max_windows = 100_000;
-        max_steps = 0;
-        stop = `All_decided;
-      }
-    in
-    let result = Ensemble.run_windowed ~jobs ~protocol ~strategy ~spec ~seeds:(seeds_list seed_count) () in
-    Stats.Table.add_row table
-      [
-        S ablation; I n; I t; S setting; I result.Ensemble.runs;
-        Pct (Ensemble.agreement_rate result);
-        Pct (Ensemble.termination_rate result);
-        F (Stats.Summary.mean result.Ensemble.windows);
-      ]
+let e10_ablations scale =
+  let runs = match scale with `Full -> 150 | `Quick -> 20 in
+  let cell ~ablation ~n ~t ~setting ~protocol adversary =
+    windowed_cell ~protocol ~adversary ~runs
+      ~labels:[ S ablation; S setting ]
+      (split_spec ~n ~t ~max_windows:100_000 ())
   in
   (* Threshold ablation: the paper notes that a smaller T2 (possible
      when t is small) improves running time.  The relaxed triple also
      lowers T3, which weakens the balancing adversary's grip. *)
-  List.iter
-    (fun (n, t) ->
-      run_cell ~ablation:"thresholds" ~n ~t ~setting:"default (T2 = T1 = n-2t)"
+  let thresholds (n, t) =
+    [
+      cell ~ablation:"thresholds" ~n ~t ~setting:"default (T2 = T1 = n-2t)"
         ~protocol:(Protocols.Lewko_variant.protocol ())
-        ~strategy:(fun _ -> Adversary.Split_vote.windowed ());
-      run_cell ~ablation:"thresholds" ~n ~t ~setting:"relaxed (T3 = n/2+1, T2 = T3+t)"
+        "balancing";
+      cell ~ablation:"thresholds" ~n ~t ~setting:"relaxed (T3 = n/2+1, T2 = T3+t)"
         ~protocol:
           (Protocols.Lewko_variant.protocol
              ~thresholds:(Protocols.Thresholds.relaxed ~n ~t) ())
-        ~strategy:(fun _ -> Adversary.Split_vote.windowed ()))
-    (* Small t relative to n: that is where the relaxed triple actually
-       differs (at maximal t, n - 3t is already a bare majority). *)
-    [ (13, 1); (19, 2) ];
+        "balancing";
+    ]
+  in
   (* Adversary ablation: the exponential effect needs an adversary —
      random silencing of t senders is *not* adversarial enough. *)
-  let random_silencing seed =
-    let rng = Prng.Stream.root seed in
-    fun config ->
-      let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
-      let silenced = Prng.Stream.sample_without_replacement rng t n in
-      (* Through the shared memo like the other windowed adversaries:
-         fresh samples miss it, but repeated draws of the same set (small
-         binom(n, t)) reuse the window object. *)
-      Some (Adversary.Strategy.cached_uniform ~n ~silenced ())
+  let adversary (setting, name) =
+    cell ~ablation:"adversary" ~n:13 ~t:2 ~setting
+      ~protocol:(Protocols.Lewko_variant.protocol ())
+      name
   in
-  List.iter
-    (fun (setting, strategy) ->
-      run_cell ~ablation:"adversary" ~n:13 ~t:2 ~setting
-        ~protocol:(Protocols.Lewko_variant.protocol ())
-        ~strategy)
-    [
-      ("benign", fun _ -> Adversary.Benign.windowed ());
-      ("random silencing", random_silencing);
-      ("balancing", fun _ -> Adversary.Split_vote.windowed ());
-      ("balancing + resets", fun _ -> Adversary.Split_vote.windowed_with_resets ());
-      ("lookahead (proof-style)",
-       fun seed -> Adversary.Lookahead.windowed ~samples:4 ~horizon:3 ~seed ());
-    ];
-  table
+  {
+    title = "E10: ablations — thresholds (T2 = T1 vs relaxed) and adversary strength";
+    columns =
+      [ Label "ablation"; N; T; Label "setting"; Runs; Agreement; Termination;
+        Mean_windows ];
+    cells =
+      (* Small t relative to n: that is where the relaxed triple actually
+         differs (at maximal t, n - 3t is already a bare majority). *)
+      List.concat_map thresholds [ (13, 1); (19, 2) ]
+      @ List.map adversary
+          [
+            ("benign", "benign");
+            ("random silencing", "silence-random");
+            ("balancing", "balancing");
+            ("balancing + resets", "balance+reset");
+            ("lookahead (proof-style)", "lookahead");
+          ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E11: the synchronous coin-killing game (Bar-Joseph & Ben-Or [6]).   *)
@@ -977,59 +909,31 @@ let e13_termination_tail ?(jobs = 1) ~scale () =
 (* ------------------------------------------------------------------ *)
 (* E14: reset fragility of the baselines.                              *)
 
-let e14_reset_fragility ?(jobs = 1) ~scale () =
-  let seed_count, max_windows =
+let e14_reset_fragility scale =
+  let runs, max_windows =
     match scale with `Full -> (80, 3_000) | `Quick -> (10, 600)
   in
-  let table =
-    Stats.Table.create
-      ~title:
-        "E14: resets without a re-join procedure — the variant's recovery (Sec. 3, 'handling resets') is load-bearing"
-      ~columns:
-        [ "protocol"; "adversary"; "n"; "t"; "runs"; "agreement"; "termination";
-          "mean windows (terminated)"; "mean resets" ]
+  let spec = split_spec ~n:13 ~t:2 ~max_windows () in
+  let cell protocol adversary =
+    windowed_cell ~protocol ~adversary ~runs
+      ~labels:[ S protocol.Dsim.Protocol.name; S adversary ]
+      spec
   in
-  let cell name protocol ~strategy ~strategy_name =
-    let n = 13 and t = 2 in
-    let spec =
-      {
-        Ensemble.n;
-        t;
-        inputs = Ensemble.split_inputs ~n;
-        max_windows;
-        max_steps = 0;
-        stop = `All_decided;
-      }
-    in
-    let result = Ensemble.run_windowed ~jobs ~protocol ~strategy ~spec ~seeds:(seeds_list seed_count) () in
-    Stats.Table.add_row table
-      [
-        S name; S strategy_name; I n; I t; I result.Ensemble.runs;
-        Pct (Ensemble.agreement_rate result);
-        Pct (Ensemble.termination_rate result);
-        F (Stats.Summary.mean result.Ensemble.windows);
-        F (Stats.Summary.mean result.Ensemble.total_resets);
-      ]
-  in
-  (* A polymorphic factory so each protocol instantiates the strategy
-     at its own state/message types. *)
-  let make_strategy kind seed =
-    match kind with
-    | `Benign -> Adversary.Benign.windowed ()
-    | `Rotating -> Adversary.Reset_storm.rotating ()
-    | `Random -> Adversary.Reset_storm.random ~seed ()
-  in
-  List.iter
-    (fun (strategy_name, kind) ->
-      cell "lewko-variant"
-        (Protocols.Lewko_variant.protocol ())
-        ~strategy:(make_strategy kind) ~strategy_name;
-      cell "ben-or" (Protocols.Ben_or.protocol ()) ~strategy:(make_strategy kind)
-        ~strategy_name;
-      cell "bracha" (Protocols.Bracha.protocol ()) ~strategy:(make_strategy kind)
-        ~strategy_name)
-    [ ("benign", `Benign); ("reset-rotating", `Rotating); ("reset-random", `Random) ];
-  table
+  {
+    title =
+      "E14: resets without a re-join procedure — the variant's recovery (Sec. 3, \
+       'handling resets') is load-bearing";
+    columns =
+      [ Label "protocol"; Label "adversary"; N; T; Runs; Agreement; Termination;
+        Renamed ("mean windows (terminated)", Mean_windows); Mean_resets ];
+    cells =
+      List.concat_map
+        (fun adversary ->
+          [ cell (Protocols.Lewko_variant.protocol ()) adversary;
+            cell (Protocols.Ben_or.protocol ()) adversary;
+            cell (Protocols.Bracha.protocol ()) adversary ])
+        [ "benign"; "reset-rotating"; "reset-random" ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E16: bounded exhaustive model checking — safety proved, not         *)
@@ -1130,24 +1034,24 @@ let e2_with_fit ~jobs ~scale =
    numeric ones ignore it. *)
 let generators : (string * (jobs:int -> scale:scale -> Stats.Table.t)) list =
   [
-    ("E0-lint", fun ~jobs ~scale -> e0_trace_lint ~jobs ~scale ());
-    ("E1", fun ~jobs ~scale -> e1_theorem4_matrix ~jobs ~scale ());
+    ("E0-lint", ensemble_table e0_trace_lint);
+    ("E1", ensemble_table e1_theorem4_matrix);
     ("E2", fun ~jobs ~scale -> fst (e2_with_fit ~jobs ~scale));
     ("E2-fit", fun ~jobs ~scale -> snd (e2_with_fit ~jobs ~scale));
     ("E2-survival", fun ~jobs ~scale -> e2_survival ~jobs ~scale ());
-    ("E3", fun ~jobs ~scale -> e3_baselines ~jobs ~scale ());
+    ("E3", ensemble_table e3_baselines);
     ("E4", fun ~jobs:_ ~scale -> e4_talagrand ~scale);
     ("E5", fun ~jobs:_ ~scale -> e5_interpolation ~scale);
     ("E5b", fun ~jobs:_ ~scale -> e5b_zk_sets ~scale);
     ("E6", fun ~jobs:_ ~scale -> e6_theory_constants ~scale);
-    ("E7", fun ~jobs ~scale -> e7_reset_resilience ~jobs ~scale ());
+    ("E7", ensemble_table e7_reset_resilience);
     ("E8", fun ~jobs ~scale -> e8_forgetful_class ~jobs ~scale ());
     ("E9", fun ~jobs:_ ~scale -> e9_committee ~scale);
-    ("E10", fun ~jobs ~scale -> e10_ablations ~jobs ~scale ());
+    ("E10", ensemble_table e10_ablations);
     ("E11", fun ~jobs:_ ~scale -> e11_synchronous ~scale);
     ("E12", fun ~jobs:_ ~scale -> e12_shared_memory ~scale);
     ("E13", fun ~jobs ~scale -> e13_termination_tail ~jobs ~scale ());
-    ("E14", fun ~jobs ~scale -> e14_reset_fragility ~jobs ~scale ());
+    ("E14", ensemble_table e14_reset_fragility);
     ("E15", fun ~jobs:_ ~scale -> e15_sm_consensus ~scale);
     ("E16", fun ~jobs ~scale -> e16_modelcheck ~jobs ~scale ());
   ]

@@ -1,6 +1,8 @@
 (** The per-claim reproduction harness: one generator per experiment in
-    DESIGN.md's matrix (E1-E9).  Each generator returns a printable
-    table; [all] runs the whole battery.
+    DESIGN.md's matrix.  Each generator returns a printable table; [all]
+    runs the whole battery.  The seed-ensemble tables (E0, E1, E3, E7,
+    E10, E14) are data run by one table runner and reached through
+    [selected]; the generators exported below are the rest.
 
     [scale] trades fidelity for time: [`Full] is what EXPERIMENTS.md
     records; [`Quick] shrinks seed counts and sweeps for tests and for
@@ -12,16 +14,6 @@
 
 type scale = [ `Quick | `Full ]
 
-val e0_trace_lint : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Runtime trace lint: run the protocol/adversary portfolio with full
-    event recording and audit every execution against the engine's
-    structural invariants (FIFO channels, causal depths, provenance,
-    window discipline, decision quorums).  Every row must be clean. *)
-
-val e1_theorem4_matrix : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Theorem 4: correctness / termination of the variant algorithm
-    against the strongly adaptive adversary portfolio. *)
-
 val e2_exponential_variant :
   ?jobs:int -> scale:scale -> unit -> Stats.Table.t * Stats.Regression.fit
 (** Section 3 remark: windows-to-decision vs [n] under the balancing
@@ -30,10 +22,6 @@ val e2_exponential_variant :
 
 val e2_survival : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
 (** Survival series [P(windows > k)] for one configuration of E2. *)
-
-val e3_baselines : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Ben-Or (crash) and Bracha (Byzantine thresholds) under balancing
-    schedules: steps and message-chain length vs [n]. *)
 
 val e4_talagrand : scale:scale -> Stats.Table.t
 (** Lemma 9 numerics across product spaces, set shapes and distances. *)
@@ -48,10 +36,6 @@ val e5b_zk_sets : scale:scale -> Stats.Table.t
 val e6_theory_constants : scale:scale -> Stats.Table.t
 (** Theorem 5 constants: [E(n)] and the success-probability bound. *)
 
-val e7_reset_resilience : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Total resets absorbed vs the per-window budget [t] (Theorem 4's
-    failure model). *)
-
 val e8_forgetful_class : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
 (** Definitions 15/16 classification of all protocols plus the
     chain-length growth of Ben-Or under crash balancing (Theorem 17's
@@ -60,12 +44,6 @@ val e8_forgetful_class : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
 val e9_committee : scale:scale -> Stats.Table.t
 (** Kapron-et-al. contrast: rounds vs [n] (polylog), error probability
     vs corruption, and the adaptive final-committee attack. *)
-
-val e10_ablations : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Design-choice ablations DESIGN.md calls out: the Theorem 4
-    threshold instantiation (default vs relaxed) and adversary strength
-    (the exponential slowdown requires a genuinely adversarial
-    schedule). *)
 
 val e11_synchronous : scale:scale -> Stats.Table.t
 (** Related-work reproduction [6] (Bar-Joseph & Ben-Or): the
@@ -82,11 +60,6 @@ val e13_termination_tail : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
     that Ben-Or has not terminated after [k (n - t)] steps under the
     balancing schedule decays geometrically in [k] — their lower bound
     says it cannot decay faster than [1/c^k]. *)
-
-val e14_reset_fragility : ?jobs:int -> scale:scale -> unit -> Stats.Table.t
-(** Why the variant's reset-recovery procedure exists: under reset
-    storms, Ben-Or and Bracha (which can only restart from their
-    inputs) degrade or stall, while the variant terminates correctly. *)
 
 val e15_sm_consensus : scale:scale -> Stats.Table.t
 (** Related-work reproduction [3, 5] continued: wait-free randomized

@@ -289,6 +289,12 @@ echo "check: agreement_cli exit codes and trace rendering"
 cli="_build/default/bin/agreement_cli.exe"
 expect 0 "$cli" -p bracha -a benign -n 4 -t 1 --inputs 0110
 expect 2 "$cli" -a nosuch
+# Adversary names come from Adversary.Registry, one list per
+# discipline: a name of the other discipline is a usage error.
+expect 2 "$cli" -p bracha -a silence
+expect 2 "$cli" -p lewko -a crash-late
+expect 0 "$cli" -p lewko -a silence-first-t -n 7 -t 1
+expect 0 "$cli" -a reset+silence
 expect 2 "$cli" -n 0
 expect 2 "$cli" -n 5 -t 9
 expect 2 "$cli" -n 3 -t 0 --inputs 0101

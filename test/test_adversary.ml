@@ -249,6 +249,56 @@ let test_stepwise_strategies_progress () =
   check "crash-late" (Adversary.Crash.before_decision ());
   check "staggered" (Adversary.Crash.staggered ~every:3)
 
+(* Every registry entry runs under its discipline's protocol: windowed
+   ones drive the variant through an audited ensemble, stepwise ones
+   drive Bracha without raising; names and aliases are unique. *)
+let test_registry () =
+  let spec =
+    {
+      Agreement.Ensemble.n = 7;
+      t = 1;
+      inputs = Agreement.Ensemble.split_inputs ~n:7;
+      max_windows = 20;
+      max_steps = 0;
+      stop = `All_decided;
+    }
+  in
+  List.iter
+    (fun (entry : Adversary.Registry.Windowed.t) ->
+      let result =
+        Agreement.Ensemble.run_windowed ~lint:true
+          ~protocol:(Protocols.Lewko_variant.protocol ())
+          ~strategy:(fun seed -> entry.make ~seed)
+          ~spec ~seeds:[ 1 ] ()
+      in
+      Alcotest.(check int) (entry.name ^ ": audit clean") 0
+        result.Agreement.Ensemble.lint_violations)
+    Adversary.Registry.Windowed.all;
+  List.iter
+    (fun (entry : Adversary.Registry.Stepwise.t) ->
+      let config =
+        Dsim.Engine.init ~protocol:(Protocols.Bracha.protocol ()) ~n:4 ~fault_bound:1
+          ~inputs:[| false; true; false; true |] ~seed:1 ()
+      in
+      let outcome =
+        Dsim.Runner.run_steps config ~strategy:(entry.make ~seed:1) ~max_steps:2_000
+          ~stop:`All_decided
+      in
+      Alcotest.(check bool) (entry.name ^ ": within budget") true
+        (outcome.Dsim.Runner.steps <= 2_000))
+    Adversary.Registry.Stepwise.all;
+  let unique keys = List.length (List.sort_uniq String.compare keys) = List.length keys in
+  Alcotest.(check bool) "windowed names unique" true
+    (unique
+       (List.concat_map
+          (fun (e : Adversary.Registry.Windowed.t) -> e.name :: e.aliases)
+          Adversary.Registry.Windowed.all));
+  Alcotest.(check bool) "stepwise names unique" true
+    (unique
+       (List.concat_map
+          (fun (e : Adversary.Registry.Stepwise.t) -> e.name :: e.aliases)
+          Adversary.Registry.Stepwise.all))
+
 let suite =
   [
     Alcotest.test_case "windowed strategies valid" `Quick test_all_windowed_strategies_valid;
@@ -272,4 +322,5 @@ let suite =
     Alcotest.test_case "stepwise strategies progress" `Quick test_stepwise_strategies_progress;
     Alcotest.test_case "split-brain freezes deterministic variant" `Quick
       test_split_brain_freezes_deterministic;
+    Alcotest.test_case "registry entries run" `Quick test_registry;
   ]

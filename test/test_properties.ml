@@ -194,36 +194,30 @@ let prop_uniform_windows_validate =
 
 (* --- end-to-end safety: the paper's Definition 2 as a property --- *)
 
-let windowed_adversaries :
-    (string * (int -> (Protocols.Lewko_variant.state, Protocols.Lewko_variant.message) Adversary.Strategy.windowed))
-    list =
-  [
-    ("benign", fun _ -> Adversary.Benign.windowed ());
-    ("silence", fun _ -> Adversary.Silence.first_t);
-    ("reset-random", fun seed -> Adversary.Reset_storm.random ~seed ());
-    ("balancing", fun _ -> Adversary.Split_vote.windowed ());
-    ("balance+reset", fun _ -> Adversary.Split_vote.windowed_with_resets ());
-    ("split-brain", fun _ -> Adversary.Split_brain.windowed ());
-  ]
+(* Registry entries, with the proofs' canonical silencing (first t). *)
+let windowed_adversaries =
+  List.map
+    (fun name -> Option.get (Adversary.Registry.Windowed.find name))
+    [ "benign"; "silence-first-t"; "reset-random"; "balancing"; "balance+reset";
+      "split-brain" ]
+
+let adversary_index = QCheck.int_bound (List.length windowed_adversaries - 1)
 
 let prop_variant_safety =
   QCheck.Test.make ~count:60
     ~name:"variant: no conflicting or invalid decisions under any tested adversary"
-    QCheck.(triple (int_bound 2) (int_bound 4) small_int)
+    QCheck.(triple (int_bound 2) adversary_index small_int)
     (fun (size_idx, adversary_idx, seed) ->
       let n = List.nth [ 7; 13; 19 ] size_idx in
       let t = Protocols.Thresholds.max_fault_bound ~n in
-      let name, strategy =
-        List.nth windowed_adversaries (adversary_idx mod List.length windowed_adversaries)
-      in
-      ignore name;
+      let adversary = List.nth windowed_adversaries adversary_idx in
       let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
       let config =
         Dsim.Engine.init ~protocol:(Protocols.Lewko_variant.protocol ()) ~n
           ~fault_bound:t ~inputs ~seed ()
       in
       let outcome =
-        Dsim.Runner.run_windows config ~strategy:(strategy seed) ~max_windows:3_000
+        Dsim.Runner.run_windows config ~strategy:(adversary.make ~seed) ~max_windows:3_000
           ~stop:`All_decided
       in
       let verdict = Agreement.Correctness.of_outcome ~inputs outcome in
@@ -268,13 +262,11 @@ let prop_ben_or_safety =
 let prop_window_conservation =
   QCheck.Test.make ~count:40
     ~name:"windowed executions conserve messages (sent = delivered + dropped)"
-    QCheck.(pair (int_bound 4) small_int)
+    QCheck.(pair adversary_index small_int)
     (fun (adversary_idx, seed) ->
       let n = 13 in
       let t = Protocols.Thresholds.max_fault_bound ~n in
-      let _, strategy =
-        List.nth windowed_adversaries (adversary_idx mod List.length windowed_adversaries)
-      in
+      let adversary = List.nth windowed_adversaries adversary_idx in
       let config =
         Dsim.Engine.init ~protocol:(Protocols.Lewko_variant.protocol ()) ~n
           ~fault_bound:t
@@ -282,7 +274,7 @@ let prop_window_conservation =
           ~seed ()
       in
       ignore
-        (Dsim.Runner.run_windows config ~strategy:(strategy seed) ~max_windows:40
+        (Dsim.Runner.run_windows config ~strategy:(adversary.make ~seed) ~max_windows:40
            ~stop:`Never);
       let trace = Dsim.Engine.trace config in
       Dsim.Trace.sent trace
