@@ -305,21 +305,6 @@ let bcast_protocol ~all : (bcast_state, int) Dsim.Protocol.t =
     add_message = (fun b m -> Buffer.add_string b (string_of_int m));
   }
 
-(* Eagerly-expanded twin: every [Step.Broadcast] becomes n explicit
-   [Step.Unicast] values, reproducing the pre-rewrite emission cost in
-   the same binary so the lazy/eager allocation ratio is measurable. *)
-let eager_protocol protocol ~n =
-  {
-    protocol with
-    Dsim.Protocol.outgoing =
-      (fun s ->
-        let s, sends = protocol.Dsim.Protocol.outgoing s in
-        ( s,
-          List.map
-            (fun (dst, m) -> Dsim.Step.Unicast (dst, m))
-            (Dsim.Step.expand ~n sends) ));
-  }
-
 let bench_window_apply_1bcast ~n =
   let config =
     Dsim.Engine.init ~protocol:(bcast_protocol ~all:false) ~n ~fault_bound:0
@@ -335,15 +320,11 @@ let bench_window_apply_1bcast ~n =
       Dsim.Engine.apply_window c window)
 
 (* Emission only: the n sending steps of an all-send window (every
-   processor broadcasts).  Lazy stores one envelope + an n-bit pending
-   map per broadcast; eager materializes all n^2 envelopes.  The
-   lazy/eager minor-words ratio here is the headline number for the
-   lazy-broadcast rewrite. *)
-let bench_allsend_emit ~n ~eager =
-  let protocol = bcast_protocol ~all:true in
-  let protocol = if eager then eager_protocol protocol ~n else protocol in
+   processor broadcasts), each storing one shared entry + an n-bit
+   pending map. *)
+let bench_allsend_emit ~n =
   let config =
-    Dsim.Engine.init ~protocol ~n ~fault_bound:0 ~inputs:(Array.make n false)
+    Dsim.Engine.init ~protocol:(bcast_protocol ~all:true) ~n ~fault_bound:0 ~inputs:(Array.make n false)
       ~seed:19 ()
   in
   Staged.stage (fun () ->
@@ -585,10 +566,8 @@ let groups =
         Test.make ~name:"bracha-window-n10" (bench_bracha_window ~n:10);
         Test.make ~name:"bracha-window-n100" (bench_bracha_window ~n:100);
         Test.make ~name:"bracha-window-n1000" (bench_bracha_window ~n:1000);
-        Test.make ~name:"allsend-emit-lazy-n100" (bench_allsend_emit ~n:100 ~eager:false);
-        Test.make ~name:"allsend-emit-eager-n100" (bench_allsend_emit ~n:100 ~eager:true);
-        Test.make ~name:"allsend-emit-lazy-n1000" (bench_allsend_emit ~n:1000 ~eager:false);
-        Test.make ~name:"allsend-emit-eager-n1000" (bench_allsend_emit ~n:1000 ~eager:true);
+        Test.make ~name:"allsend-emit-lazy-n100" (bench_allsend_emit ~n:100);
+        Test.make ~name:"allsend-emit-lazy-n1000" (bench_allsend_emit ~n:1000);
         Test.make ~name:"window-make-uniform-n10" (bench_window_make_uniform ~n:10);
         Test.make ~name:"window-make-uniform-n100" (bench_window_make_uniform ~n:100);
         Test.make ~name:"window-make-uniform-n1000" (bench_window_make_uniform ~n:1000);

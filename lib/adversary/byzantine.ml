@@ -13,44 +13,33 @@ let lockstep ~corrupt ~flavour () =
         (fun p -> if live p then Some (Dsim.Step.Send p) else None)
         (List.init n (fun i -> i))
     in
-    let mailbox = Dsim.Engine.mailbox config in
-    let corruptions =
-      Dsim.Mailbox.pending mailbox
-      |> List.filter (fun e -> List.mem e.Dsim.Envelope.src corrupt)
-      |> List.filter_map (fun e ->
-             let payload = e.Dsim.Envelope.payload in
-             match flavour with
-             | Silent -> Some (Dsim.Step.Drop e.Dsim.Envelope.id)
-             | Flip -> (
-                 match protocol.Dsim.Protocol.message_bit payload with
-                 | None -> None
-                 | Some bit -> (
-                     match protocol.Dsim.Protocol.rewrite_bit payload (not bit) with
-                     | None -> None
-                     | Some payload' -> Some (Dsim.Step.Corrupt (e.Dsim.Envelope.id, payload'))))
-             | Equivocate -> (
-                 let dst_obs = Dsim.Engine.observe config e.Dsim.Envelope.dst in
-                 match dst_obs.Dsim.Obs.estimate with
-                 | None -> None
-                 | Some belief -> (
-                     match protocol.Dsim.Protocol.rewrite_bit payload belief with
-                     | None -> None
-                     | Some payload' -> Some (Dsim.Step.Corrupt (e.Dsim.Envelope.id, payload')))))
+    (* One ascending walk over the pending envelopes plans both the
+       corruption steps and the deliveries that follow them: ids are
+       stable under corruption, only payloads change, so planning the
+       deliveries now is sound.  Dropped ids are not delivered. *)
+    let corruptions = ref [] and delivers = ref [] in
+    let deliver id = delivers := Dsim.Step.Deliver id :: !delivers in
+    let rewrite id = function
+      | None -> ()
+      | Some payload -> corruptions := Dsim.Step.Corrupt (id, payload) :: !corruptions
     in
-    let delivers =
-      (* Recompute after corruption steps execute: ids are stable, only
-         payloads change, so planning deliveries now is sound.  Dropped
-         ids must be excluded. *)
-      let dropped =
-        List.filter_map
-          (function Dsim.Step.Drop id -> Some id | _ -> None)
-          corruptions
-      in
-      Dsim.Mailbox.pending_ids mailbox
-      |> List.filter (fun id -> not (List.mem id dropped))
-      |> List.map (fun id -> Dsim.Step.Deliver id)
-    in
-    sends @ corruptions @ delivers
+    Dsim.Mailbox.iter_range (Dsim.Engine.mailbox config) ~from:0 ~til:max_int ()
+      (fun () ~id ~src ~dst ~depth:_ payload ->
+        if not (List.mem src corrupt) then deliver id
+        else
+          match flavour with
+          | Silent -> corruptions := Dsim.Step.Drop id :: !corruptions
+          | Flip ->
+              rewrite id
+                (Option.bind (protocol.Dsim.Protocol.message_bit payload) (fun bit ->
+                     protocol.Dsim.Protocol.rewrite_bit payload (not bit)));
+              deliver id
+          | Equivocate ->
+              rewrite id
+                (Option.bind (Dsim.Engine.observe config dst).Dsim.Obs.estimate
+                   (protocol.Dsim.Protocol.rewrite_bit payload));
+              deliver id);
+    sends @ List.rev_append !corruptions (List.rev !delivers)
   in
   fun config ->
     if Queue.is_empty queue then List.iter (fun s -> Queue.add s queue) (plan config);

@@ -156,26 +156,20 @@ let config_fingerprint b t =
        without mutating the configuration. *)
     let _, sends = t.protocol.Protocol.outgoing t.states.(p) in
     List.iter
-      (fun send ->
-        match send with
-        | Step.Unicast (dst, payload) ->
-            Buffer.add_string b ">u";
-            add_int dst;
-            Buffer.add_char b ':';
-            add_message payload
-        | Step.Broadcast payload ->
-            Buffer.add_string b ">b:";
-            add_message payload)
+      (fun (Step.Broadcast payload) ->
+        Buffer.add_string b ">b:";
+        add_message payload)
       sends;
     Buffer.add_char b '|'
   done;
-  Mailbox.iter t.mailbox (fun e ->
+  Mailbox.iter_range t.mailbox ~from:0 ~til:max_int ()
+    (fun () ~id:_ ~src ~dst ~depth:_ payload ->
       Buffer.add_char b 'm';
-      add_int e.Envelope.src;
+      add_int src;
       Buffer.add_char b '>';
-      add_int e.Envelope.dst;
+      add_int dst;
       Buffer.add_char b ':';
-      add_message e.Envelope.payload;
+      add_message payload;
       Buffer.add_char b ';')
 
 (* Record a decision event when a state transition wrote the output bit. *)
@@ -186,26 +180,14 @@ let note_decision t p before_output =
         ~window:t.window_index ~chain_depth:t.receive_depths.(p)
   | _, _ -> ()
 
-(* Enqueue one send value: O(1) regardless of fan-out.  A [Unicast]
-   claims the next id; a [Broadcast] reserves n consecutive ids
-   (id = first + dst, the order an eager expansion would assign) but
-   stores the payload once in the mailbox's broadcast table. *)
-let enqueue_send t p depth send =
-  match send with
-  | Step.Unicast (dst, payload) ->
-      if dst < 0 || dst >= t.n then
-        invalid_arg "Engine: protocol sent out of range";
-      let id = t.next_msg_id in
-      t.next_msg_id <- id + 1;
-      Mailbox.add_unicast t.mailbox ~id ~src:p ~dst ~payload ~depth
-        ~sent_at_step:t.step_index ~sent_in_window:t.window_index;
-      Trace.record_sent t.trace ~src:p ~dst ~msg_id:id ~depth
-  | Step.Broadcast payload ->
-      let first = t.next_msg_id in
-      t.next_msg_id <- first + t.n;
-      Mailbox.add_broadcast t.mailbox ~first ~count:t.n ~src:p ~payload ~depth
-        ~sent_at_step:t.step_index ~sent_in_window:t.window_index;
-      Trace.record_broadcast t.trace ~src:p ~first ~count:t.n ~depth
+(* Enqueue one send value: O(1) regardless of fan-out.  A broadcast
+   reserves n consecutive ids (id = first + dst, the order an eager
+   expansion would assign) but stores the payload once in the mailbox. *)
+let enqueue_send t p depth (Step.Broadcast payload) =
+  let first = t.next_msg_id in
+  t.next_msg_id <- first + t.n;
+  Mailbox.add_broadcast t.mailbox ~first ~count:t.n ~src:p ~payload ~depth;
+  Trace.record_broadcast t.trace ~src:p ~first ~count:t.n ~depth
 
 let rec enqueue_sends t p depth = function
   | [] -> ()
@@ -258,8 +240,9 @@ let deliver_step t ~id ~src ~dst ~depth payload =
   t.step_index <- t.step_index + 1;
   deliver_fields t ~id ~src ~dst ~depth payload
 
-(* The [Step.Drop] branch of [apply], without building the step. *)
-let drop_step t id =
+(* The [Step.Drop] branch of [apply] for an envelope the drop sweep is
+   visiting, without building the step. *)
+let drop_step t ~id ~src:_ ~dst:_ ~depth:_ _ =
   t.step_index <- t.step_index + 1;
   do_drop t id
 
@@ -302,17 +285,17 @@ let apply_window t ?tamper window =
   (match tamper with None -> () | Some f -> f ~from_id:fresh_from ~til_id:fresh_to);
   (* Phase 2: each processor i receives the just-sent messages from S_i,
      in ascending (sender, id) order — "some fixed order".  One
-     [Mailbox.drain_for] walk per processor visits its queue merged with
-     the broadcast table and removes each delivered envelope as it goes. *)
+     [Mailbox.drain_for] walk per processor visits its envelope in each
+     broadcast entry and removes each delivered one as it goes. *)
   let allow = Window.allows window in
   for dst = 0 to t.n - 1 do
     Mailbox.drain_for t.mailbox ~dst ~from:fresh_from ~til:fresh_to ~allow t deliver_step
   done;
   (* Undelivered fresh messages can never legally be delivered by a
-     later window, so clear them out: one ascending merge walk over the
+     later window, so clear them out: one ascending walk over the
      window's own id range (near-free after full-delivery windows,
      where nothing fresh is left pending). *)
-  Mailbox.iter_ids_in_range t.mailbox ~from:fresh_from ~til:fresh_to (drop_step t);
+  Mailbox.iter_range t.mailbox ~from:fresh_from ~til:fresh_to t drop_step;
   (* Phase 3: at most t resetting steps. *)
   List.iter
     (fun p ->

@@ -29,11 +29,10 @@ type ('s, 'm) t = {
       (** Initial state; must leave round-1 messages in the outbox. *)
   outgoing : 's -> 's * 'm Step.send list;
       (** Drain the outbox: returns the flushed state and the sends to
-          place in the buffer — [Step.Unicast (dst, m)] for a single
-          recipient, [Step.Broadcast m] for all [n] (stored once and
-          expanded lazily by the engine, so a uniform send is O(1) to
-          emit).  Must be idempotent: flushing a flushed state returns
-          no messages. *)
+          place in the buffer — each a [Step.Broadcast m] to all [n]
+          (stored once and expanded lazily by the engine, so a send is
+          O(1) to emit).  Must be idempotent: flushing a flushed state
+          returns no messages. *)
   on_deliver : 's -> src:int -> 'm -> Prng.Stream.t -> 's;
       (** Receiving step; the single randomized transition. *)
   on_reset : 's -> 's;

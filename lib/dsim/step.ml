@@ -1,4 +1,4 @@
-type 'm send = Unicast of int * 'm | Broadcast of 'm
+type 'm send = Broadcast of 'm
 
 type 'm t =
   | Send of int
@@ -8,14 +8,7 @@ type 'm t =
   | Crash of int
   | Corrupt of int * 'm
 
-let send_count ~n sends =
-  List.fold_left
-    (fun acc s -> acc + match s with Unicast _ -> 1 | Broadcast _ -> n)
-    0 sends
+let send_count ~n sends = n * List.length sends
 
 let expand ~n sends =
-  List.concat_map
-    (function
-      | Unicast (dst, m) -> [ (dst, m) ]
-      | Broadcast m -> List.init n (fun dst -> (dst, m)))
-    sends
+  List.concat_map (fun (Broadcast m) -> List.init n (fun dst -> (dst, m))) sends

@@ -6,13 +6,13 @@
     the classical models of Section 5 and the Byzantine baseline. *)
 
 type 'm send =
-  | Unicast of int * 'm  (** One envelope to one destination. *)
   | Broadcast of 'm
-      (** One envelope to every processor [0 .. n-1].  The engine
-          reserves [n] consecutive message ids (id = first + dst) and
-          stores a single payload; per-destination envelopes are
-          materialized lazily at delivery time, so a uniform send is
-          O(1) at emission regardless of [n]. *)
+      (** One envelope to every processor [0 .. n-1]: the paper's
+          algorithms are fully communicative, so this is the only kind
+          of send.  The engine reserves [n] consecutive message ids
+          (id = first + dst) and stores a single payload;
+          per-destination envelopes are materialized lazily at delivery
+          time, so a send is O(1) at emission regardless of [n]. *)
 
 type 'm t =
   | Send of int
@@ -27,11 +27,13 @@ type 'm t =
   | Reset of int  (** Erase a processor's memory (resetting failure). *)
   | Crash of int  (** Permanently stop a processor (crash failure). *)
   | Corrupt of int * 'm
-      (** Byzantine corruption: rewrite buffered message [id] in place. *)
+      (** Byzantine corruption: rewrite the payload of buffered message
+          [id] in place; the other destinations of its broadcast keep
+          the original. *)
 
 val send_count : n:int -> 'm send list -> int
 (** Number of envelopes the engine will place in the buffer for these
-    sends: unicasts count 1, broadcasts count [n]. *)
+    sends: [n] per broadcast. *)
 
 val expand : n:int -> 'm send list -> (int * 'm) list
 (** Materialize the per-destination [(dst, payload)] pairs, in the

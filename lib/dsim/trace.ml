@@ -43,10 +43,6 @@ let note_event t event = t.events_rev <- event :: t.events_rev
 (* One entry point per event kind: each bumps its counter and builds
    the event value only when the trace keeps events, so an unrecorded
    delivery allocates nothing here. *)
-let record_sent t ~src ~dst ~msg_id ~depth =
-  t.sent <- t.sent + 1;
-  if t.record_events then note_event t (Sent { src; dst; msg_id; depth })
-
 let record_delivered t ~src ~dst ~msg_id ~depth =
   t.delivered <- t.delivered + 1;
   if t.record_events then note_event t (Delivered { src; dst; msg_id; depth })

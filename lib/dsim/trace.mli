@@ -30,7 +30,6 @@ val copy : t -> t
     [record_events] is set, so a trace that keeps no events allocates
     nothing per call (decisions excepted: they are always kept). *)
 
-val record_sent : t -> src:int -> dst:int -> msg_id:int -> depth:int -> unit
 val record_delivered : t -> src:int -> dst:int -> msg_id:int -> depth:int -> unit
 val record_dropped : t -> msg_id:int -> unit
 val record_reset : t -> pid:int -> unit
@@ -41,11 +40,11 @@ val record_decided :
   t -> pid:int -> value:bool -> step:int -> window:int -> chain_depth:int -> unit
 
 val record_broadcast : t -> src:int -> first:int -> count:int -> depth:int -> unit
-(** Account for a lazily-expanded broadcast occupying ids
+(** Account for a send: a lazily-expanded broadcast occupying ids
     [first .. first + count - 1] (destination [dst] gets id
-    [first + dst]): bumps the sent counter by [count] in O(1) and, when
-    event recording is on, appends the same per-destination [Sent]
-    events the eager expansion produced. *)
+    [first + dst]).  Bumps the sent counter by [count] in O(1) and, when
+    event recording is on, appends one [Sent] event per destination in
+    id order, as an eager expansion would. *)
 
 val events : t -> event list
 (** Chronological; empty unless [record_events] was set. *)

@@ -19,7 +19,7 @@
 
    Summary overrides declare the true (amortized) cost of in-repo
    primitives whose implementation the lattice cannot see — e.g.
-   [Mailbox.add_unicast] is amortized O(1) despite its growth loops.  An
+   [Mailbox.add_broadcast] is amortized O(1) despite its growth loops.  An
    override is the central justification for the whole function: its
    own body is not reported and the hot-set walk does not descend into
    it, so the declared cost is what callers pay. *)
@@ -40,49 +40,40 @@ let default_config =
     hot_roots =
       [
         "Engine.apply_window"; "Engine.deliver_all_pending";
-        "Mailbox.add_unicast"; "Mailbox.add_broadcast";
-        "Mailbox.take_with"; "Mailbox.find"; "Mailbox.mem";
+        "Mailbox.add_broadcast"; "Mailbox.take_with";
         "Mailbox.replace_payload"; "Mailbox.iter_for";
-        "Mailbox.iter_ids_in_range"; "Mailbox.drain_for";
+        "Mailbox.iter_range"; "Mailbox.drain_for";
         "Window.make"; "Window.uniform"; "Window.hybrid"; "Window.allows";
         "Window.receive_set_size";
       ];
     transition_fields = [ "outgoing"; "on_deliver"; "on_reset"; "output" ];
     overrides =
       [
-        (* Mailbox: arena (struct-of-arrays) unicast storage + a
-           broadcast table of shared envelopes.  The arena growth and
-           compaction loops amortize to O(1) per engine op, and the
-           point lookups pay one binary search over the (sorted,
-           disjoint) broadcast ranges (see lib/dsim/mailbox.ml's
-           invariants and test_mailbox.ml). *)
-        ("Mailbox.add_unicast", Costs.Const);
-        (* add_broadcast writes one table entry plus an n-bit pending
-           bitmap (n/63 words); that linear-in-words setup is charged
-           to the n deliveries/drops the broadcast funds, so per
-           resulting envelope it is O(1) amortized. *)
+        (* Mailbox: a table of shared broadcast entries.  The table
+           growth and compaction loops amortize to O(1) per engine op,
+           and the point lookups pay one binary search over the
+           (sorted, disjoint) id ranges (see lib/dsim/mailbox.ml's
+           invariants).  add_broadcast writes one table entry plus an
+           n-bit pending bitmap (n/63 words); that linear-in-words
+           setup is charged to the n deliveries/drops the broadcast
+           funds, so per resulting envelope it is O(1) amortized. *)
         ("Mailbox.add_broadcast", Costs.Const);
         (* take_with is the removal primitive behind the engine's
-           Deliver and Drop steps: an O(1) arena unlink, or the same
-           binary search as find plus an O(1) pending-bit clear. *)
+           Deliver and Drop steps: the binary search plus an O(1)
+           pending-bit clear.  replace_payload is the same search plus
+           one insert into the (corruption-only) override map. *)
         ("Mailbox.take_with", Costs.Log);
-        ("Mailbox.find", Costs.Log);
-        ("Mailbox.mem", Costs.Log);
         ("Mailbox.replace_payload", Costs.Log);
         ("Mailbox.iter_for", Costs.Const);  (* per delivered envelope *)
-        (* iter_ids_in_range skip-scans whole empty bitmap words, so
-           its work is proportional to envelopes actually visited
-           (each one an engine event), not to the id range. *)
-        ("Mailbox.iter_ids_in_range", Costs.Const);
-        (* drain_for is the window delivery walk: iter_for's merge walk
-           with removal, each visited envelope an engine event, removal
-           O(1) per envelope (unlink + pending-bit clear).  Both walks
-           hand their visitor the fields, never an envelope record. *)
+        (* iter_range skip-scans whole empty bitmap words, so its work
+           is proportional to envelopes actually visited (each one an
+           engine event), not to the id range. *)
+        ("Mailbox.iter_range", Costs.Const);
+        (* drain_for is the window delivery walk: iter_for's walk with
+           removal, each visited envelope an engine event, removal O(1)
+           per envelope (a pending-bit clear).  Both walks hand their
+           visitor the fields, never an envelope record. *)
         ("Mailbox.drain_for", Costs.Const);
-        ("Mailbox.enqueue", Costs.Const);
-        ("Mailbox.ensure_slot", Costs.Const);
-        ("Mailbox.ensure_dst", Costs.Const);
-        ("Mailbox.unlink", Costs.Const);
         (* Window.allows is a mask probe; the list fallback only runs
            for pids >= the mask clamp (2^16). *)
         ("Window.allows", Costs.Const);
@@ -105,7 +96,6 @@ let default_config =
            only when event recording is on (diagnostic runs, never the
            hot bench path); the broadcast recorder bumps the sent
            counter once for all its destinations. *)
-        ("Trace.record_sent", Costs.Const);
         ("Trace.record_delivered", Costs.Const);
         ("Trace.record_dropped", Costs.Const);
         ("Trace.record_reset", Costs.Const);

@@ -135,7 +135,7 @@ let describe = function
        body's cost and recursion treated as iteration.  Any hot function \
        whose own body introduces super-constant cost is flagged at the \
        introducing site, with the hot path from the root.  Declared true \
-       costs (e.g. Mailbox.add_unicast is amortized O(1) despite its growth \
+       costs (e.g. Mailbox.add_broadcast is amortized O(1) despite its growth \
        loops) live in the config's summary overrides."
   | R12 ->
       "Allocation on the hot path that scales with the event, not with a \

@@ -214,37 +214,25 @@ let emitters ~protocol e =
   let em = Array.make n 0 in
   for p = 0 to n - 1 do
     let _, sends = protocol.Dsim.Protocol.outgoing (Dsim.Engine.state e p) in
-    List.iter
-      (fun send ->
-        match send with
-        | Dsim.Step.Unicast (dst, _) -> em.(dst) <- em.(dst) lor (1 lsl p)
-        | Dsim.Step.Broadcast _ ->
-            for d = 0 to n - 1 do
-              em.(d) <- em.(d) lor (1 lsl p)
-            done)
-      sends
+    if not (List.is_empty sends) then
+      for d = 0 to n - 1 do
+        em.(d) <- em.(d) lor (1 lsl p)
+      done
   done;
   em
 
+(* Rewrite the bit of every fresh message from [tam.src], per
+   destination as [tam.mask] says, in one ascending walk: a [Corrupt]
+   only overrides the visited envelope's payload, which the walk
+   allows. *)
 let apply_tamper ~protocol e (tam : Menu.tamper) ~from_id ~til_id =
-  let mb = Dsim.Engine.mailbox e in
-  let hits = ref [] in
-  Dsim.Mailbox.iter_ids_in_range mb ~from:from_id ~til:til_id (fun id ->
-      hits := id :: !hits);
-  List.iter
-    (fun id ->
-      match Dsim.Mailbox.find mb id with
-      | None -> ()
-      | Some env ->
-          if env.Dsim.Envelope.src = tam.Menu.src then
-            let bitv = (tam.Menu.mask lsr env.Dsim.Envelope.dst) land 1 = 1 in
-            (match
-               protocol.Dsim.Protocol.rewrite_bit env.Dsim.Envelope.payload bitv
-             with
-            | None -> ()
-            | Some payload ->
-                Dsim.Engine.apply e (Dsim.Step.Corrupt (id, payload))))
-    (List.rev !hits)
+  Dsim.Mailbox.iter_range (Dsim.Engine.mailbox e) ~from:from_id ~til:til_id ()
+    (fun () ~id ~src ~dst ~depth:_ payload ->
+      if src = tam.Menu.src then
+        let bitv = (tam.Menu.mask lsr dst) land 1 = 1 in
+        match protocol.Dsim.Protocol.rewrite_bit payload bitv with
+        | None -> ()
+        | Some payload -> Dsim.Engine.apply e (Dsim.Step.Corrupt (id, payload)))
 
 (* Apply one menu choice and fold the window's actual deliveries into
    the census: processor [dst] hears from exactly the emitters of this

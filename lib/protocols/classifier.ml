@@ -25,8 +25,7 @@ let forgetful_core config p =
 
 (* Canonical rendering of what a processor would send next: flush its
    outbox on a copy of the configuration and print the messages,
-   expanded to explicit (destination, payload) pairs so that lazy
-   broadcasts and eager unicasts render identically. *)
+   expanded to explicit (destination, payload) pairs. *)
 let next_sends config p =
   let protocol = Dsim.Engine.protocol config in
   let _, sends = protocol.Dsim.Protocol.outgoing (Dsim.Engine.state config p) in

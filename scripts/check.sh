@@ -303,6 +303,11 @@ expect 2 "$cli" -n 3 -t 0 --inputs 01x
 expect 2 "$cli" --budget=-1
 expect 2 "$cli" --sweep=-1
 expect 2 "$cli" --sweep 2 -j 0
+# Byzantine corruption rewrites one destination of a broadcast in
+# place (a payload override): end-to-end smokes of that path.
+expect 0 "$cli" -p bracha -a byz-flip -n 7 -t 2
+expect 0 "$cli" -p bracha -a byz-equivocate -n 7 -t 2
+expect 0 _build/default/examples/byzantine_split.exe
 # --trace prints JSON Lines, the one event rendering: its event lines
 # must be exactly the events --json writes after the summary line.
 trace_dir=$(mktemp -d)

@@ -33,10 +33,9 @@ let test_bracha_consistent () =
   Alcotest.(check bool) "consistent" true (Protocols.Classifier.consistent report)
 
 (* A deliberately memoryful protocol: its message text is constant
-   ("ping"), but its *recipient set* depends on the total number of
-   messages it has EVER received (broadcast on even lifetimes, a single
-   message to processor 0 on odd ones) — data from before its last
-   sending event.  The classifier must find two states with equal
+   ("ping"), but *how many* broadcasts it queues depends on the total
+   number of messages it has EVER received (two on even lifetimes, one
+   on odd ones) — data from before its last sending event.  The classifier must find two states with equal
    forgetful-cores (same input, estimate and recent deliveries) about
    to send different things. *)
 type memoryful_state = {
@@ -44,7 +43,7 @@ type memoryful_state = {
   n : int;
   input : bool;
   lifetime_received : int;
-  outbox : (int * string) list;
+  outbox : string list;
 }
 
 let memoryful : (memoryful_state, string) Dsim.Protocol.t =
@@ -57,19 +56,16 @@ let memoryful : (memoryful_state, string) Dsim.Protocol.t =
           n;
           input;
           lifetime_received = 0;
-          outbox = List.init n (fun dst -> (dst, "ping"));
+          outbox = [ "ping" ];
         });
     outgoing =
       (fun s ->
-        ( { s with outbox = [] },
-          List.map (fun (dst, m) -> Dsim.Step.Unicast (dst, m)) s.outbox ));
+        ({ s with outbox = [] }, List.map (fun m -> Dsim.Step.Broadcast m) s.outbox));
     on_deliver =
       (fun s ~src:_ _message _rng ->
         let lifetime_received = s.lifetime_received + 1 in
         let outbox =
-          if lifetime_received mod 2 = 0 then
-            List.init s.n (fun dst -> (dst, "ping"))
-          else [ (0, "ping") ]
+          if lifetime_received mod 2 = 0 then [ "ping"; "ping" ] else [ "ping" ]
         in
         { s with lifetime_received; outbox });
     on_reset = (fun s -> { s with lifetime_received = 0; outbox = [] });

@@ -417,6 +417,47 @@ let test_repo_is_cost_clean () =
         "hot-path findings beyond the baseline" 0
         (List.length report.diagnostics)
 
+(* The default config and the baseline must not go stale: every hot
+   root and override names a function the call graph of [lib/] still
+   has, and every baseline entry still waives a current finding. *)
+let test_config_names_live_functions () =
+  match find_root () with
+  | None -> ()
+  | Some root ->
+      let load = Cmt_loader.load ~dirs:[ "lib" ] ~root () in
+      Alcotest.(check (list string)) "cmt load errors" [] load.load_errors;
+      let config = Cost_lint.default_config in
+      (* Overrides seed the summary table whether or not their function
+         exists, so summarize without them: what is left is exactly the
+         call graph's functions. *)
+      let ids =
+        List.map fst (Cost_lint.summarize ~config:{ config with overrides = [] } load.units)
+      in
+      let missing =
+        List.filter
+          (fun id -> not (List.mem id ids))
+          (config.hot_roots @ List.map fst config.overrides)
+      in
+      Alcotest.(check (list string)) "hot roots and overrides absent from lib/" [] missing
+
+let test_baseline_entries_all_waive () =
+  match find_root () with
+  | None -> ()
+  | Some root ->
+      let report = Driver.scan ~dirs:[ "lib" ] ~root Cost_lint.analyze in
+      let baseline =
+        match
+          Driver.read_baseline
+            (Filename.concat root (Filename.concat "lint" "cost-baseline.tsv"))
+        with
+        | Ok b -> b
+        | Error e -> Alcotest.failf "baseline unreadable: %s" e
+      in
+      let findings = List.map Driver.baseline_key report.diagnostics in
+      let stale = List.filter (fun entry -> not (List.mem entry findings)) baseline in
+      Alcotest.(check (list string)) "baseline entries that waive nothing" []
+        (List.map (fun (rule, path, message) -> String.concat "\t" [ rule; path; message ]) stale)
+
 let suite =
   [
     Alcotest.test_case "r11 linear prim" `Quick test_r11_linear_prim;
@@ -446,5 +487,9 @@ let suite =
       test_baseline_render_stable;
     Alcotest.test_case "repo cost-clean mod baseline" `Quick
       test_repo_is_cost_clean;
+    Alcotest.test_case "config names live functions" `Quick
+      test_config_names_live_functions;
+    Alcotest.test_case "baseline entries all waive" `Quick
+      test_baseline_entries_all_waive;
   ]
   @ List.map to_alcotest qcheck_laws

@@ -1,8 +1,8 @@
 (* Engine mechanics, tested against a tiny deterministic protocol so
    the assertions are independent of any real agreement algorithm.
 
-   The toy protocol: on init, queue "hello" to every processor; on
-   receiving "ping", queue "pong" back to the sender; on receiving
+   The toy protocol: on init, queue a "hello" broadcast; on receiving
+   "ping", queue a "pong" broadcast; on receiving
    "decide", write the input bit to the output.  Resets clear the
    received log. *)
 
@@ -13,7 +13,7 @@ type toy_state = {
   output : bool option;
   resets : int;
   received : (int * string) list;
-  outbox : (int * string) list;
+  outbox : string list;  (* queued broadcasts, most recent first *)
 }
 
 let toy : (toy_state, string) Dsim.Protocol.t =
@@ -28,17 +28,16 @@ let toy : (toy_state, string) Dsim.Protocol.t =
           output = None;
           resets = 0;
           received = [];
-          outbox = List.init n (fun dst -> (dst, "hello"));
+          outbox = [ "hello" ];
         });
     outgoing =
       (fun s ->
-        ( { s with outbox = [] },
-          List.map (fun (dst, m) -> Dsim.Step.Unicast (dst, m)) s.outbox ));
+        ({ s with outbox = [] }, List.map (fun m -> Dsim.Step.Broadcast m) s.outbox));
     on_deliver =
       (fun s ~src message _rng ->
         let s = { s with received = (src, message) :: s.received } in
         match message with
-        | "ping" -> { s with outbox = (src, "pong") :: s.outbox }
+        | "ping" -> { s with outbox = "pong" :: s.outbox }
         | "decide" -> { s with output = Some s.input }
         | _ -> s);
     on_reset = (fun s -> { s with received = []; outbox = []; resets = s.resets + 1 });
@@ -67,6 +66,17 @@ let make ?(n = 3) ?(t = 1) ?(inputs = [| true; false; true |]) ?(seed = 1)
   Dsim.Engine.init ~protocol:toy ~n ~fault_bound:t ~inputs ~seed
     ~track_deliveries ()
 
+(* The fields of one pending envelope, as the mailbox's visitors hand
+   them out. *)
+type envelope = { msg_id : int; src : int; payload : string; depth : int }
+
+let pending_for config ~dst =
+  let acc = ref [] in
+  Dsim.Mailbox.iter_for (Dsim.Engine.mailbox config) ~dst acc
+    (fun acc ~id ~src ~dst:_ ~depth payload ->
+      acc := { msg_id = id; src; payload; depth } :: !acc);
+  List.rev !acc
+
 let test_init () =
   let config = make () in
   Alcotest.(check int) "n" 3 (Dsim.Engine.n config);
@@ -84,26 +94,6 @@ let test_init_validation () =
         (Dsim.Engine.init ~protocol:toy ~n:2 ~fault_bound:2 ~inputs:[| true; false |]
            ~seed:1 ()))
 
-let test_out_of_range_recipient_rejected () =
-  let bad = { toy with Dsim.Protocol.init = (fun ~n ~t:_ ~id ~input ->
-    {
-      id;
-      n;
-      input;
-      output = None;
-      resets = 0;
-      received = [];
-      outbox = [ (99, "hello") ];
-    }) }
-  in
-  let config =
-    Dsim.Engine.init ~protocol:bad ~n:3 ~fault_bound:1 ~inputs:[| true; false; true |]
-      ~seed:1 ()
-  in
-  Alcotest.check_raises "bad recipient"
-    (Invalid_argument "Engine: protocol sent out of range") (fun () ->
-      Dsim.Engine.apply config (Dsim.Step.Send 0))
-
 let test_send_flushes_once () =
   let config = make () in
   Dsim.Engine.apply config (Dsim.Step.Send 0);
@@ -116,8 +106,8 @@ let test_deliver () =
   let config = make () in
   Dsim.Engine.apply config (Dsim.Step.Send 0);
   let id =
-    match Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1 with
-    | e :: _ -> e.Dsim.Envelope.id
+    match pending_for config ~dst:1 with
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected a pending message"
   in
   Dsim.Engine.apply config (Dsim.Step.Deliver id);
@@ -151,8 +141,8 @@ let test_crash_semantics () =
   (* Deliveries to crashed processors are dropped silently. *)
   Dsim.Engine.apply config (Dsim.Step.Send 0);
   let to_crashed =
-    match Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1 with
-    | e :: _ -> e.Dsim.Envelope.id
+    match pending_for config ~dst:1 with
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected pending"
   in
   Dsim.Engine.apply config (Dsim.Step.Deliver to_crashed);
@@ -178,9 +168,9 @@ let test_corrupt () =
     | [] -> Alcotest.fail "expected pending"
   in
   Dsim.Engine.apply config (Dsim.Step.Corrupt (id, "forged"));
-  (match Dsim.Mailbox.find (Dsim.Engine.mailbox config) id with
-  | Some e -> Alcotest.(check string) "payload rewritten" "forged" e.Dsim.Envelope.payload
-  | None -> Alcotest.fail "message vanished");
+  Alcotest.(check (list string)) "payload rewritten, other destinations kept"
+    [ "forged"; "hello"; "hello" ]
+    (List.map (fun e -> e.payload) (List.concat_map (fun dst -> pending_for config ~dst) [ 0; 1; 2 ]));
   Alcotest.check_raises "corrupt unknown"
     (Invalid_argument "Engine: corrupt of unknown message #777") (fun () ->
       Dsim.Engine.apply config (Dsim.Step.Corrupt (777, "x")))
@@ -194,10 +184,10 @@ let test_causal_depth () =
   let ping_id =
     match
       List.filter
-        (fun e -> e.Dsim.Envelope.src = 2)
-        (Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1)
+        (fun e -> e.src = 2)
+        (pending_for config ~dst:1)
     with
-    | e :: _ -> e.Dsim.Envelope.id
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected pending from p2"
   in
   Dsim.Engine.apply config (Dsim.Step.Corrupt (ping_id, "ping"));
@@ -207,14 +197,14 @@ let test_causal_depth () =
   let pong =
     match
       List.filter
-        (fun e -> e.Dsim.Envelope.payload = "pong")
-        (Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:2)
+        (fun e -> e.payload = "pong")
+        (pending_for config ~dst:2)
     with
     | [ e ] -> e
     | _ -> Alcotest.fail "expected exactly the pong"
   in
-  Alcotest.(check int) "pong depth = 2" 2 pong.Dsim.Envelope.depth;
-  Dsim.Engine.apply config (Dsim.Step.Deliver pong.Dsim.Envelope.id);
+  Alcotest.(check int) "pong depth = 2" 2 pong.depth;
+  Dsim.Engine.apply config (Dsim.Step.Deliver pong.msg_id);
   Alcotest.(check int) "chain depth propagates" 2 (Dsim.Engine.max_chain_depth config)
 
 let test_copy_isolation () =
@@ -302,8 +292,8 @@ let test_decision_recorded () =
   let config = make () in
   Dsim.Engine.apply config (Dsim.Step.Send 0);
   let id =
-    match Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1 with
-    | e :: _ -> e.Dsim.Envelope.id
+    match pending_for config ~dst:1 with
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected pending"
   in
   Dsim.Engine.apply config (Dsim.Step.Corrupt (id, "decide"));
@@ -322,12 +312,11 @@ let test_decision_recorded () =
 let test_stop_checks () =
   let config = make () in
   let decide p =
-    let mailbox = Dsim.Engine.mailbox config in
     Dsim.Engine.apply config (Dsim.Step.Send p);
-    match Dsim.Mailbox.pending_for mailbox ~dst:p with
+    match pending_for config ~dst:p with
     | e :: _ ->
-        Dsim.Engine.apply config (Dsim.Step.Corrupt (e.Dsim.Envelope.id, "decide"));
-        Dsim.Engine.apply config (Dsim.Step.Deliver e.Dsim.Envelope.id)
+        Dsim.Engine.apply config (Dsim.Step.Corrupt (e.msg_id, "decide"));
+        Dsim.Engine.apply config (Dsim.Step.Deliver e.msg_id)
     | [] -> Alcotest.fail "expected a pending message"
   in
   let check label ~some ~all ~conflict =
@@ -405,20 +394,20 @@ let test_recent_deliveries_lifecycle () =
   let from_p2 =
     match
       List.filter
-        (fun e -> e.Dsim.Envelope.src = 2)
-        (Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1)
+        (fun e -> e.src = 2)
+        (pending_for config ~dst:1)
     with
-    | e :: _ -> e.Dsim.Envelope.id
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected pending from p2"
   in
   Dsim.Engine.apply config (Dsim.Step.Corrupt (from_p2, "ping"));
   let from_p0 =
     match
       List.filter
-        (fun e -> e.Dsim.Envelope.src = 0)
-        (Dsim.Mailbox.pending_for (Dsim.Engine.mailbox config) ~dst:1)
+        (fun e -> e.src = 0)
+        (pending_for config ~dst:1)
     with
-    | e :: _ -> e.Dsim.Envelope.id
+    | e :: _ -> e.msg_id
     | [] -> Alcotest.fail "expected pending from p0"
   in
   Dsim.Engine.apply config (Dsim.Step.Deliver from_p0);
@@ -440,8 +429,6 @@ let suite =
   [
     Alcotest.test_case "init" `Quick test_init;
     Alcotest.test_case "init validation" `Quick test_init_validation;
-    Alcotest.test_case "out-of-range recipient rejected" `Quick
-      test_out_of_range_recipient_rejected;
     Alcotest.test_case "send flushes once" `Quick test_send_flushes_once;
     Alcotest.test_case "deliver" `Quick test_deliver;
     Alcotest.test_case "deliver unknown raises" `Quick test_deliver_unknown_raises;

@@ -1,9 +1,9 @@
 (* Differential validation of the dsim kernel hot-path rewrite.
 
-   The mailbox (slot array + per-destination intrusive queues) and
-   window (bitset masks + cached sizes) replaced persistent-map / list
-   implementations; [Engine.apply_window] now walks the per-dst queues
-   directly.  This module keeps the old semantics alive as [Reference]
+   The mailbox (a table of shared broadcast entries) and window (bitset
+   masks + cached sizes) replaced persistent-map / list
+   implementations; [Engine.apply_window] now walks each destination's
+   envelopes directly.  This module keeps the old semantics alive as [Reference]
    implementations and drives both sides with random operation
    sequences, windows, resets and corrupt/drop steps — they must agree
    observation for observation.  A second layer pins MD5 fingerprints,
@@ -13,20 +13,19 @@
 let to_alcotest = Test_seed.to_alcotest
 
 (* ------------------------------------------------------------------ *)
-(* Reference mailbox: the pre-rewrite Int_map implementation.          *)
+(* Reference mailbox: the pre-rewrite Int_map implementation, holding
+   one explicit record per destination.                                *)
+
+type 'm envelope = { id : int; src : int; dst : int; payload : 'm; depth : int }
 
 module Ref_mailbox = struct
   module Int_map = Map.Make (Int)
 
-  type 'm t = { mutable by_id : 'm Dsim.Envelope.t Int_map.t }
+  type 'm t = { mutable by_id : 'm envelope Int_map.t }
 
   let create () = { by_id = Int_map.empty }
   let copy t = { by_id = t.by_id }
-
-  let insert t envelope =
-    if Int_map.mem envelope.Dsim.Envelope.id t.by_id then
-      invalid_arg "Mailbox.add: duplicate message id";
-    t.by_id <- Int_map.add envelope.Dsim.Envelope.id envelope t.by_id
+  let insert t envelope = t.by_id <- Int_map.add envelope.id envelope t.by_id
 
   let take t id =
     match Int_map.find_opt id t.by_id with
@@ -35,59 +34,44 @@ module Ref_mailbox = struct
         t.by_id <- Int_map.remove id t.by_id;
         Some envelope
 
-  let find t id = Int_map.find_opt id t.by_id
-
   let replace_payload t id payload =
     match Int_map.find_opt id t.by_id with
     | None -> false
     | Some envelope ->
-        t.by_id <- Int_map.add id { envelope with Dsim.Envelope.payload } t.by_id;
+        t.by_id <- Int_map.add id { envelope with payload } t.by_id;
         true
 
   let size t = Int_map.cardinal t.by_id
-  let is_empty t = Int_map.is_empty t.by_id
   let pending t = List.map snd (Int_map.bindings t.by_id)
-  let pending_for t ~dst = List.filter (fun e -> e.Dsim.Envelope.dst = dst) (pending t)
+  let pending_for t ~dst = List.filter (fun e -> e.dst = dst) (pending t)
   let pending_ids t = List.map fst (Int_map.bindings t.by_id)
 end
 
-let envelope ~id ~src ~dst ~payload =
-  {
-    Dsim.Envelope.id;
-    src;
-    dst;
-    payload;
-    depth = (id mod 5) + 1;
-    sent_at_step = id;
-    sent_in_window = id / 4;
-  }
-
-let add_envelope m (e : _ Dsim.Envelope.t) =
-  Dsim.Mailbox.add_unicast m ~id:e.id ~src:e.src ~dst:e.dst ~payload:e.payload
-    ~depth:e.depth ~sent_at_step:e.sent_at_step ~sent_in_window:e.sent_in_window
-
 (* The fields the field-passing walks hand their visitors. *)
-let fields (e : _ Dsim.Envelope.t) = (e.id, e.src, e.dst, e.depth, e.payload)
+let fields e = (e.id, e.src, e.dst, e.depth, e.payload)
 
 let collect_fields acc ~id ~src ~dst ~depth payload =
   acc := (id, src, dst, depth, payload) :: !acc
 
-(* Removal against the reference's [take]: [find] sees the same
-   envelope first, then [take_with] removes it and hands over its
-   fields exactly once (a miss removes nothing and visits nothing). *)
+(* The mailbox's pending envelopes as records, ascending id: the range
+   walk collected. *)
+let envelopes m =
+  let acc = ref [] in
+  Dsim.Mailbox.iter_range m ~from:0 ~til:max_int acc (fun acc ~id ~src ~dst ~depth payload ->
+      acc := { id; src; dst; payload; depth } :: !acc);
+  List.rev !acc
+
+(* Removal against the reference's [take]: [take_with] removes the
+   envelope and hands over its fields exactly once (a miss removes
+   nothing and visits nothing). *)
 let take_agrees (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) id =
-  let found = Dsim.Mailbox.find m id = Ref_mailbox.find r id in
   let taken = ref [] in
   let removed = Dsim.Mailbox.take_with m id taken collect_fields in
-  found
-  &&
   match Ref_mailbox.take r id with
   | None -> (not removed) && !taken = []
   | Some e -> removed && !taken = [ fields e ]
 
-(* Every observable accessor, on both sides.  Views filtered by source
-   or by predicate are derived from [pending], so its equality covers
-   them. *)
+(* Every observable accessor, on both sides. *)
 let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
   let iter_for_collect dst =
     let acc = ref [] in
@@ -95,19 +79,16 @@ let mailbox_obs_equal (m : int Dsim.Mailbox.t) (r : int Ref_mailbox.t) =
     List.rev !acc
   in
   Dsim.Mailbox.size m = Ref_mailbox.size r
-  && Dsim.Mailbox.is_empty m = Ref_mailbox.is_empty r
-  && Dsim.Mailbox.pending m = Ref_mailbox.pending r
+  && envelopes m = Ref_mailbox.pending r
   && Dsim.Mailbox.pending_ids m = Ref_mailbox.pending_ids r
   && List.for_all
-       (fun dst ->
-         Dsim.Mailbox.pending_for m ~dst = Ref_mailbox.pending_for r ~dst
-         && iter_for_collect dst = List.map fields (Ref_mailbox.pending_for r ~dst))
-       [ -1; 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+       (fun dst -> iter_for_collect dst = List.map fields (Ref_mailbox.pending_for r ~dst))
+       [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 (* The window delivery walk against its specification: the envelopes
    [drain_for] visits, in order, are the reference's [pending_for]
    filtered by id range and sender mask, each then taken.  [dst] may
-   exceed every queue; senders are drawn from [0, 8). *)
+   exceed every broadcast's fan-out; senders are drawn from [0, 8). *)
 let drain_agrees rng m r ~id_bound =
   let dst = Prng.Stream.int_below rng 11 in
   let from = Prng.Stream.int_below rng id_bound in
@@ -118,78 +99,16 @@ let drain_agrees rng m r ~id_bound =
   Dsim.Mailbox.drain_for m ~dst ~from ~til ~allow drained collect_fields;
   let expected =
     List.filter
-      (fun e ->
-        e.Dsim.Envelope.id >= from && e.Dsim.Envelope.id < til
-        && mask.(e.Dsim.Envelope.src))
+      (fun e -> e.id >= from && e.id < til && mask.(e.src))
       (Ref_mailbox.pending_for r ~dst)
   in
-  List.iter (fun e -> ignore (Ref_mailbox.take r e.Dsim.Envelope.id)) expected;
+  List.iter (fun e -> ignore (Ref_mailbox.take r e.id)) expected;
   List.rev !drained = List.map fields expected && mailbox_obs_equal m r
 
-let prop_mailbox_differential =
-  QCheck.Test.make ~count:60 ~name:"mailbox matches Int_map reference"
-    QCheck.small_int (fun seed ->
-      let rng = Prng.Stream.root (seed + 101) in
-      let m : int Dsim.Mailbox.t = Dsim.Mailbox.create () in
-      let r : int Ref_mailbox.t = Ref_mailbox.create () in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      for op = 1 to 300 do
-        (match Prng.Stream.int_below rng 11 with
-        | 0 | 1 | 2 | 3 | 4 ->
-            (* add, sometimes of a duplicate id, sometimes dst = -1 *)
-            let id = Prng.Stream.int_below rng 64 in
-            let src = Prng.Stream.int_below rng 8 in
-            let dst = Prng.Stream.int_below rng 11 - 1 in
-            let e = envelope ~id ~src ~dst ~payload:(id * 17) in
-            let added_m =
-              try
-                add_envelope m e;
-                true
-              with Invalid_argument _ -> false
-            in
-            let added_r =
-              try
-                Ref_mailbox.insert r e;
-                true
-              with Invalid_argument _ -> false
-            in
-            check (added_m = added_r)
-        | 5 | 6 ->
-            let id = Prng.Stream.int_below rng 64 in
-            check (take_agrees m r id)
-        | 7 ->
-            let id = Prng.Stream.int_below rng 64 in
-            check (Dsim.Mailbox.find m id = Ref_mailbox.find r id);
-            check
-              (Dsim.Mailbox.mem m id
-              = Option.is_some (Ref_mailbox.find r id))
-        | 8 ->
-            let id = Prng.Stream.int_below rng 64 in
-            let payload = Prng.Stream.int_below rng 1000 in
-            check
-              (Dsim.Mailbox.replace_payload m id payload
-              = Ref_mailbox.replace_payload r id payload)
-        | 9 -> check (drain_agrees rng m r ~id_bound:64)
-        | _ -> check (mailbox_obs_equal m r));
-        if op mod 25 = 0 then check (mailbox_obs_equal m r)
-      done;
-      check (mailbox_obs_equal m r);
-      (* copies are deep: draining the copy leaves the original alone *)
-      let mc = Dsim.Mailbox.copy m and rc = Ref_mailbox.copy r in
-      check (mailbox_obs_equal mc rc);
-      List.iter
-        (fun id ->
-          check (take_agrees mc rc id))
-        (Ref_mailbox.pending_ids rc);
-      check (Dsim.Mailbox.is_empty mc);
-      check (mailbox_obs_equal m r);
-      !ok)
-
-(* Broadcast envelopes against the same reference: one [add_broadcast]
-   must be observation-equivalent to the n eager adds it replaces, under
-   random takes, finds, corrupt-splits ([replace_payload] on a broadcast
-   member), delivery drains and range sweeps. *)
+(* Broadcast envelopes against the reference: one [add_broadcast] must
+   be observation-equivalent to the n eager adds it replaces, under
+   random takes, corruption ([replace_payload] overrides one member),
+   delivery drains and range sweeps. *)
 let prop_broadcast_mailbox_differential =
   QCheck.Test.make ~count:60 ~name:"lazy broadcast matches n eager adds"
     QCheck.small_int (fun seed ->
@@ -199,91 +118,66 @@ let prop_broadcast_mailbox_differential =
       let next_id = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
-      let meta first =
-        ((first mod 5) + 1, first, first / 4)  (* depth, step, window *)
-      in
       for op = 1 to 200 do
-        (match Prng.Stream.int_below rng 11 with
+        (match Prng.Stream.int_below rng 10 with
         | 0 | 1 | 2 ->
             (* a broadcast: ids [first, first + count), dst = id - first *)
             let count = 1 + Prng.Stream.int_below rng 9 in
             let src = Prng.Stream.int_below rng 8 in
             let first = !next_id in
             next_id := first + count;
-            let depth, sent_at_step, sent_in_window = meta first in
-            Dsim.Mailbox.add_broadcast m ~first ~count ~src ~payload:(first * 17)
-              ~depth ~sent_at_step ~sent_in_window;
+            let depth = (first mod 5) + 1 in
+            Dsim.Mailbox.add_broadcast m ~first ~count ~src ~payload:(first * 17) ~depth;
             for dst = 0 to count - 1 do
-              Ref_mailbox.insert r
-                {
-                  Dsim.Envelope.id = first + dst;
-                  src;
-                  dst;
-                  payload = first * 17;
-                  depth;
-                  sent_at_step;
-                  sent_in_window;
-                }
+              Ref_mailbox.insert r { id = first + dst; src; dst; payload = first * 17; depth }
             done
         | 3 | 4 ->
-            (* an interleaved unicast keeps both stores mixed *)
-            let id = !next_id in
-            incr next_id;
-            let src = Prng.Stream.int_below rng 8 in
-            let dst = Prng.Stream.int_below rng 10 in
-            let depth, sent_at_step, sent_in_window = meta id in
-            Dsim.Mailbox.add_unicast m ~id ~src ~dst ~payload:(id * 17) ~depth
-              ~sent_at_step ~sent_in_window;
-            Ref_mailbox.insert r
-              {
-                Dsim.Envelope.id;
-                src;
-                dst;
-                payload = id * 17;
-                depth;
-                sent_at_step;
-                sent_in_window;
-              }
-        | 5 | 6 ->
             let id = Prng.Stream.int_below rng (!next_id + 4) in
             check (take_agrees m r id)
-        | 7 ->
-            let id = Prng.Stream.int_below rng (!next_id + 4) in
-            check (Dsim.Mailbox.find m id = Ref_mailbox.find r id);
-            check
-              (Dsim.Mailbox.mem m id = Option.is_some (Ref_mailbox.find r id))
-        | 8 ->
-            (* corrupt-split: on a broadcast member this carves the id
-               out of the shared envelope into the arena *)
+        | 5 ->
+            (* corruption: overrides the payload of one broadcast member *)
             let id = Prng.Stream.int_below rng (!next_id + 4) in
             let payload = Prng.Stream.int_below rng 1000 in
             check
               (Dsim.Mailbox.replace_payload m id payload
               = Ref_mailbox.replace_payload r id payload)
-        | 9 -> check (drain_agrees rng m r ~id_bound:(!next_id + 1))
-        | _ ->
-            (* the engine's drop sweep: ascending ids over a range *)
+        | 6 -> check (drain_agrees rng m r ~id_bound:(!next_id + 1))
+        | (7 | 8) as kind ->
+            (* a range walk; on 8 it takes each visited envelope, as the
+               engine's drop sweep does *)
             let from = Prng.Stream.int_below rng (!next_id + 1) in
             let til = from + Prng.Stream.int_below rng 24 in
+            let expected =
+              List.filter (fun e -> e.id >= from && e.id < til) (Ref_mailbox.pending r)
+            in
             let swept = ref [] in
-            Dsim.Mailbox.iter_ids_in_range m ~from ~til (fun id ->
-                swept := id :: !swept);
-            check
-              (List.rev !swept
-              = List.filter
-                  (fun id -> id >= from && id < til)
-                  (Ref_mailbox.pending_ids r)));
+            if kind = 7 then begin
+              Dsim.Mailbox.iter_range m ~from ~til swept collect_fields;
+              check (List.rev !swept = List.map fields expected)
+            end
+            else begin
+              Dsim.Mailbox.iter_range m ~from ~til swept
+                (fun swept ~id ~src ~dst ~depth payload ->
+                  collect_fields swept ~id ~src ~dst ~depth payload;
+                  check (Dsim.Mailbox.take_with m id () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ())));
+              check (List.rev !swept = List.map fields expected);
+              List.iter (fun e -> ignore (Ref_mailbox.take r e.id)) expected
+            end
+        | _ -> check (mailbox_obs_equal m r));
         if op mod 25 = 0 then check (mailbox_obs_equal m r)
       done;
       check (mailbox_obs_equal m r);
-      (* deep copy: draining the copy (broadcasts included) leaves the
-         original alone *)
+      (* deep copy: corrupting and draining the copy leaves the original
+         alone *)
       let mc = Dsim.Mailbox.copy m and rc = Ref_mailbox.copy r in
       check (mailbox_obs_equal mc rc);
       List.iter
-        (fun id -> check (take_agrees mc rc id))
+        (fun id ->
+          check
+            (Dsim.Mailbox.replace_payload mc id (-id) = Ref_mailbox.replace_payload rc id (-id));
+          check (take_agrees mc rc id))
         (Ref_mailbox.pending_ids rc);
-      check (Dsim.Mailbox.is_empty mc);
+      check (Dsim.Mailbox.size mc = 0);
       check (mailbox_obs_equal m r);
       !ok)
 
@@ -292,16 +186,17 @@ let prop_broadcast_mailbox_differential =
 let test_iter_for_take_during_iteration () =
   let m : int Dsim.Mailbox.t = Dsim.Mailbox.create () in
   List.iter
-    (fun id -> add_envelope m (envelope ~id ~src:(id mod 3) ~dst:(id mod 2) ~payload:id))
-    [ 9; 3; 0; 4; 7; 12; 1 ];
+    (fun (first, count) ->
+      Dsim.Mailbox.add_broadcast m ~first ~count ~src:(first mod 3) ~payload:first ~depth:1)
+    [ (0, 2); (2, 3); (5, 1); (6, 2) ];
   let visited = ref [] in
   Dsim.Mailbox.iter_for m ~dst:1 () (fun () ~id ~src:_ ~dst:_ ~depth:_ _ ->
       visited := id :: !visited;
       if not (Dsim.Mailbox.take_with m id () (fun () ~id:_ ~src:_ ~dst:_ ~depth:_ _ -> ()))
       then Alcotest.fail "visited envelope vanished");
-  Alcotest.(check (list int)) "all dst-1 envelopes, ascending" [ 1; 3; 7; 9 ]
+  Alcotest.(check (list int)) "all dst-1 envelopes, ascending" [ 1; 3; 7 ]
     (List.rev !visited);
-  Alcotest.(check (list int)) "dst-0 untouched" [ 0; 4; 12 ]
+  Alcotest.(check (list int)) "the others untouched" [ 0; 2; 4; 5; 6 ]
     (Dsim.Mailbox.pending_ids m)
 
 (* ------------------------------------------------------------------ *)
@@ -423,9 +318,7 @@ let reference_apply_window config window =
     Dsim.Engine.apply config (Dsim.Step.Send p)
   done;
   let fresh_to = Dsim.Trace.sent trace in
-  let is_fresh e =
-    e.Dsim.Envelope.id >= fresh_from && e.Dsim.Envelope.id < fresh_to
-  in
+  let is_fresh e = e.id >= fresh_from && e.id < fresh_to in
   let allowed =
     Array.init n (fun dst ->
         let flags = Array.make n false in
@@ -436,39 +329,26 @@ let reference_apply_window config window =
   in
   let per_dst = Array.make n [] in
   List.iter
-    (fun e ->
-      if is_fresh e then
-        per_dst.(e.Dsim.Envelope.dst) <- e :: per_dst.(e.Dsim.Envelope.dst))
-    (Dsim.Mailbox.pending mailbox);
+    (fun e -> if is_fresh e then per_dst.(e.dst) <- e :: per_dst.(e.dst))
+    (envelopes mailbox);
   for dst = 0 to n - 1 do
     List.iter
       (fun e ->
-        if allowed.(dst).(e.Dsim.Envelope.src) then
-          Dsim.Engine.apply config (Dsim.Step.Deliver e.Dsim.Envelope.id))
+        if allowed.(dst).(e.src) then Dsim.Engine.apply config (Dsim.Step.Deliver e.id))
       (List.rev per_dst.(dst))
   done;
   List.iter
-    (fun e ->
-      if is_fresh e then
-        Dsim.Engine.apply config (Dsim.Step.Drop e.Dsim.Envelope.id))
-    (Dsim.Mailbox.pending mailbox);
+    (fun e -> if is_fresh e then Dsim.Engine.apply config (Dsim.Step.Drop e.id))
+    (envelopes mailbox);
   List.iter
     (fun p -> Dsim.Engine.apply config (Dsim.Step.Reset p))
     (Dsim.Window.resets window)
 
 (* Everything observable except the window counter (the reference path
-   cannot close windows through the public API, so [sent_in_window] and
-   [window_index] are exempt). *)
+   cannot close windows through the public API, so [window_index] is
+   exempt). *)
 let configs_agree fast slow =
-  let strip e =
-    ( e.Dsim.Envelope.id,
-      e.Dsim.Envelope.src,
-      e.Dsim.Envelope.dst,
-      e.Dsim.Envelope.payload,
-      e.Dsim.Envelope.depth,
-      e.Dsim.Envelope.sent_at_step )
-  in
-  let pending c = List.map strip (Dsim.Mailbox.pending (Dsim.Engine.mailbox c)) in
+  let pending c = envelopes (Dsim.Engine.mailbox c) in
   let counters c =
     let tr = Dsim.Engine.trace c in
     ( Dsim.Trace.sent tr,
@@ -521,70 +401,6 @@ let prop_apply_window_differential =
               Dsim.Engine.apply slow (Dsim.Step.Drop id)
             end);
         if not (configs_agree fast slow) then ok := false
-      done;
-      !ok)
-
-(* The lazy-broadcast contract itself: a protocol whose [outgoing] is
-   wrapped to eagerly expand every [Step.Broadcast] into n [Step.Unicast]
-   values must produce a bit-identical execution — same id assignment
-   (id = first + dst), same trace counters, same surviving envelopes —
-   under random windows, resets, corruption and drops. *)
-let eager_protocol protocol ~n =
-  {
-    protocol with
-    Dsim.Protocol.outgoing =
-      (fun s ->
-        let s, sends = protocol.Dsim.Protocol.outgoing s in
-        ( s,
-          List.map
-            (fun (dst, m) -> Dsim.Step.Unicast (dst, m))
-            (Dsim.Step.expand ~n sends) ));
-  }
-
-let prop_lazy_vs_eager_broadcast =
-  QCheck.Test.make ~count:40
-    ~name:"lazy broadcast engine matches eagerly-expanded protocol"
-    QCheck.small_int (fun seed ->
-      let n = 7 and t = 2 in
-      let protocol = Protocols.Ben_or.protocol () in
-      let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
-      let lazy_ = Dsim.Engine.init ~protocol ~n ~fault_bound:t ~inputs ~seed () in
-      let eager =
-        Dsim.Engine.init
-          ~protocol:(eager_protocol protocol ~n)
-          ~n ~fault_bound:t ~inputs ~seed ()
-      in
-      let rng = Prng.Stream.root ((seed * 6007) + 29) in
-      let pool = List.init (n + 3) (fun i -> i - 1) in
-      let ok = ref true in
-      for _w = 1 to 6 do
-        let receive_sets =
-          Array.init n (fun _ -> List.filter (fun _ -> Prng.Stream.bool rng) pool)
-        in
-        let resets =
-          List.filter (fun _ -> Prng.Stream.bernoulli rng 0.2) [ 0; 1; 2 ]
-        in
-        let window = Dsim.Window.make ~receive_sets ~resets in
-        Dsim.Engine.apply_window lazy_ window;
-        Dsim.Engine.apply_window eager window;
-        (* poke a surviving stale message on both sides: corruption
-           splits a lazy broadcast member off its shared envelope *)
-        (match Dsim.Mailbox.pending_ids (Dsim.Engine.mailbox lazy_) with
-        | [] -> ()
-        | ids ->
-            let id = List.nth ids (Prng.Stream.int_below rng (List.length ids)) in
-            if Prng.Stream.bool rng then begin
-              let payload =
-                Protocols.Ben_or.Report { round = 0; value = Prng.Stream.bool rng }
-              in
-              Dsim.Engine.apply lazy_ (Dsim.Step.Corrupt (id, payload));
-              Dsim.Engine.apply eager (Dsim.Step.Corrupt (id, payload))
-            end
-            else begin
-              Dsim.Engine.apply lazy_ (Dsim.Step.Drop id);
-              Dsim.Engine.apply eager (Dsim.Step.Drop id)
-            end);
-        if not (configs_agree lazy_ eager) then ok := false
       done;
       !ok)
 
@@ -790,12 +606,10 @@ let test_pinned_sweep_j1_j2 () =
 let suite =
   List.map to_alcotest
     [
-      prop_mailbox_differential;
       prop_broadcast_mailbox_differential;
       prop_window_differential;
       prop_bitset_reference;
       prop_apply_window_differential;
-      prop_lazy_vs_eager_broadcast;
     ]
   @ [
       Alcotest.test_case "iter_for allows taking the visited envelope" `Quick

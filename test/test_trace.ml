@@ -2,7 +2,7 @@
 
 let test_counters () =
   let t = Dsim.Trace.create ~record_events:false () in
-  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+  Dsim.Trace.record_broadcast t ~src:0 ~first:0 ~count:1 ~depth:1;
   Dsim.Trace.record_delivered t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
   Dsim.Trace.record_dropped t ~msg_id:9;
   Dsim.Trace.record_reset t ~pid:2;
@@ -19,7 +19,7 @@ let test_counters () =
 
 let test_event_recording () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:0 ~depth:1;
+  Dsim.Trace.record_broadcast t ~src:0 ~first:0 ~count:1 ~depth:1;
   Dsim.Trace.record_dropped t ~msg_id:0;
   let events = Dsim.Trace.events t in
   Alcotest.(check int) "two events" 2 (List.length events);
@@ -88,20 +88,23 @@ let test_random_fair_never_drops () =
 
 let test_json_export () =
   let t = Dsim.Trace.create ~record_events:true () in
-  Dsim.Trace.record_sent t ~src:0 ~dst:1 ~msg_id:2 ~depth:3;
+  Dsim.Trace.record_broadcast t ~src:0 ~first:1 ~count:2 ~depth:3;
   Dsim.Trace.record_decided t ~pid:1 ~value:true ~step:4 ~window:1 ~chain_depth:2;
   let jsonl = Dsim.Trace_export.to_jsonl t in
   let lines = String.split_on_char '\n' jsonl |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "summary + 2 events" 3 (List.length lines);
+  Alcotest.(check int) "summary + 3 events" 4 (List.length lines);
   Alcotest.(check string) "summary line"
-    {|{"type":"summary","sent":1,"delivered":0,"dropped":0,"resets":0,"crashes":0,"windows":0,"decisions":[{"pid":1,"value":1,"step":4,"window":1,"chain_depth":2}]}|}
+    {|{"type":"summary","sent":2,"delivered":0,"dropped":0,"resets":0,"crashes":0,"windows":0,"decisions":[{"pid":1,"value":1,"step":4,"window":1,"chain_depth":2}]}|}
     (List.hd lines);
-  Alcotest.(check string) "sent event"
-    {|{"type":"sent","src":0,"dst":1,"msg_id":2,"depth":3}|}
-    (List.nth lines 1);
+  Alcotest.(check (list string)) "one sent event per destination"
+    [
+      {|{"type":"sent","src":0,"dst":0,"msg_id":1,"depth":3}|};
+      {|{"type":"sent","src":0,"dst":1,"msg_id":2,"depth":3}|};
+    ]
+    [ List.nth lines 1; List.nth lines 2 ];
   Alcotest.(check string) "decided event"
     {|{"type":"decided","pid":1,"value":1,"step":4,"window":1,"chain_depth":2}|}
-    (List.nth lines 2)
+    (List.nth lines 3)
 
 (* Every [Trace.event] constructor: this is what [agreement_cli --trace]
    prints and what [--json] writes after its summary line. *)
@@ -156,7 +159,28 @@ let test_events_pinned () =
   Alcotest.(check bool) "ben-or run drops messages" true
     (Dsim.Trace.dropped (Dsim.Engine.trace config) > 0);
   Alcotest.(check bool) "ben-or run decides" true (outcome.Dsim.Runner.decided <> []);
-  Alcotest.(check string) "ben-or stepwise n=9" "16983a1cc210bcde8a9d57cfcd35d065" (events_md5 config)
+  Alcotest.(check string) "ben-or stepwise n=9" "16983a1cc210bcde8a9d57cfcd35d065" (events_md5 config);
+  (* Byzantine lockstep rewrites every message processor 0 broadcasts
+     to echo its recipient's estimate; each such [Corrupt] rewrites one
+     destination of a broadcast entry, so this run pins the
+     payload-override path. *)
+  let config =
+    Dsim.Engine.init ~protocol:(Protocols.Bracha.protocol ()) ~n:7 ~fault_bound:2
+      ~inputs:(Agreement.Ensemble.split_inputs ~n:7 1) ~seed:1 ~record_events:true ()
+  in
+  let corruptions = ref 0 in
+  let byzantine =
+    Adversary.Byzantine.lockstep ~corrupt:[ 0 ] ~flavour:Adversary.Byzantine.Equivocate ()
+  in
+  let strategy config =
+    let step = byzantine config in
+    (match step with Some (Dsim.Step.Corrupt _) -> incr corruptions | _ -> ());
+    step
+  in
+  let outcome = Dsim.Runner.run_steps config ~strategy ~max_steps:200_000 ~stop:`All_decided in
+  Alcotest.(check bool) "byzantine run corrupts broadcasts" true (!corruptions > 0);
+  Alcotest.(check bool) "byzantine run decides" true (outcome.Dsim.Runner.decided <> []);
+  Alcotest.(check string) "bracha byzantine equivocate n=7" "470ffd6a32c5c9843a5b8bedb36b68fd" (events_md5 config)
 
 let suite =
   [
