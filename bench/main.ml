@@ -575,6 +575,9 @@ let groups =
         Test.make ~name:"window-make-uniform-n100000"
           (bench_window_make_uniform ~n:100000);
         Test.make ~name:"windows-n1000-k8" (bench_window_run ~n:1000 ~count:8);
+        (* One balancing window of E2 at n = 19, the cost that
+           multiplies E2's exponentially many windows. *)
+        Test.make ~name:"e2-window-n19" (bench_balancing_window ~n:19 ~t:1);
       ] );
   ]
 

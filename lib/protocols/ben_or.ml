@@ -1,5 +1,4 @@
 module Round_map = Map.Make (Int)
-module Int_map = Map.Make (Int)
 
 type message =
   | Report of { round : int; value : bool }
@@ -29,7 +28,8 @@ let evaluate quorums ~n ~t =
   let value = Quorums.value quorums ~n ~t in
   { decide_at = value "decide_at"; wait_quorum = value "wait_quorum" }
 
-type state = {
+(* The fields that change only when a phase or a round ends. *)
+type core = {
   id : int;
   n : int;
   fault_bound : int;
@@ -40,46 +40,63 @@ type state = {
   round : int;
   phase : phase;
   x : bool;
-  reports : Tally.t Round_map.t;
-  proposals : Tally.t Round_map.t;
-  outbox_rev : message Dsim.Step.send list;  (* pending sends, newest first *)
 }
 
-let reports_for state round =
-  Option.value ~default:Tally.empty (Round_map.find_opt round state.reports)
+(* The fields a delivery writes.  [reports] and [proposals] are the
+   tallies of [core.round]; the maps hold only later rounds, so a
+   message of the current round copies one tally and this record and
+   nothing else. *)
+type state = {
+  reports : Tally.t;
+  proposals : Tally.t;
+  later_reports : Tally.t Round_map.t;
+  later_proposals : Tally.t Round_map.t;
+  outbox_rev : message Dsim.Step.send list;  (* pending sends, newest first *)
+  core : core;
+}
 
-let proposals_for state round =
-  Option.value ~default:Tally.empty (Round_map.find_opt round state.proposals)
+(* [later] with [src]'s vote added to [round]'s tally.  [mem] before
+   [find]: a miss neither raises nor allocates. *)
+let add_later later round ~src code =
+  let tally = if Round_map.mem round later then Round_map.find round later else Tally.empty in
+  Round_map.add round (Tally.add tally ~src code) later
 
-let wait_quorum state = state.thresholds.wait_quorum
+(* [round]'s tally, taken out of [later], and the rounds after it, once
+   per round transition: the maps hold only the few rounds with
+   messages in flight, not n entries. *)
+let take_round later round =
+  if Round_map.is_empty later then (Tally.empty, later)
+  else
+    let _, tally, rest = Round_map.split round later in
+    ((match tally with Some tally -> tally | None -> Tally.empty), rest)
 
 (* Phase transition once the report quorum for the current round is in:
    propose the strict majority value if one exists, else '?'. *)
 let finish_report_phase state =
-  let tally = reports_for state state.round in
-  let half = state.n / 2 in
+  let core = state.core in
+  let half = core.n / 2 in
   let proposal =
-    if Tally.count_value tally 1 > half then Some true
-    else if Tally.count_value tally 0 > half then Some false
+    if Tally.count_value state.reports 1 > half then Some true
+    else if Tally.count_value state.reports 0 > half then Some false
     else None
   in
-  let state = { state with phase = Propose_wait } in
   {
     state with
     outbox_rev =
-      Dsim.Step.Broadcast (Propose { round = state.round; value = proposal })
+      Dsim.Step.Broadcast (Propose { round = core.round; value = proposal })
       :: state.outbox_rev;
+    core = { core with phase = Propose_wait };
   }
 
 (* Round transition once the proposal quorum is in: decide on t+1
    agreeing proposals, adopt on one, flip a coin on none. *)
 let finish_propose_phase state rng =
-  let tally = proposals_for state state.round in
-  let p_true = Tally.count_value tally 1 in
-  let p_false = Tally.count_value tally 0 in
-  let decide_at = state.thresholds.decide_at in
+  let core = state.core in
+  let p_true = Tally.count_value state.proposals 1 in
+  let p_false = Tally.count_value state.proposals 0 in
+  let decide_at = core.thresholds.decide_at in
   let output =
-    match state.output with
+    match core.output with
     | Some _ as existing -> existing
     | None ->
         if p_true >= decide_at then Some true
@@ -93,58 +110,57 @@ let finish_propose_phase state rng =
     if p_true = 0 && p_false = 0 then Prng.Stream.bool rng
     else if p_true > p_false then true
     else if p_false > p_true then false
-    else state.x
+    else core.x
   in
-  let next_round = state.round + 1 in
-  (* Garbage-collect rounds left behind, once per round transition; the
-     maps hold only the few rounds with in-flight messages, not n
-     entries.  (* lint: allow R13 *) *)
-  let reports = Round_map.filter (fun r _ -> r >= next_round) state.reports in
-  (* lint: allow R13 — same once-per-round sweep as [reports] above *)
-  let proposals = Round_map.filter (fun r _ -> r >= next_round) state.proposals in
-  let state =
-    { state with output; x; round = next_round; phase = Report_wait; reports; proposals }
-  in
+  let next_round = core.round + 1 in
+  let reports, later_reports = take_round state.later_reports next_round in
+  let proposals, later_proposals = take_round state.later_proposals next_round in
   {
-    state with
+    reports;
+    proposals;
+    later_reports;
+    later_proposals;
     outbox_rev =
       Dsim.Step.Broadcast (Report { round = next_round; value = x })
       :: state.outbox_rev;
+    core = { core with output; x; round = next_round; phase = Report_wait };
   }
 
+(* Each step of the recursion finishes a phase that at least
+   [wait_quorum] deliveries filled, so over a run it takes amortized
+   O(1) steps per delivery, each O(log r) in the r rounds buffered. *)
+(* lint: allow R15 *)
 let rec advance state rng =
-  let quorum = wait_quorum state in
-  match state.phase with
+  let quorum = state.core.thresholds.wait_quorum in
+  match state.core.phase with
   | Report_wait ->
-      if Tally.count (reports_for state state.round) >= quorum then
-        advance (finish_report_phase state) rng
+      if Tally.count state.reports >= quorum then advance (finish_report_phase state) rng
       else state
   | Propose_wait ->
-      if Tally.count (proposals_for state state.round) >= quorum then
+      if Tally.count state.proposals >= quorum then
         advance (finish_propose_phase state rng) rng
       else state
 
 let fresh ~thresholds ~n ~t ~id ~input ~resets () =
-  let state =
-    {
-      id;
-      n;
-      fault_bound = t;
-      thresholds;
-      input;
-      output = None;
-      resets;
-      round = 1;
-      phase = Report_wait;
-      x = input;
-      reports = Round_map.empty;
-      proposals = Round_map.empty;
-      outbox_rev = [];
-    }
-  in
   {
-    state with
+    reports = Tally.empty;
+    proposals = Tally.empty;
+    later_reports = Round_map.empty;
+    later_proposals = Round_map.empty;
     outbox_rev = [ Dsim.Step.Broadcast (Report { round = 1; value = input }) ];
+    core =
+      {
+        id;
+        n;
+        fault_bound = t;
+        thresholds;
+        input;
+        output = None;
+        resets;
+        round = 1;
+        phase = Report_wait;
+        x = input;
+      };
   }
 
 (* One reversal per drain of the (short) send list: broadcasts are
@@ -152,78 +168,88 @@ let fresh ~thresholds ~n ~t ~id ~input ~resets () =
    (* lint: allow R12 *) *)
 let outgoing state = ({ state with outbox_rev = [] }, List.rev state.outbox_rev)
 
+(* A message for a later round only waits: the current round's phase
+   is what [advance] can finish. *)
 let on_deliver state ~src message rng =
+  let current = state.core.round in
   match message with
   | Report { round; value } ->
-      if round < state.round then state
-      else
-        let tally = Tally.add (reports_for state round) ~src (Bool.to_int value) in
-        advance { state with reports = Round_map.add round tally state.reports } rng
+      let code = Bool.to_int value in
+      if round = current then
+        advance { state with reports = Tally.add state.reports ~src code } rng
+      else if round > current then
+        { state with later_reports = add_later state.later_reports round ~src code }
+      else state
   | Propose { round; value } ->
-      if round < state.round then state
-      else
-        let tally = Tally.add (proposals_for state round) ~src (proposal_code value) in
-        advance { state with proposals = Round_map.add round tally state.proposals } rng
+      let code = proposal_code value in
+      if round = current then
+        advance { state with proposals = Tally.add state.proposals ~src code } rng
+      else if round > current then
+        { state with later_proposals = add_later state.later_proposals round ~src code }
+      else state
 
 (* Ben-Or has no re-join procedure: a reset processor restarts from its
    input.  Its output bit survives, per the model. *)
-let on_reset state =
+let on_reset { core; _ } =
   let restarted =
-    fresh ~thresholds:state.thresholds ~n:state.n ~t:state.fault_bound
-      ~id:state.id ~input:state.input ~resets:(state.resets + 1) ()
+    fresh ~thresholds:core.thresholds ~n:core.n ~t:core.fault_bound ~id:core.id
+      ~input:core.input ~resets:(core.resets + 1) ()
   in
-  { restarted with output = state.output }
+  { restarted with core = { restarted.core with output = core.output } }
 
-let output state = state.output
+let output state = state.core.output
 
-let observe state =
-  Dsim.Obs.make ~id:state.id ~round:state.round ~estimate:(Some state.x)
-    ~output:state.output ~input:state.input ~resets:state.resets
-    ~phase:(match state.phase with Report_wait -> 0 | Propose_wait -> 1)
+let observe { core; _ } =
+  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Some core.x)
+    ~output:core.output ~input:core.input ~resets:core.resets
+    ~phase:(match core.phase with Report_wait -> 0 | Propose_wait -> 1)
 
 (* [bo:id:round:phase:x:output:input:resets:R{<reports>}:P{<proposals>}:<outbox>],
-   each tally map as [round[src:code,...];...] in ascending rounds and
-   sources. *)
+   each kind's tallies as [round[src:code,...];...] in ascending rounds
+   and sources: the current round's (when it holds a vote) first, then
+   the later rounds'. *)
 let state_core state =
+  let core = state.core in
   let b = Buffer.create 128 in
   let int i = Buffer.add_string b (string_of_int i) in
   let field_int i = Buffer.add_char b ':'; int i in
   let field_char c = Buffer.add_char b ':'; Buffer.add_char b c in
   let bit v = if v then '1' else '0' in
   (* A separator goes before every round but the first: the one written
-     while the buffer still ends at the map's start mark. *)
-  let rounds map =
+     while the buffer still ends at the kind's start mark. *)
+  let rounds cur later =
     let start = Buffer.length b in
-    Round_map.iter
-      (fun r tally ->
-        if Buffer.length b > start then Buffer.add_char b ';';
-        int r;
-        Buffer.add_char b '[';
-        let votes_start = Buffer.length b in
-        Tally.iter
-          (fun src code ->
-            if Buffer.length b > votes_start then Buffer.add_char b ',';
-            int src;
-            Buffer.add_char b ':';
-            Buffer.add_char b (code_char code))
-          tally;
-        Buffer.add_char b ']')
-      map
+    let round r tally =
+      if Buffer.length b > start then Buffer.add_char b ';';
+      int r;
+      Buffer.add_char b '[';
+      let votes_start = Buffer.length b in
+      Tally.iter
+        (fun src code ->
+          if Buffer.length b > votes_start then Buffer.add_char b ',';
+          int src;
+          Buffer.add_char b ':';
+          Buffer.add_char b (code_char code))
+        tally;
+      Buffer.add_char b ']'
+    in
+    if Tally.count cur > 0 then round core.round cur;
+    Round_map.iter round later
   in
   Buffer.add_string b "bo";
-  field_int state.id;
-  field_int state.round;
-  field_char (match state.phase with Report_wait -> '0' | Propose_wait -> '1');
-  field_char (bit state.x);
-  field_char (match state.output with None -> '_' | Some v -> bit v);
-  field_char (bit state.input);
-  field_int state.resets;
+  field_int core.id;
+  field_int core.round;
+  field_char (match core.phase with Report_wait -> '0' | Propose_wait -> '1');
+  field_char (bit core.x);
+  field_char (match core.output with None -> '_' | Some v -> bit v);
+  field_char (bit core.input);
+  field_int core.resets;
   Buffer.add_string b ":R{";
-  rounds state.reports;
+  rounds state.reports state.later_reports;
   Buffer.add_string b "}:P{";
-  rounds state.proposals;
+  rounds state.proposals state.later_proposals;
   Buffer.add_char b '}';
-  field_int (Dsim.Step.send_count ~n:state.n state.outbox_rev);
+  field_int (Dsim.Step.send_count ~n:core.n state.outbox_rev);
   Buffer.contents b
 
 (* [R(round,bit)] or [P(round,proposal)]. *)

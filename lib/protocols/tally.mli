@@ -12,7 +12,16 @@
 
     Tallies are persistent values.  Senders are non-negative; a tally
     holds at most [2^20 - 1] votes, because the per-code counts share
-    one word. *)
+    one word.
+
+    Cost model.  Senders are kept 20 to an immediate int, 3 bits each.
+    Senders 0 to 19 live in the tally's own 4-field record, so at
+    [n <= 20] a new vote allocates that record (5 words) and nothing
+    else.  Senders from 20 up live in an int-keyed map of their
+    chunks ([src / 20]); a new vote there also path-copies
+    ~log2(n / 20) map nodes of 6 words each, about 5 + 6 log2(n / 20)
+    words.  A repeated vote, [mem], [count] and [count_value]
+    allocate nothing; no lookup raises or allocates an option. *)
 
 type t
 

@@ -50,7 +50,7 @@ fresh_seed=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "check: QCHECK_SEED=$fresh_seed"
 qcheck_out=$(mktemp)
 if (cd _build/default/test && QCHECK_SEED=$fresh_seed ./test_main.exe test \
-      'window|kernel-diff|properties|lint|symexpr|quorum-lint|par-sweep|mcheck|rbc') \
+      'window|kernel-diff|properties|lint|symexpr|quorum-lint|par-sweep|mcheck|rbc|tally|lewko|ben-or') \
      > "$qcheck_out" 2>&1; then
   echo "check: qcheck properties hold under QCHECK_SEED=$fresh_seed"
   rm -f "$qcheck_out"
