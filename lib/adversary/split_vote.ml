@@ -1,32 +1,34 @@
 let escape_threshold ~n:_ ~t ~thresholds = thresholds.Protocols.Thresholds.t3 + t
 
-(* Silence up to [t] holders of the majority estimate.  If both census
+(* The first [k] elements of [l]; [l] itself when it has no more. *)
+let take k l =
+  let rec go k = function x :: rest when k > 0 -> x :: go (k - 1) rest | _ -> [] in
+  if List.compare_length_with l k <= 0 then l else go k l
+
+let rec drop k = function _ :: rest when k > 0 -> drop (k - 1) rest | l -> l
+
+(* How many majority holders to silence: up to [t].  If both census
    counts already fit under the visible-majority threshold nothing needs
    silencing, but trimming the majority never hurts the adversary. *)
-let balancing_silence config =
-  let t = Dsim.Engine.fault_bound config in
-  let zeros, ones, _ = Strategy.vote_census config in
-  let majority_count = max zeros ones in
-  let to_silence = min t (max 0 (majority_count - min zeros ones)) in
-  Strategy.majority_holders config ~limit:(min t to_silence)
+let balancing_silence ~t { Strategy.zeros; ones; _ } = min t (abs (ones - zeros))
 
 let windowed () =
   fun config ->
-    let n = Dsim.Engine.n config in
+    let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
+    let census = Strategy.vote_census config ~limit:t in
+    let silenced = take (balancing_silence ~t census) census.majority_holders in
     (* The balancing set stabilizes once the estimates do; the memo
        then replays one shared window instead of rebuilding it. *)
-    Some (Strategy.cached_uniform ~n ~silenced:(balancing_silence config) ())
+    Some (Strategy.cached_uniform ~n ~silenced ())
 
 let windowed_with_resets () =
   fun config ->
     let n = Dsim.Engine.n config and t = Dsim.Engine.fault_bound config in
-    let silenced = balancing_silence config in
-    (* Reset further majority holders beyond the silenced ones. *)
-    let resets =
-      Strategy.majority_holders config ~limit:(2 * t)
-      |> List.filter (fun p -> not (List.mem p silenced))
-      |> List.filteri (fun i _ -> i < t)
-    in
+    let census = Strategy.vote_census config ~limit:(2 * t) in
+    let k = balancing_silence ~t census in
+    (* Reset the next [t] majority holders beyond the silenced ones. *)
+    let silenced = take k census.majority_holders
+    and resets = take t (drop k census.majority_holders) in
     Some (Dsim.Window.uniform ~n ~silenced ~resets ())
 
 (* Free-running balancing.  Each cycle: sends for all live processors,

@@ -39,28 +39,28 @@ let switch_after k first second =
     end
     else second config
 
-let vote_census config =
-  let zeros = ref 0 and ones = ref 0 and silent = ref 0 in
-  Array.iter
-    (fun obs ->
-      match obs.Dsim.Obs.estimate with
-      | Some true -> incr ones
-      | Some false -> incr zeros
-      | None -> incr silent)
-    (Dsim.Engine.observations config);
-  (!zeros, !ones, !silent)
+type census = { zeros : int; ones : int; silent : int; majority_holders : int list }
 
-let majority_holders config ~limit =
-  let zeros, ones, _ = vote_census config in
-  let majority = ones > zeros in
-  let holders = ref [] in
-  let count = ref 0 in
-  let obs = Dsim.Engine.observations config in
-  Array.iter
-    (fun o ->
-      if !count < limit && Dsim.Obs.estimate_is o majority then begin
-        holders := o.Dsim.Obs.id :: !holders;
-        incr count
-      end)
-    obs;
-  List.rev !holders
+(* One pass over the processors' observations: count the estimates and
+   keep the lowest [limit] holders of each value (reversed), so the
+   majority's holders are known once the counts are. *)
+let vote_census config ~limit =
+  let zeros = ref 0 and ones = ref 0 and silent = ref 0 in
+  let zero_holders = ref [] and one_holders = ref [] in
+  for p = 0 to Dsim.Engine.n config - 1 do
+    let obs = Dsim.Engine.observe config p in
+    match obs.Dsim.Obs.estimate with
+    | Some true ->
+        if !ones < limit then one_holders := obs.Dsim.Obs.id :: !one_holders;
+        incr ones
+    | Some false ->
+        if !zeros < limit then zero_holders := obs.Dsim.Obs.id :: !zero_holders;
+        incr zeros
+    | None -> incr silent
+  done;
+  {
+    zeros = !zeros;
+    ones = !ones;
+    silent = !silent;
+    majority_holders = List.rev (if !ones > !zeros then !one_holders else !zero_holders);
+  }

@@ -30,15 +30,20 @@ val limit_windows : int -> ('s, 'm) windowed -> ('s, 'm) windowed
 val switch_after : int -> ('s, 'm) windowed -> ('s, 'm) windowed -> ('s, 'm) windowed
 (** Play the first strategy for [k] windows, then the second. *)
 
-val vote_census : ('s, 'm) Dsim.Engine.t -> int * int * int
-(** [(zeros, ones, silent)]: how many processors will vote 0, vote 1,
-    or not vote in the coming window, read off the full-information
-    observations (estimates of non-recovering processors).  The census
-    is exact for protocols whose per-window vote equals their current
-    estimate — sending steps are deterministic, so the adversary can
-    always predict them. *)
+type census = {
+  zeros : int;  (** processors that will vote 0 *)
+  ones : int;  (** processors that will vote 1 *)
+  silent : int;  (** processors that will not vote (recovering) *)
+  majority_holders : int list;
+      (** up to [limit] ids holding the majority estimate (ties broken
+          toward value [false]), lowest ids first: the natural silencing
+          set for a balancing adversary *)
+}
 
-val majority_holders : ('s, 'm) Dsim.Engine.t -> limit:int -> int list
-(** Up to [limit] processor ids currently holding the majority estimate
-    (ties broken toward value [false]), lowest ids first.  The natural
-    silencing set for a balancing adversary. *)
+val vote_census : ('s, 'm) Dsim.Engine.t -> limit:int -> census
+(** How the coming window will vote, read off the full-information
+    observations (estimates of non-recovering processors) in one pass
+    over {!Dsim.Engine.observe}: one observation per processor and no
+    array of them.  The census is exact for protocols whose per-window
+    vote equals their current estimate — sending steps are
+    deterministic, so the adversary can always predict them. *)

@@ -200,7 +200,7 @@ let escape_probability ~n ~t =
 let e2_exponential_variant ?(jobs = 1) ~scale () =
   let ns, seed_count =
     match scale with
-    | `Full -> ([ 7; 9; 11; 13; 15; 17 ], 200)
+    | `Full -> ([ 7; 9; 11; 13; 15; 17; 19; 21 ], 200)
     | `Quick -> ([ 7; 9; 11 ], 30)
   in
   let table =

@@ -14,13 +14,16 @@ let create ~capacity =
 let capacity t = t.capacity
 let copy t = { capacity = t.capacity; words = Array.copy t.words }
 
+let fill t =
+  for i = 0 to Array.length t.words - 1 do
+    let hi = min bits (t.capacity - (i * bits)) in
+    t.words.(i) <- (if hi >= bits then -1 else (1 lsl hi) - 1)
+  done
+
 let full ~capacity =
   if capacity < 0 then invalid_arg "Bitset.full: negative capacity";
-  let t = { capacity; words = Array.make ((capacity + bits - 1) / bits) 0 } in
-  for i = 0 to Array.length t.words - 1 do
-    let hi = min bits (capacity - (i * bits)) in
-    t.words.(i) <- (if hi >= bits then -1 else (1 lsl hi) - 1)
-  done;
+  let t = create ~capacity in
+  fill t;
   t
 
 let mem t i =

@@ -22,6 +22,11 @@ val full : capacity:int -> t
     broadcast pending sets, which start full and empty one delivery at
     a time.  Raises [Invalid_argument] on a negative capacity. *)
 
+val fill : t -> unit
+(** Add every element of [0 .. capacity-1] in place: the mailbox
+    refills a dead entry's pending set with this instead of allocating
+    a fresh {!full} one. *)
+
 val mem : t -> int -> bool
 (** O(1); [false] for any [i] outside [0, capacity). *)
 

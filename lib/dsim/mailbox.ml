@@ -17,9 +17,14 @@
    - an id is pending iff it is a live destination ([bc_first <= id <
      bc_first + bc_count] with the [id - bc_first] pending bit set);
    - [bcs.(0 .. bc_len-1)] is sorted by strictly increasing [bc_first]
-     with pairwise disjoint id ranges; [bc_firsts] mirrors the firsts
-     (kept for dead [None] entries so binary search stays valid);
-     [bc_live]/[bc_pending_total] count live entries and their pending
+     with pairwise disjoint id ranges; [bc_firsts] mirrors the firsts.
+     An entry whose last destination was taken stays in its cell, dead
+     ([bc_remaining = 0], no pending bit), so binary search stays valid;
+   - [bcs.(bc_len .. bc_cells-1)] are dead entries that compaction moved
+     to the tail: the pool [add_broadcast] refills in place.  The cells
+     [0, bc_cells) hold pairwise distinct records; the cells past
+     [bc_cells] are growth filler and are never read;
+   - [bc_live]/[bc_pending_total] count live entries and their pending
      destinations; [bc_hi] is the end of the highest range ever added
      (freshness check for new broadcasts);
    - every key of [overrides] is a pending id. *)
@@ -27,21 +32,22 @@
 module Int_map = Map.Make (Int)
 
 type 'm bc = {
-  bc_first : int;
-  bc_count : int;
-  bc_src : int;
-  bc_payload : 'm;
-  bc_depth : int;
-  bc_pending : Bitset.t;  (* dst in [0, bc_count) still pending *)
-  mutable bc_remaining : int;  (* = cardinal of bc_pending *)
+  mutable bc_first : int;
+  mutable bc_count : int;
+  mutable bc_src : int;
+  mutable bc_payload : 'm;
+  mutable bc_depth : int;
+  mutable bc_pending : Bitset.t;  (* dst in [0, bc_count) still pending *)
+  mutable bc_remaining : int;  (* = cardinal of bc_pending; 0 = dead *)
 }
 
 type ('a, 'm) visitor = 'a -> id:int -> src:int -> dst:int -> depth:int -> 'm -> unit
 
 type 'm t = {
-  mutable bcs : 'm bc option array;
+  mutable bcs : 'm bc array;
   mutable bc_firsts : int array;
   mutable bc_len : int;
+  mutable bc_cells : int;
   mutable bc_live : int;
   mutable bc_pending_total : int;
   mutable bc_hi : int;
@@ -53,29 +59,34 @@ let create () =
     bcs = [||];
     bc_firsts = [||];
     bc_len = 0;
+    bc_cells = 0;
     bc_live = 0;
     bc_pending_total = 0;
     bc_hi = 0;
     overrides = Int_map.empty;
   }
 
+(* Only the live entries are copied, each into a fresh record: a copy
+   shares no cell with [t], so neither side's refills reach the other. *)
 let copy t =
-  let bcs = Array.make (max t.bc_live 1) None in
-  let bc_firsts = Array.make (max t.bc_live 1) 0 in
+  let live = t.bc_live in
+  let bcs = if live = 0 then [||] else Array.make live t.bcs.(0) in
+  let bc_firsts = Array.make live 0 in
   let w = ref 0 in
   for k = 0 to t.bc_len - 1 do
-    match t.bcs.(k) with
-    | None -> ()
-    | Some bc ->
-        bcs.(!w) <- Some { bc with bc_pending = Bitset.copy bc.bc_pending };
-        bc_firsts.(!w) <- bc.bc_first;
-        incr w
+    let bc = t.bcs.(k) in
+    if bc.bc_remaining > 0 then begin
+      bcs.(!w) <- { bc with bc_pending = Bitset.copy bc.bc_pending };
+      bc_firsts.(!w) <- bc.bc_first;
+      incr w
+    end
   done;
   {
     bcs;
     bc_firsts;
-    bc_len = !w;
-    bc_live = !w;
+    bc_len = live;
+    bc_cells = live;
+    bc_live = live;
     bc_pending_total = t.bc_pending_total;
     bc_hi = t.bc_hi;
     overrides = t.overrides;
@@ -93,57 +104,64 @@ let bc_index_for t id =
   done;
   !lo - 1
 
-(* Index of the live broadcast entry holding [id] as a still-pending
-   destination, or -1. *)
+(* Index of the broadcast entry holding [id] as a still-pending
+   destination, or -1.  A dead entry has no pending bit. *)
 let bc_slot t id =
   let k = bc_index_for t id in
   if k < 0 then -1
   else
-    match t.bcs.(k) with
-    | Some bc
-      when id - bc.bc_first < bc.bc_count
-           && Bitset.mem bc.bc_pending (id - bc.bc_first) ->
-        k
-    | Some _ | None -> -1
-
-(* Internal: only called on indices [bc_slot] returned. *)
-let bc_entry t k = match t.bcs.(k) with Some bc -> bc | None -> assert false
+    let bc = t.bcs.(k) in
+    if id - bc.bc_first < bc.bc_count && Bitset.mem bc.bc_pending (id - bc.bc_first) then k
+    else -1
 
 (* The payload destination [id] of [bc] receives. *)
 let payload_of t bc id =
   if Int_map.is_empty t.overrides then bc.bc_payload
   else match Int_map.find_opt id t.overrides with Some p -> p | None -> bc.bc_payload
 
-(* Internal: only called when [id] is a pending destination of entry
-   [k] = [bc]. *)
-let bc_remove t k bc id =
+(* Internal: only called when [id] is a pending destination of [bc].
+   The entry's last removal leaves it dead in its cell. *)
+let bc_remove t bc id =
   Bitset.remove bc.bc_pending (id - bc.bc_first);
   bc.bc_remaining <- bc.bc_remaining - 1;
   t.bc_pending_total <- t.bc_pending_total - 1;
-  if bc.bc_remaining = 0 then begin
-    t.bcs.(k) <- None;
-    t.bc_live <- t.bc_live - 1
-  end;
+  if bc.bc_remaining = 0 then t.bc_live <- t.bc_live - 1;
   if not (Int_map.is_empty t.overrides) then t.overrides <- Int_map.remove id t.overrides
 
 (* Lazy compaction, amortized O(1): only [add_broadcast] calls this, so
-   iterators holding table indices are never invalidated mid-walk. *)
+   iterators holding table indices are never invalidated mid-walk.
+   Live entries move down in order; the dead ones are swapped, not
+   overwritten, into the tail, where they wait to be refilled. *)
 let bc_compact t =
   if t.bc_len > 8 && t.bc_live * 2 < t.bc_len then begin
     let w = ref 0 in
     for k = 0 to t.bc_len - 1 do
-      match t.bcs.(k) with
-      | None -> ()
-      | Some bc ->
-          t.bcs.(!w) <- t.bcs.(k);
-          t.bc_firsts.(!w) <- bc.bc_first;
-          incr w
-    done;
-    for k = !w to t.bc_len - 1 do
-      t.bcs.(k) <- None
+      let bc = t.bcs.(k) in
+      if bc.bc_remaining > 0 then begin
+        t.bcs.(k) <- t.bcs.(!w);
+        t.bcs.(!w) <- bc;
+        t.bc_firsts.(!w) <- bc.bc_first;
+        incr w
+      end
     done;
     t.bc_len <- !w
   end
+
+(* Append a fresh entry at [bc_len], growing the table when it is full;
+   the new cells past it are filler until a later append owns them.  An
+   empty table grows to one cell: a copy of a drained mailbox (each
+   child the model checker expands) often takes a single broadcast. *)
+let bc_append t bc =
+  if t.bc_len = Array.length t.bcs then begin
+    let new_cap = if t.bc_len = 0 then 1 else max 8 (t.bc_len * 2) in
+    let bcs = Array.make new_cap bc and firsts = Array.make new_cap 0 in
+    Array.blit t.bcs 0 bcs 0 t.bc_len;
+    Array.blit t.bc_firsts 0 firsts 0 t.bc_len;
+    t.bcs <- bcs;
+    t.bc_firsts <- firsts
+  end;
+  t.bcs.(t.bc_len) <- bc;
+  t.bc_cells <- t.bc_len + 1
 
 (* {2 Public surface} *)
 
@@ -151,16 +169,19 @@ let add_broadcast t ~first ~count ~src ~payload ~depth =
   if count <= 0 then invalid_arg "Mailbox.add_broadcast: count must be positive";
   if first < t.bc_hi then invalid_arg "Mailbox.add_broadcast: ids not fresh";
   bc_compact t;
-  if t.bc_len = Array.length t.bcs then begin
-    let new_cap = max 8 (t.bc_len * 2) in
-    let bcs = Array.make new_cap None and firsts = Array.make new_cap 0 in
-    Array.blit t.bcs 0 bcs 0 t.bc_len;
-    Array.blit t.bc_firsts 0 firsts 0 t.bc_len;
-    t.bcs <- bcs;
-    t.bc_firsts <- firsts
-  end;
-  t.bcs.(t.bc_len) <-
-    Some
+  if t.bc_len < t.bc_cells then begin
+    let bc = t.bcs.(t.bc_len) in
+    bc.bc_first <- first;
+    bc.bc_count <- count;
+    bc.bc_src <- src;
+    bc.bc_payload <- payload;
+    bc.bc_depth <- depth;
+    if Bitset.capacity bc.bc_pending = count then Bitset.fill bc.bc_pending
+    else bc.bc_pending <- Bitset.full ~capacity:count;
+    bc.bc_remaining <- count
+  end
+  else
+    bc_append t
       {
         bc_first = first;
         bc_count = count;
@@ -182,9 +203,9 @@ let take_with t id ctx f =
   let k = bc_slot t id in
   k >= 0
   &&
-  let bc = bc_entry t k in
+  let bc = t.bcs.(k) in
   let payload = payload_of t bc id in
-  bc_remove t k bc id;
+  bc_remove t bc id;
   f ctx ~id ~src:bc.bc_src ~dst:(id - bc.bc_first) ~depth:bc.bc_depth payload;
   true
 
@@ -205,18 +226,18 @@ let size t = t.bc_pending_total
 let iter_range t ~from ~til ctx f =
   let k = ref (max (bc_index_for t from) 0) in
   while !k < t.bc_len && t.bc_firsts.(!k) < til do
-    (match t.bcs.(!k) with
-    | None -> ()
-    | Some bc ->
-        let stop = min bc.bc_count (til - bc.bc_first) in
-        let skip = if from <= bc.bc_first then 0 else from - bc.bc_first in
-        let d = ref (Bitset.next_from bc.bc_pending skip) in
-        while !d >= 0 && !d < stop do
-          let dst = !d in
-          let id = bc.bc_first + dst in
-          d := Bitset.next_from bc.bc_pending (dst + 1);
-          f ctx ~id ~src:bc.bc_src ~dst ~depth:bc.bc_depth (payload_of t bc id)
-        done);
+    let bc = t.bcs.(!k) in
+    if bc.bc_remaining > 0 then begin
+      let stop = min bc.bc_count (til - bc.bc_first) in
+      let skip = if from <= bc.bc_first then 0 else from - bc.bc_first in
+      let d = ref (Bitset.next_from bc.bc_pending skip) in
+      while !d >= 0 && !d < stop do
+        let dst = !d in
+        let id = bc.bc_first + dst in
+        d := Bitset.next_from bc.bc_pending (dst + 1);
+        f ctx ~id ~src:bc.bc_src ~dst ~depth:bc.bc_depth (payload_of t bc id)
+      done
+    end;
     incr k
   done
 
@@ -235,15 +256,15 @@ let pending_ids t =
    the walk allocates nothing. *)
 let walk_for t ~dst ~from ~til ~allow ~remove ctx f =
   for k = 0 to t.bc_len - 1 do
-    match t.bcs.(k) with
-    | Some bc when Bitset.mem bc.bc_pending dst ->
-        let id = bc.bc_first + dst in
-        if id >= from && id < til && allow ~dst ~src:bc.bc_src then begin
-          let payload = payload_of t bc id in
-          if remove then bc_remove t k bc id;
-          f ctx ~id ~src:bc.bc_src ~dst ~depth:bc.bc_depth payload
-        end
-    | Some _ | None -> ()
+    let bc = t.bcs.(k) in
+    if Bitset.mem bc.bc_pending dst then begin
+      let id = bc.bc_first + dst in
+      if id >= from && id < til && allow ~dst ~src:bc.bc_src then begin
+        let payload = payload_of t bc id in
+        if remove then bc_remove t bc id;
+        f ctx ~id ~src:bc.bc_src ~dst ~depth:bc.bc_depth payload
+      end
+    end
   done
 
 let allow_all ~dst:_ ~src:_ = true

@@ -9,12 +9,27 @@
     destination).  Per-destination envelopes are never built: every
     read hands a {!visitor} the envelope's fields.  A corrupted
     destination keeps its id and its place; only its payload is
-    overridden. *)
+    overridden.
+
+    An entry whose last destination is taken stays in its table cell,
+    dead: it has no pending bit, so reads pass over it.  When fewer
+    than half the entries are live, the next {!add_broadcast} compacts
+    the table, swapping the dead entries to its tail, and then adds by
+    refilling the first of them in place — its pending bits too, when
+    its destination count is the same — so a mailbox whose broadcasts
+    are all delivered (every balancing window's are) allocates nothing
+    for the next window's.  A dead entry keeps its payload reachable
+    until it is refilled. *)
 
 type 'm t
 
 val create : unit -> 'm t
+
 val copy : 'm t -> 'm t
+(** An independent mailbox with the same pending envelopes.  Only live
+    entries are copied, each with its pending bits, into a table sized
+    to them: O(live entries), and no dead cell is shared, so refills on
+    either side never reach the other. *)
 
 val add_broadcast :
   'm t -> first:int -> count:int -> src:int -> payload:'m -> depth:int -> unit
@@ -22,8 +37,11 @@ val add_broadcast :
     entry occupying ids [first .. first + count - 1], destination [dst]
     owning id [first + dst] — the id order an eager per-destination
     expansion would have produced.  O(count / word-size): the only
-    per-destination state is one pending bit.  The id range must be
-    fresh (beyond every id ever stored); [Invalid_argument] otherwise. *)
+    per-destination state is one pending bit.  Refills a dead entry in
+    place when the table holds one past its live entries, and allocates
+    nothing then unless [count] differs from that entry's.  The id range
+    must be fresh (beyond every id ever stored); [Invalid_argument]
+    otherwise. *)
 
 type ('a, 'm) visitor = 'a -> id:int -> src:int -> dst:int -> depth:int -> 'm -> unit
 (** A callback handed an envelope's fields, with the caller's state

@@ -11,6 +11,10 @@ type t = {
 let make ~id ~round ~estimate ~output ~input ~resets ~phase =
   { id; round; estimate; output; input; resets; phase }
 
+(* [Some true] and [Some false] are static constants, so an [observe]
+   that reports an estimate through this allocates only its record. *)
+let some_bit b = if b then Some true else Some false
+
 let decided t = Option.is_some t.output
 let estimate_is t value =
   match t.estimate with Some b -> Bool.equal b value | None -> false

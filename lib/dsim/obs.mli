@@ -27,6 +27,11 @@ val make :
   phase:int ->
   t
 
+val some_bit : bool -> bool option
+(** [some_bit b] is [Some b], one of two preallocated values: the
+    estimate a protocol's [observe] reports for bit [b], without
+    allocating the option. *)
+
 val decided : t -> bool
 
 val estimate_is : t -> bool -> bool

@@ -200,7 +200,7 @@ let on_reset { core; _ } =
 let output state = state.core.output
 
 let observe { core; _ } =
-  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Some core.x)
+  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Dsim.Obs.some_bit core.x)
     ~output:core.output ~input:core.input ~resets:core.resets
     ~phase:(match core.phase with Report_wait -> 0 | Propose_wait -> 1)
 

@@ -266,7 +266,7 @@ let on_reset state =
 let output state = state.core.output
 
 let observe { core; _ } =
-  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Some core.x)
+  Dsim.Obs.make ~id:core.id ~round:core.round ~estimate:(Dsim.Obs.some_bit core.x)
     ~output:core.output ~input:core.input ~resets:core.resets ~phase:core.phase
 
 let code_fingerprint = function 0 -> "V0" | 1 -> "V1" | 2 -> "D0" | _ -> "D1"

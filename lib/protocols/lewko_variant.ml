@@ -141,7 +141,8 @@ let output state = state.core.output
 let observe { core; _ } =
   Dsim.Obs.make ~id:core.id
     ~round:(match core.mode with Normal -> core.round | Recovering -> -1)
-    ~estimate:(match core.mode with Normal -> Some core.x | Recovering -> None)
+    ~estimate:
+      (match core.mode with Normal -> Dsim.Obs.some_bit core.x | Recovering -> None)
     ~output:core.output ~input:core.input ~resets:core.resets
     ~phase:(match core.mode with Normal -> 0 | Recovering -> 1)
 

@@ -46,25 +46,31 @@ let test_rotating_invalid_period () =
 let test_census () =
   let inputs = Array.init 12 (fun i -> i < 6) in
   let config = make_config ~n:12 ~t:1 ~inputs () in
-  let zeros, ones, silent = Adversary.Strategy.vote_census config in
-  Alcotest.(check int) "zeros" 6 zeros;
-  Alcotest.(check int) "ones" 6 ones;
-  Alcotest.(check int) "silent" 0 silent;
+  let census = Adversary.Strategy.vote_census config ~limit:0 in
+  Alcotest.(check int) "zeros" 6 census.zeros;
+  Alcotest.(check int) "ones" 6 census.ones;
+  Alcotest.(check int) "silent" 0 census.silent;
+  Alcotest.(check (list int)) "limit 0 keeps no holder" [] census.majority_holders;
   (* Reset someone: they become silent (recovering). *)
   Dsim.Engine.apply config (Dsim.Step.Reset 0);
-  let zeros, ones, silent = Adversary.Strategy.vote_census config in
-  Alcotest.(check int) "zeros after reset" 6 zeros;
-  Alcotest.(check int) "ones after reset" 5 ones;
-  Alcotest.(check int) "silent after reset" 1 silent
+  let census = Adversary.Strategy.vote_census config ~limit:100 in
+  Alcotest.(check int) "zeros after reset" 6 census.zeros;
+  Alcotest.(check int) "ones after reset" 5 census.ones;
+  Alcotest.(check int) "silent after reset" 1 census.silent;
+  Alcotest.(check (list int)) "zeros are the majority" [ 6; 7; 8; 9; 10; 11 ]
+    census.majority_holders
 
 let test_majority_holders () =
   (* 7 ones (ids 0,2,3,5,6,8,10) vs 5 zeros. *)
   let inputs = [| true; false; true; true; false; true; true; false; true; false; true; false |] in
   let config = make_config ~n:12 ~t:1 ~inputs () in
-  Alcotest.(check (list int)) "two lowest majority holders" [ 0; 2 ]
-    (Adversary.Strategy.majority_holders config ~limit:2);
-  Alcotest.(check (list int)) "all seven" [ 0; 2; 3; 5; 6; 8; 10 ]
-    (Adversary.Strategy.majority_holders config ~limit:100)
+  let holders ~limit = (Adversary.Strategy.vote_census config ~limit).majority_holders in
+  Alcotest.(check (list int)) "two lowest majority holders" [ 0; 2 ] (holders ~limit:2);
+  Alcotest.(check (list int)) "all seven" [ 0; 2; 3; 5; 6; 8; 10 ] (holders ~limit:100);
+  (* A tie goes to value false. *)
+  let config = make_config ~n:12 ~t:1 () in
+  Alcotest.(check (list int)) "tie toward zeros" [ 1; 3; 5; 7 ]
+    (Adversary.Strategy.vote_census config ~limit:4).majority_holders
 
 let test_limit_windows () =
   let strategy = Adversary.Strategy.limit_windows 3 (Adversary.Benign.windowed ()) in
@@ -108,6 +114,28 @@ let test_balancing_silences_majority () =
       List.iter
         (fun p -> Alcotest.(check bool) "silenced holds majority" true inputs.(p))
         silenced
+
+(* A balancing window reads each processor's observation once, in one
+   census pass.  On a warm n = 13, t = 1 Lewko configuration (the
+   lewko-balancing-n13 benchmark's), building the observation array
+   three times per call cost 500 minor words a call; one pass costs
+   122.  The limit sits between the two. *)
+let test_balancing_census_allocation () =
+  let n = 13 in
+  let config = make_config ~n ~t:1 ~inputs:(Agreement.Ensemble.split_inputs ~n 1) () in
+  let strategy = Adversary.Split_vote.windowed () in
+  for _ = 1 to 5 do
+    Option.iter (Dsim.Engine.apply_window config) (strategy config)
+  done;
+  let calls = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (strategy config)
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call >= 300.0 then
+    Alcotest.failf "Split_vote.windowed allocated %.1f minor words per call (limit 300)"
+      per_call
 
 let test_balancing_escape_threshold () =
   let thresholds = Protocols.Thresholds.default ~n:13 ~t:2 in
@@ -309,6 +337,8 @@ let suite =
     Alcotest.test_case "switch after" `Quick test_switch_after;
     Alcotest.test_case "balancing silences majority" `Quick test_balancing_silences_majority;
     Alcotest.test_case "balancing escape threshold" `Quick test_balancing_escape_threshold;
+    Alcotest.test_case "balancing census allocation" `Quick
+      test_balancing_census_allocation;
     Alcotest.test_case "crash budget respected" `Quick test_crash_budget_respected;
     Alcotest.test_case "crash at start rejects excess" `Quick
       test_crash_at_start_rejects_excess;
